@@ -4,7 +4,9 @@ The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
 and depends on j-i alone.  Gaussian elimination specialised to the band is
 exact-cost O(size * k * (k+l)); the triangular and tridiagonal shapes get
-dedicated paths.
+dedicated paths.  The solve is plain float64: the matrices have small
+integer entries, and extended precision is spent only on the right-hand
+side (assemble_rhs), where the dual coefficients grow like 4^(n-m).
 """
 
 from dataclasses import dataclass
@@ -21,11 +23,6 @@ __all__ = ["BandedToeplitz", "assemble_matrix", "assemble_rhs", "solve"]
 # A pivot below this times the matrix scale signals a singular system; the
 # assembled matrices have integer entries, so tiny pivots mean caller bugs.
 _PIVOT_RTOL = 1e-13
-
-# Residual contract: |G p - v|_inf <= _RESIDUAL_RTOL * (1 + |v|_inf).  High
-# orders at high degree (condition numbers near 1e10 at m = 8, n = 60) need
-# a refinement pass to reach it.
-_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,14 +62,6 @@ class BandedToeplitz:
         """Copy of the system carrying a new right-hand side."""
         return BandedToeplitz(self.size, self.lower_bw, self.upper_bw,
                               self.diagonals, np.asarray(v, dtype=float))
-
-    def dense(self):
-        """Dense matrix (for oracles and small-scale debugging)."""
-        a = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            for j in range(self.size):
-                a[i, j] = self.entry(i, j)
-        return a
 
 
 def assemble_matrix(n, m, k, l):
@@ -144,27 +133,14 @@ def solve(system):
     k = 0 gives back substitution, l = 0 forward substitution, k = l = 1
     tridiagonal elimination; anything else goes through banded LU with
     partial pivoting (the upper bandwidth grows to k + l during
-    elimination).  If the infinity-norm residual misses the contract
-    (1e-10 relative to the right-hand side), up to two refinement passes
-    with an exactly computed residual bring it back.
+    elimination).  For right-hand sides of bounded solutions the residual
+    |G p - v|_inf is well within 1e-10 * (1 + |v|_inf) for every split
+    k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
     """
     if system.size < 1:
         raise ValueError("system must have size >= 1")
-    scale = float(np.abs(system.diagonals).max())
-    tol = _PIVOT_RTOL * max(scale, 1.0)
-    p = _dispatch(system, tol)
-    target = 0.25 * _RESIDUAL_RTOL * (1.0 + float(np.abs(system.rhs).max()))
-    if np.abs(system.rhs - _band_matvec(system, p)).max() > target:
-        for _ in range(2):
-            r, rmax = _residual_exact(system, p)
-            if rmax <= target:
-                break
-            p = p + _dispatch(system.with_rhs(r), tol)
-    return p
-
-
-def _dispatch(system, tol):
     k, l = system.lower_bw, system.upper_bw
+    tol = _PIVOT_RTOL * max(float(np.abs(system.diagonals).max()), 1.0)
     if k == 0:
         return _back_substitution(system, tol)
     if l == 0:
@@ -172,38 +148,6 @@ def _dispatch(system, tol):
     if k == 1 and l == 1:
         return _tridiagonal(system, tol)
     return _banded_lu(system, tol)
-
-
-def _band_matvec(system, p):
-    s, k = system.size, system.lower_bw
-    out = np.zeros(s)
-    for idx, val in enumerate(system.diagonals):
-        d = idx - k
-        if abs(d) >= s:
-            continue  # band wider than the system (n close to m)
-        if d >= 0:
-            out[: s - d] += val * p[d:]
-        else:
-            out[-d:] += val * p[: s + d]
-    return out
-
-
-def _residual_exact(system, p):
-    """v - G p accumulated at working precision; returns (float64 vector,
-    exact max magnitude)."""
-    s, k, l = system.size, system.lower_bw, system.upper_bw
-    with workprec():
-        diag = [mpf(v) for v in system.diagonals]
-        pm = [mpf(v) for v in p]
-        r = np.zeros(s)
-        rmax = 0.0
-        for i in range(s):
-            acc = mpf(system.rhs[i])
-            for d in range(-min(k, i), min(l, s - 1 - i) + 1):
-                acc -= diag[d + k] * pm[i + d]
-            r[i] = float(acc)
-            rmax = max(rmax, abs(r[i]))
-    return r, rmax
 
 
 def _back_substitution(system, tol):
@@ -257,18 +201,19 @@ def _tridiagonal(system, tol):
 def _banded_lu(system, tol):
     s, k, l = system.size, system.lower_bw, system.upper_bw
     width = k + l  # fill-in extends the upper bandwidth to k + l
-    a = system.dense()
+    offset = np.arange(s) - np.arange(s)[:, None]  # j - i
+    a = np.where((offset >= -k) & (offset <= l),
+                 system.diagonals[np.clip(offset + k, 0, width)], 0.0)
     v = np.array(system.rhs)
     for col in range(s):
         lo = min(col + k, s - 1)
         piv = col + int(np.argmax(np.abs(a[col:lo + 1, col])))
         if abs(a[piv, col]) <= tol:
             raise SingularSystemError(col)
+        hi = min(col + width + 1, s)
         if piv != col:
-            hi = min(col + width + 1, s)
             a[[col, piv], col:hi] = a[[piv, col], col:hi]
             v[col], v[piv] = v[piv], v[col]
-        hi = min(col + width + 1, s)
         for r in range(col + 1, lo + 1):
             f = a[r, col] / a[col, col]
             if f != 0.0:

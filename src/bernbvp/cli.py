@@ -116,6 +116,17 @@ def _coefficient_document(report, options):
     return "\n".join(lines) + "\n"
 
 
+def _emit(text, out, what):
+    """Write text to the --out path and say so, or to stdout without it."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"{what} written to {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_solve(args):
     problem, exact, quad = load_problem_spec(args.spec)
     if args.degree < problem.m:
@@ -170,14 +181,7 @@ def cmd_table(args):
             err = columns[ex_id].get(n)
             row.append("" if err is None else f"{err:.2e}")
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"table written to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out, "table")
 
 
 def cmd_error_curve(args):
@@ -202,25 +206,14 @@ def cmd_error_curve(args):
             f"degree {args.degree} is below the equation order {problem.m}"
         )
     try:
-        report = solve(problem, SolveOptions(
-            degree=args.degree,
-            quad_order=args.quad_order if args.quad_order is not None else quad.get("order"),
-            quad_panels=args.quad_panels if args.quad_panels is not None else quad.get("panels", 2),
-        ))
+        report = solve(problem, _make_options(args, quad))
         curve = error_curve(report.solution, reference, args.grid)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     lines = ["x,epsilon"]
     for x, eps in curve:
         lines.append(f"{x:.6f},{_fmt(eps)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"error curve written to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out, "error curve")
 
 
 def cmd_eval(args):

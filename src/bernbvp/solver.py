@@ -204,6 +204,8 @@ def _iterate_core(problem, prev_coeffs, n, rule):
         moments, gvals = _moment_integrals_mp(g, nu, rule)
         duals = dual_coefficients(nu)
         v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError("system right-hand side overflows float64")
         system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
         inner = bandsolve.solve(system)
         coeffs = _full_coeffs(n, k, l, left, right, inner)

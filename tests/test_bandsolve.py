@@ -107,19 +107,22 @@ class TestSolve:
         import math
 
         rng = np.random.default_rng(63)
-        for m, k in ((8, 4), (8, 8), (8, 0), (7, 3), (8, 1)):
-            s0 = assemble_matrix(60, m, k, m - k)
-            p_true = rng.uniform(-1, 1, s0.size)
-            dense = dense_from_banded(s0)
-            rhs = np.array([math.fsum(dense[i] * p_true) for i in range(s0.size)])
-            s = s0.with_rhs(rhs)
-            p = solve(s)
-            res = dense @ p - rhs
-            assert np.abs(res).max() <= 1e-10 * (1.0 + np.abs(rhs).max()), (m, k)
+        for m in range(1, 9):
+            for k in range(m + 1):
+                for n in (m, m + 3, 30, 60):
+                    s0 = assemble_matrix(n, m, k, m - k)
+                    p_true = rng.uniform(-1, 1, s0.size)
+                    dense = dense_from_banded(s0)
+                    rhs = np.array([math.fsum(dense[i] * p_true)
+                                    for i in range(s0.size)])
+                    p = solve(s0.with_rhs(rhs))
+                    res = dense @ p - rhs
+                    bound = 1e-10 * (1.0 + np.abs(rhs).max())
+                    assert np.abs(res).max() <= bound, (m, k, n)
 
     def test_refinement_reaches_float64_optimum_on_hard_corner(self):
         # random rhs at the worst-conditioned supported shape: the float64
-        # representation floor dominates, and the refined answer must land
+        # representation floor dominates, and the solver's answer must land
         # at the same residual level as the exactly-solved-then-rounded one
         # (about 2e-9 here; see dense oracle via numpy at float64)
         rng = np.random.default_rng(63)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestSolveCommand:
         assert main(["solve", str(spec), "--degree", "6",
                      "--out", str(tmp_path / "o")]) == 3
         assert "n=3" in capsys.readouterr().err
+
+    def test_divergent_solve_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "div.json"
+        spec.write_text(json.dumps({
+            "order": 2, "left": [0], "right": [0],
+            "rhs": "exp(40*y0) + 300*y1^3"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", str(spec), "--degree", "20",
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: iteration n=6 failed: ")
 
     def test_degree_below_order_exits_2(self, ex1_spec, tmp_path):
         assert main(["solve", str(ex1_spec), "--degree", "1",

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import monomial_bernstein_coeffs
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
-from bernbvp.errors import IterationError
+from bernbvp.errors import EvaluationError, IterationError
 from bernbvp.expressions import parse
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
@@ -211,6 +213,21 @@ class TestSolve:
         with pytest.raises(IterationError) as err:
             solve(p, SolveOptions(degree=5))
         assert err.value.n == 3
+
+    def test_divergent_rhs_fails_with_iteration_index(self):
+        # the iterates blow up until v overflows float64 at n = 6; that must
+        # surface as IterationError before the band solve sees inf
+        p = BVProblem((0.0,), (0.0,), parse("exp(40*y0) + 300*y1^3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IterationError) as err:
+                solve(p, SolveOptions(degree=20))
+            assert err.value.n == 6
+            assert isinstance(err.value.cause, EvaluationError)
+            w5 = solve(p, SolveOptions(degree=5)).solution
+            with pytest.raises(IterationError) as err:
+                iterate(p, w5, 6)
+            assert err.value.n == 6
 
     def test_first_order_initial_value(self):
         # y' = y, y(0) = 1: exact solution e^x
