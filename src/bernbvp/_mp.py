@@ -1,12 +1,18 @@
 """Shared extended-precision context.
 
-The iteration pipeline combines moment integrals with dual-basis connection
-coefficients whose magnitudes grow roughly like 4^n.  Carrying that
-combination in double precision amplifies rounding noise by the same factor,
-so the inner kernels run at WORKING_DPS decimal digits (mpmath) and results
-are rounded back to float64 at module boundaries.  At 40 digits the rounding
-floor of the delivered double-precision coefficients stays below 1e-13 for
-degrees up to roughly n - m = 45.
+The iteration combines moment integrals with dual-basis connection
+coefficients whose magnitudes grow roughly like 4^n, so rounding in that
+combination is amplified by the same factor.  Three kernels therefore run
+at WORKING_DPS decimal digits (mpmath): the per-(node, basis index)
+products and sums of quadrature._moment_integrals_mp, the table of
+dual.dual_coefficients, and bandsolve.assemble_rhs.  Everything that feeds
+or checks them (nodes, weights, derivative values, the right-hand side at
+the nodes, the L2 residual) is float64: rounding there perturbs the
+integrand once per node and is not amplified by 4^n.  It does reach the
+Bernstein coefficients through the dual basis values at the nodes (about
+2^n), while the values of the polynomial they represent move only at the
+float64 rounding level.  At 40 digits those values keep float64 accuracy
+up to roughly n - m = 45.
 """
 
 from mpmath import mp

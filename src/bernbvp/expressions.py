@@ -11,17 +11,14 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     NAME   := sin cos tan sec exp ln sqrt abs
 
 ``yk`` denotes the k-th derivative argument (y0 = y, y1 = y', ...).
-Evaluation works on floats or on mpmath mpf scalars; domain errors (ln of a
-non-positive value, division by zero, ...) raise EvaluationError instead of
-producing NaN.
+Evaluation is in float64; domain errors (ln of a non-positive value,
+division by zero, ...) and function overflow raise EvaluationError instead
+of producing NaN or escaping as a raw math exception.
 """
 
 import math
 import re
 from dataclasses import dataclass
-
-import mpmath
-from mpmath import mpf
 
 from .errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 
@@ -212,18 +209,13 @@ def max_arg_index(e):
     return -1
 
 
-def _float_sec(v):
+def _sec(v):
     return 1.0 / math.cos(v)
 
 
-_FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "sec": _float_sec,
+_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "sec": _sec,
     "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
-}
-
-_MP_FUNCS = {
-    "sin": mpmath.sin, "cos": mpmath.cos, "tan": mpmath.tan, "sec": mpmath.sec,
-    "exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs,
 }
 
 
@@ -252,19 +244,9 @@ def _power(base, exponent):
 
 
 def evaluate(e, x, args=()):
-    """Evaluate e at the point x with derivative arguments args = (y0, y1, ...).
-
-    Floats in, float out; mpf in, mpf out (the function table follows the
-    scalar type of the inputs).
-    """
-    use_mp = isinstance(x, mpf) or any(isinstance(a, mpf) for a in args)
-    funcs = _MP_FUNCS if use_mp else _FLOAT_FUNCS
-    return _eval(e, x, args, funcs, use_mp)
-
-
-def _eval(e, x, args, funcs, use_mp):
+    """Evaluate e at the point x with derivative arguments args = (y0, y1, ...)."""
     if isinstance(e, Num):
-        return mpf(e.value) if use_mp else e.value
+        return e.value
     if isinstance(e, X):
         return x
     if isinstance(e, Arg):
@@ -274,10 +256,10 @@ def _eval(e, x, args, funcs, use_mp):
             )
         return args[e.index]
     if isinstance(e, Neg):
-        return -_eval(e.operand, x, args, funcs, use_mp)
+        return -evaluate(e.operand, x, args)
     if isinstance(e, BinOp):
-        a = _eval(e.left, x, args, funcs, use_mp)
-        b = _eval(e.right, x, args, funcs, use_mp)
+        a = evaluate(e.left, x, args)
+        b = evaluate(e.right, x, args)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -290,14 +272,15 @@ def _eval(e, x, args, funcs, use_mp):
             return a / b
         return _power(a, b)
     if isinstance(e, Call):
-        v = _eval(e.arg, x, args, funcs, use_mp)
+        v = evaluate(e.arg, x, args)
         if e.fn == "ln" and v <= 0:
             raise EvaluationError(f"ln of non-positive value {float(v)}", where=float(v))
         if e.fn == "sqrt" and v < 0:
             raise EvaluationError(f"sqrt of negative value {float(v)}", where=float(v))
-        if e.fn in ("tan", "sec"):
-            c = funcs["cos"](v)
-            if c == 0:
+        try:
+            if e.fn in ("tan", "sec") and math.cos(v) == 0:
                 raise EvaluationError(f"{e.fn} at a pole", where=float(v))
-        return funcs[e.fn](v)
+            return _FUNCS[e.fn](v)
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationError(f"{e.fn}({float(v)}): {exc}", where=float(v)) from exc
     raise TypeError(f"not an expression node: {e!r}")

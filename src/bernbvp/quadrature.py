@@ -1,17 +1,17 @@
 """Composite Gauss-Legendre quadrature on [0, 1] and the moment integrals
 of a function against a Bernstein basis row.
 
-Nodes are found by Newton iteration on the Legendre polynomial from
-Chebyshev-angle initial guesses.  One set of single-panel nodes is computed
-per order (at extended precision, then cached); composite rules are affine
-images of it.
+The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
+composite rules are affine images of it, all in float64.  Only the
+solver's moment kernel (``_moment_integrals_mp``) runs at extended
+precision: its per-(node, basis index) products feed the dual-basis
+combination, whose coefficients grow like 4^(n-m) (see _mp).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from mpmath import isfinite as mp_isfinite
 from mpmath import mpf
 
 from ._mp import workprec
@@ -19,67 +19,15 @@ from .errors import EvaluationError
 
 __all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals"]
 
-_NEWTON_MAX_ITER = 100
-
-# order -> (nodes, weights) on [-1, 1] as mpf tuples, ascending
-_panel_cache = {}
-
-
-def _legendre_with_derivative(order, x):
-    """P_order(x) and P'_order(x) by the three-term recurrence."""
-    p0, p1 = mpf(1), x
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = order * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
-def _reference_panel(order):
-    """Gauss-Legendre nodes/weights on [-1, 1] at working precision."""
-    if order in _panel_cache:
-        return _panel_cache[order]
-    with workprec():
-        tol = mpf(10) ** (-30)
-        nodes = []
-        weights = []
-        for i in range(order):
-            # Chebyshev-angle initial guess for the i-th root (descending)
-            x = mpf(math.cos(math.pi * (4 * i + 3) / (4 * order + 2)))
-            converged = False
-            for _ in range(_NEWTON_MAX_ITER):
-                p, dp = _legendre_with_derivative(order, x)
-                step = p / dp
-                x -= step
-                if abs(step) < tol:
-                    converged = True
-                    break
-            if not converged:
-                raise RuntimeError(
-                    f"Legendre Newton iteration failed to converge for order {order}"
-                )
-            _, dp = _legendre_with_derivative(order, x)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-        pairs = sorted(zip(nodes, weights), key=lambda nw: nw[0])
-        out = (tuple(x for x, _ in pairs), tuple(w for _, w in pairs))
-    _panel_cache[order] = out
-    return out
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre rule on [0, 1].
-
-    ``nodes``/``weights`` are float64; the extended-precision values they
-    were rounded from ride along privately for the solver core.
-    """
+    """Composite Gauss-Legendre rule on [0, 1] with float64 nodes/weights."""
 
     order: int
     panels: int
     nodes: np.ndarray
     weights: np.ndarray
-    nodes_mp: tuple = field(default=None, repr=False)
-    weights_mp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("nodes", "weights"):
@@ -94,23 +42,14 @@ def gauss_rule(order, panels=1):
         raise ValueError("order must be >= 1")
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    ref_x, ref_w = _reference_panel(order)
-    with workprec():
-        h = mpf(1) / panels
-        nodes_mp = []
-        weights_mp = []
-        for p in range(panels):
-            a = p * h
-            for x, w in zip(ref_x, ref_w):
-                nodes_mp.append(a + (x + 1) / 2 * h)
-                weights_mp.append(w * h / 2)
+    x, w = np.polynomial.legendre.leggauss(order)
+    h = 1.0 / panels
+    starts = np.arange(panels) * h
     return QuadratureRule(
         order=order,
         panels=panels,
-        nodes=np.array([float(x) for x in nodes_mp]),
-        weights=np.array([float(w) for w in weights_mp]),
-        nodes_mp=tuple(nodes_mp),
-        weights_mp=tuple(weights_mp),
+        nodes=(starts[:, None] + (x + 1) / 2 * h).ravel(),
+        weights=np.tile(w * h / 2, panels),
     )
 
 
@@ -128,18 +67,6 @@ def basis_row(n, x):
         for i in range(d - 1, 0, -1):
             b[i] = x * b[i - 1] + (1.0 - x) * b[i]
         b[0] = (1.0 - x) * b[0]
-    return b
-
-
-def _basis_row_mp(n, x):
-    """basis_row for an mpf argument; returns a list of mpf."""
-    b = [mpf(0)] * (n + 1)
-    b[0] = mpf(1)
-    for d in range(1, n + 1):
-        b[d] = x * b[d - 1]
-        for i in range(d - 1, 0, -1):
-            b[i] = x * b[i - 1] + (1 - x) * b[i]
-        b[0] = (1 - x) * b[0]
     return b
 
 
@@ -161,6 +88,19 @@ class MomentVector:
         object.__setattr__(self, "values", arr)
 
 
+def _sample(g, rule):
+    """g at every node of the rule, once each, as a list of floats."""
+    out = []
+    for x in rule.nodes.tolist():
+        val = float(g(x))
+        if not math.isfinite(val):
+            raise EvaluationError(
+                f"right-hand side returned non-finite value at x={x}", where=x
+            )
+        out.append(val)
+    return out
+
+
 def moment_integrals(g, n, m, rule):
     """Moments of g against the Bernstein basis row of degree n - m.
 
@@ -169,16 +109,8 @@ def moment_integrals(g, n, m, rule):
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    nu = n - m
-    gvals = np.empty(rule.nodes.size)
-    for idx, x in enumerate(rule.nodes):
-        val = g(x)
-        if not np.isfinite(val):
-            raise EvaluationError(
-                f"right-hand side returned non-finite value at x={x}", where=x
-            )
-        gvals[idx] = val
-    rows = np.array([basis_row(nu, x) for x in rule.nodes])
+    gvals = np.array(_sample(g, rule))
+    rows = np.array([basis_row(n - m, x) for x in rule.nodes])
     values = (rule.weights * gvals) @ rows
     return MomentVector(n=n, m=m, values=values)
 
@@ -186,22 +118,26 @@ def moment_integrals(g, n, m, rule):
 def _moment_integrals_mp(g, nu, rule):
     """Extended-precision moments against the degree-nu basis row.
 
-    g receives mpf nodes and should return mpf-compatible values.  Returns
-    (moments, g_values) so the caller can reuse the node values.  This is the
-    solver's private path; the public contract is ``moment_integrals``.
+    g is sampled in float64; the products w_t g(x_t) B_q(x_t) and their sums
+    over the nodes run at working precision, with B_q(x) = C(nu,q) x^q
+    (1-x)^(nu-q) built from running powers of x/(1-x) (of (1-x)/x, walking
+    q downwards, for x > 1/2), O(nu) per node.  Returns (moments as mpf,
+    g values as floats) so the caller can reuse the node values.  This is
+    the solver's private path; the public contract is ``moment_integrals``.
     """
-    moments = [mpf(0)] * (nu + 1)
-    gvals = []
-    for x, w in zip(rule.nodes_mp, rule.weights_mp):
-        val = g(x)
-        if not mp_isfinite(val):
-            raise EvaluationError(
-                f"right-hand side returned non-finite value at x={float(x)}",
-                where=float(x),
-            )
-        gvals.append(val)
-        wg = w * val
-        row = _basis_row_mp(nu, x)
-        for q in range(nu + 1):
-            moments[q] += wg * row[q]
+    gvals = _sample(g, rule)
+    with workprec():
+        sums = [mpf(0)] * (nu + 1)
+        for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals):
+            wg = mpf(w) * gx
+            x = mpf(x)
+            s = 1 - x
+            if x <= 0.5:
+                term, ratio, qs = wg * s**nu, x / s, range(nu + 1)
+            else:
+                term, ratio, qs = wg * x**nu, s / x, range(nu, -1, -1)
+            for q in qs:
+                sums[q] += term
+                term *= ratio
+        moments = [math.comb(nu, q) * total for q, total in enumerate(sums)]
     return moments, gvals

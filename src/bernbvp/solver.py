@@ -8,10 +8,13 @@ iterate: the k + l outer Bernstein coefficients are recomputed from the
 boundary data, and the n - m + 1 inner ones minimize the L2 residual of the
 equation with the right-hand side frozen at the previous iterate, via dual
 basis moments and one banded Toeplitz solve.  Cost per iteration is O(n^2),
-dominated by the dual coefficient table.
+from the moment kernel and the dual coefficient table.
 
-The moment accumulation and dual combination run at extended precision (see
-_mp); every iterate is an ordinary float64 BernsteinPoly.
+Derivatives of the previous iterate, the right-hand side at the quadrature
+nodes and the L2 residual are float64.  Only the moment products, the dual
+table and their combination into the system right-hand side run at
+extended precision (see _mp); every iterate is an ordinary float64
+BernsteinPoly.
 """
 
 import math
@@ -19,11 +22,9 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from mpmath import mpf, sqrt as mp_sqrt
 
 from . import bandsolve
-from ._mp import workprec
-from .bernstein import BernsteinPoly, falling_factorial
+from .bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
 from .expressions import evaluate as eval_expr, max_arg_index
@@ -32,6 +33,10 @@ from .quadrature import _moment_integrals_mp, gauss_rule
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
 
+# perfbench/tracing.py wraps this name to time the derivative arguments
+# (called inside _moment_integrals_mp) apart from the residual (outside it).
+_eval_mp = evaluate
+
 
 @dataclass(frozen=True)
 class BVProblem:
@@ -39,9 +44,8 @@ class BVProblem:
     y^(i)(0) = left_values[i] and y^(j)(1) = right_values[j].
 
     ``rhs`` is either a parsed expression over x, y0..y(m-1) or a callable
-    f(x, y0, ..., y(m-1)).  Callables are invoked with mpf scalars during a
-    solve, so they should stick to arithmetic the mpmath types support
-    (+, -, *, /, integer powers) or route through mpmath functions.
+    f(x, y0, ..., y(m-1)).  Callables receive floats during a solve; their
+    result is converted with float(), so returning an mpf is fine.
     """
 
     left_values: tuple
@@ -154,70 +158,28 @@ def _full_coeffs(n, k, l, left, right, inner):
     return p
 
 
-def _eval_mp(coeffs, x):
-    """Horner evaluation of a Bernstein coefficient list at an mpf node."""
-    n = len(coeffs) - 1
-    if x <= 0.5:
-        s = 1 - x
-        t = x / s
-        acc = coeffs[n]
-        for i in range(n - 1, -1, -1):
-            acc = acc * t + coeffs[i] * comb(n, i)
-        return acc * s**n
-    u = (1 - x) / x
-    acc = coeffs[0]
-    for i in range(1, n + 1):
-        acc = acc * u + coeffs[i] * comb(n, i)
-    return acc * x**n
-
-
-def _scaled_difference_rows(coeffs, degree, r_max):
-    """Bernstein coefficients of derivatives 0..r_max of the polynomial with
-    the given float coefficients, as exact mpf rows."""
-    rows = [[mpf(c) for c in coeffs]]
-    for _ in range(r_max):
-        prev = rows[-1]
-        rows.append([prev[j + 1] - prev[j] for j in range(len(prev) - 1)])
-    out = []
-    fac = 1
-    for r in range(r_max + 1):
-        if r > 0:
-            fac *= degree - r + 1
-        out.append([c * fac for c in rows[r]])
-    return out
-
-
-def _iterate_core(problem, prev_coeffs, n, rule):
+def _iterate_core(problem, prev, n, rule):
     """One degree-raising step; returns (coefficients, L2 residual)."""
-    if rule.nodes_mp is None:
-        raise ValueError("quadrature rule must come from gauss_rule()")
     m, k, l = problem.m, problem.k, problem.l
-    nu = n - m
     left, right = outer_coefficients(problem, n)
-    with workprec():
-        dcoefs = _scaled_difference_rows(prev_coeffs, n - 1, m - 1)
+    derivs = [derivative(prev, r) for r in range(m)]
 
-        def g(x):
-            args = [_eval_mp(dc, x) for dc in dcoefs]
-            return problem.rhs_value(x, args)
+    def g(x):
+        return problem.rhs_value(x, [float(_eval_mp(d, x)) for d in derivs])
 
-        moments, gvals = _moment_integrals_mp(g, nu, rule)
-        duals = dual_coefficients(nu)
-        v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError("system right-hand side overflows float64")
-        system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
-        inner = bandsolve.solve(system)
-        coeffs = _full_coeffs(n, k, l, left, right, inner)
+    moments, gvals = _moment_integrals_mp(g, n - m, rule)
+    duals = dual_coefficients(n - m)
+    v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
+    if not np.all(np.isfinite(v)):
+        raise EvaluationError("system right-hand side overflows float64")
+    system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
+    coeffs = _full_coeffs(n, k, l, left, right, bandsolve.solve(system))
 
-        # L2 residual of the new iterate against the frozen right-hand side
-        deriv_m = _scaled_difference_rows(coeffs, n, m)[m]
-        res2 = mpf(0)
-        for x, w, gx in zip(rule.nodes_mp, rule.weights_mp, gvals):
-            diff = _eval_mp(deriv_m, x) - gx
-            res2 += w * diff * diff
-        residual = float(mp_sqrt(res2))
-    return coeffs, residual
+    # L2 residual of the new iterate against the frozen right-hand side
+    deriv_m = derivative(BernsteinPoly(coeffs), m)
+    res2 = math.fsum(w * (_eval_mp(deriv_m, x) - gx) ** 2
+                     for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals))
+    return coeffs, math.sqrt(res2)
 
 
 def _default_rule(n, options=None):
@@ -242,7 +204,7 @@ def iterate(problem, previous, n, rule=None):
     if rule is None:
         rule = _default_rule(n)
     try:
-        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule)
+        coeffs, _ = _iterate_core(problem, previous, n, rule)
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
     return BernsteinPoly(coeffs)
@@ -269,7 +231,7 @@ def solve(problem, options):
     for n in range(m, N + 1):
         rule = _default_rule(n, options)
         try:
-            coeffs, res = _iterate_core(problem, current.coeffs, n, rule)
+            coeffs, res = _iterate_core(problem, current, n, rule)
         except (EvaluationError, SingularSystemError) as exc:
             raise IterationError(n, exc) from exc
         current = BernsteinPoly(coeffs)

@@ -66,3 +66,23 @@ BENCHMARK_MAX_ERRORS = {
 }
 
 PRECISION_FLOOR = 1e-11
+
+
+def manufactured_polynomial(m, k, rng):
+    """Problem y^(m) = p^(m)(x) with k conditions at x = 0 and m - k at
+    x = 1, all taken from p, for a random monic p of degree m + 2 with
+    integer power coefficients.  Returns (problem, power coefficients of p).
+    """
+    from bernbvp.expressions import parse
+    from bernbvp.solver import BVProblem
+
+    c = [float(v) for v in rng.integers(-3, 4, m + 3)]
+    c[-1] = 1.0
+    derivs = [c]
+    for _ in range(m):
+        prev = derivs[-1]
+        derivs.append([j * prev[j] for j in range(1, len(prev))])
+    rhs = " + ".join(f"{a:.17g}*x^{j}" for j, a in enumerate(derivs[m]))
+    left = [derivs[r][0] for r in range(k)]
+    right = [sum(derivs[r]) for r in range(m - k)]
+    return BVProblem(tuple(left), tuple(right), parse(rhs)), c

@@ -8,7 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import record_criterion
-from helpers import BENCHMARK_MAX_ERRORS, PRECISION_FLOOR, dense_from_banded, monomial_bernstein_coeffs
+from helpers import (BENCHMARK_MAX_ERRORS, PRECISION_FLOOR, dense_from_banded,
+                     manufactured_polynomial, monomial_bernstein_coeffs)
 
 from bernbvp.bandsolve import assemble_matrix, solve as band_solve
 from bernbvp.bernstein import BernsteinPoly, derivative, endpoint_derivative, evaluate
@@ -216,8 +217,20 @@ def test_criterion_6_manufactured_cubic():
             continue
         expect = monomial_bernstein_coeffs([0.0, -1.0, 0.0, 1.0], w.degree)
         worst = max(worst, np.abs(w.coeffs - expect).max())
+    # every split k + l = m <= 8: a degree m + 2 polynomial p with rhs
+    # p^(m)(x) is reproduced at its own degree n = m + 2
+    rng = np.random.default_rng(6)
+    shapes = 0
+    for m in range(1, 9):
+        for k in range(m + 1):
+            problem, c = manufactured_polynomial(m, k, rng)
+            w = solve(problem, SolveOptions(degree=m + 2)).solution
+            expect = monomial_bernstein_coeffs(c, m + 2)
+            worst = max(worst, np.abs(w.coeffs - expect).max())
+            shapes += 1
     assert worst < 1e-10
-    record_criterion(f"criterion 6: manufactured x^3 - x exact for n = 3..20 "
+    record_criterion(f"criterion 6: manufactured x^3 - x exact for n = 3..20, "
+                     f"degree m + 2 polynomials on {shapes} (k, l) shapes "
                      f"(worst coefficient error {worst:.2e})")
 
 

@@ -90,6 +90,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: iteration n=6 failed: ")
 
+    def test_overflowing_exact_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({
+            "order": 1, "left": [1.0], "rhs": "1000*y0", "exact": "exp(1000*x)"}))
+        assert main(["solve", str(spec), "--degree", "3",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: exp(")
+
     def test_degree_below_order_exits_2(self, ex1_spec, tmp_path):
         assert main(["solve", str(ex1_spec), "--degree", "1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -242,3 +250,11 @@ class TestErrorCurveCommand:
         eps = [float(line.split(",")[1])
                for line in out.read_text().splitlines()[1:]]
         assert max(eps) <= 1e-12
+
+    def test_overflowing_exact_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({
+            "order": 1, "left": [1.0], "rhs": "1000*y0", "exact": "exp(1000*x)"}))
+        assert main(["error-curve", "--spec", str(spec), "--degree", "3",
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: exp(")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
 
 from bernbvp.errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 from bernbvp.expressions import (
@@ -200,13 +199,21 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse("y0^-1"), 0.0, (0.0,))
 
-    def test_mp_path_matches_float_path(self):
-        e = parse("sin(x)*y1^2 - exp(x)/(1 + y0)")
-        with mp.workdps(30):
-            got = evaluate(e, mpf("0.3"), (mpf("0.25"), mpf("1.5")))
-        assert isinstance(got, mpf)
-        want = evaluate(e, 0.3, (0.25, 1.5))
-        assert float(got) == pytest.approx(want, rel=1e-14)
+    def test_function_overflow_is_evaluation_error(self):
+        # math.exp raises OverflowError and sin(inf) raises ValueError; both
+        # must surface as EvaluationError carrying the offending argument
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse("exp(1000)"), 0.0)
+        assert err.value.where == 1000.0
+        for fn in ("sin", "cos", "tan", "sec"):
+            with pytest.raises(EvaluationError) as err:
+                evaluate(parse(f"{fn}(10^400)"), 0.0)
+            assert err.value.where == math.inf
+
+    def test_overflow_through_arguments(self):
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse("exp(40*y0)"), 0.5, (20.0,))
+        assert err.value.where == 800.0
 
 
 class TestRoundTrip:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import monomial_bernstein_coeffs
+from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.errors import EvaluationError, IterationError
@@ -148,13 +148,23 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(p, seed(p), 3)  # previous has degree 1, not 2
 
-    def test_hand_built_rule_rejected(self):
+    def test_hand_built_rule_iterates(self):
+        # any QuadratureRule works, not only gauss_rule() output: two-point
+        # Gauss written out by hand, and the trapezoid rule with nodes on
+        # both endpoints, reproduce the parabola steps
         from bernbvp.quadrature import QuadratureRule
 
-        p = line_problem()
-        bare = QuadratureRule(order=1, panels=1, nodes=[0.5], weights=[1.0])
-        with pytest.raises(ValueError, match="gauss_rule"):
-            iterate(p, seed(p), 2, bare)
+        p = parabola_problem()
+        r = 0.5 / np.sqrt(3.0)
+        gauss2 = QuadratureRule(order=2, panels=1, nodes=[0.5 - r, 0.5 + r],
+                                weights=[0.5, 0.5])
+        trapezoid = QuadratureRule(order=2, panels=1, nodes=[0.0, 1.0],
+                                   weights=[0.5, 0.5])
+        for rule in (gauss2, trapezoid):
+            w2 = iterate(p, seed(p), 2, rule)
+            assert w2.coeffs == pytest.approx([0.0, 0.5, 0.0], abs=1e-15)
+            w3 = iterate(p, w2, 3, rule)
+            assert w3.coeffs == pytest.approx([0.0, 1 / 3, 1 / 3, 0.0], abs=1e-15)
 
 
 class TestSolve:
@@ -228,6 +238,22 @@ class TestSolve:
             with pytest.raises(IterationError) as err:
                 iterate(p, w5, 6)
             assert err.value.n == 6
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_manufactured_polynomials_at_degree_30(self, m):
+        # The rhs p^(m)(x) ignores y, so w_30 does not depend on w_29: one
+        # iterate from zero gives the degree-30 solve, for every split
+        # k + l = m.  Tolerance: the worst error over these inputs was 6.5e-9
+        # (m = k = 8) with 40-digit nodes and right-hand side.  With both in
+        # float64 the worst is 3.5e-8 (m = 1): the per-node rounding reaches
+        # the coefficients through the dual basis, ~2^(n-m), while the
+        # polynomial's values stay within 1e-12 of p for m <= 3.
+        rng = np.random.default_rng(30 + m)
+        for k in range(m + 1):
+            problem, c = manufactured_polynomial(m, k, rng)
+            w = iterate(problem, BernsteinPoly(np.zeros(30)), 30)
+            err = np.abs(w.coeffs - monomial_bernstein_coeffs(c, 30)).max()
+            assert err <= 1e-7, (m, k, err)
 
     def test_first_order_initial_value(self):
         # y' = y, y(0) = 1: exact solution e^x
