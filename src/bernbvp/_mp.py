@@ -13,13 +13,16 @@ Bernstein coefficients through the dual basis values at the nodes (about
 2^n), while the values of the polynomial they represent move only at the
 float64 rounding level.  At 40 digits those values keep float64 accuracy
 up to roughly n - m = 45.
+
+The kernels build their values from ``ctx``, a private mpmath context fixed
+at WORKING_DPS.  Its precision is never changed after import, so neither
+concurrent solves nor other code changing mpmath's global precision can
+alter a running solve.
 """
 
-from mpmath import mp
+from mpmath import MPContext
 
 WORKING_DPS = 40
 
-
-def workprec():
-    """Context manager placing mpmath at the solver's working precision."""
-    return mp.workdps(WORKING_DPS)
+ctx = MPContext()
+ctx.dps = WORKING_DPS

@@ -2,20 +2,19 @@
 
 The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
-and depends on j-i alone.  Gaussian elimination specialised to the band is
-exact-cost O(size * k * (k+l)); the triangular and tridiagonal shapes get
-dedicated paths.  The solve is plain float64: the matrices have small
-integer entries, and extended precision is spent only on the right-hand
-side (assemble_rhs), where the dual coefficients grow like 4^(n-m).
+and depends on j-i alone.  One banded LU with partial pivoting solves
+every shape in O(size * k * (k+l)) elimination steps.  The solve is plain
+float64: the matrices have small integer entries, and extended precision
+is spent only on the right-hand side (assemble_rhs), where the dual
+coefficients grow like 4^(n-m).
 """
 
 from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from mpmath import mpf
 
-from ._mp import workprec
+from ._mp import ctx
 from .errors import SingularSystemError
 
 __all__ = ["BandedToeplitz", "assemble_matrix", "assemble_rhs", "solve"]
@@ -91,7 +90,8 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     MomentVector (or plain sequence, possibly of mpf values), ``outer``
     the pair (left, right) with right[j] the coefficient at index n - j.
     The combination runs at extended precision because the c_iq grow like
-    4^(n-m); the returned vector is float64.
+    4^(n-m), each row's dot product rounded once; the returned vector is
+    float64.
     """
     nu = n - m
     ctab = duals.table
@@ -103,37 +103,31 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     left, right = outer
     if len(left) != k or len(right) != l:
         raise ValueError("outer coefficient blocks must have lengths k and l")
+    # degree-n coefficients with the inner ones zero: the stencil terms on
+    # the outer ones move to the right-hand side
+    fixed = np.zeros(n + 1)
+    fixed[:k] = left
+    fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
+    stencil = [(-1) ** (m - h) * comb(m, h) for h in range(m + 1)]
 
-    def outer_coeff(idx):
-        if idx < k:
-            return float(left[idx])
-        return float(right[n - idx])
-
-    with workprec():
-        scale = mpf(factorial(nu)) / factorial(n)
-        mvals = [mpf(v) if not isinstance(v, mpf) else v for v in values]
-        v = np.empty(nu + 1)
-        for i in range(nu + 1):
-            acc = mpf(0)
-            row = ctab[i]
-            for q in range(nu + 1):
-                acc += row[q] * mvals[q]
-            acc *= scale
-            for h in range(0, k - i):
-                acc -= (-1) ** (m - h) * comb(m, h) * mpf(outer_coeff(i + h))
-            for h in range(n - l - i + 1, m + 1):
-                acc -= (-1) ** (m - h) * comb(m, h) * mpf(outer_coeff(i + h))
-            v[i] = float(acc)
+    scale = ctx.mpf(factorial(nu)) / factorial(n)
+    mvals = [ctx.mpf(x) for x in values]
+    v = np.empty(nu + 1)
+    for i in range(nu + 1):
+        acc = ctx.fdot(ctab[i], mvals) * scale
+        for h in range(m + 1):
+            if fixed[i + h]:
+                acc -= stencil[h] * ctx.mpf(fixed[i + h])
+        v[i] = float(acc)
     return v
 
 
 def solve(system):
-    """Solve G p = v, dispatching on the band shape.
+    """Solve G p = v by banded LU with partial pivoting.
 
-    k = 0 gives back substitution, l = 0 forward substitution, k = l = 1
-    tridiagonal elimination; anything else goes through banded LU with
-    partial pivoting (the upper bandwidth grows to k + l during
-    elimination).  For right-hand sides of bounded solutions the residual
+    One elimination serves every band shape: the upper bandwidth grows to
+    k + l during elimination, and for k = 0 it reduces to back
+    substitution.  For right-hand sides of bounded solutions the residual
     |G p - v|_inf is well within 1e-10 * (1 + |v|_inf) for every split
     k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
     """
@@ -150,54 +144,6 @@ def solve(system):
     return _banded_lu(system, tol)
 
 
-def _back_substitution(system, tol):
-    s, l = system.size, system.upper_bw
-    diag = system.diagonals  # offsets 0..l
-    if abs(diag[0]) <= tol:
-        raise SingularSystemError(s - 1)
-    p = np.zeros(s)
-    for i in range(s - 1, -1, -1):
-        acc = system.rhs[i]
-        for d in range(1, min(l, s - 1 - i) + 1):
-            acc -= diag[d] * p[i + d]
-        p[i] = acc / diag[0]
-    return p
-
-
-def _forward_substitution(system, tol):
-    s, k = system.size, system.lower_bw
-    diag = system.diagonals  # offsets -k..0
-    if abs(diag[k]) <= tol:
-        raise SingularSystemError(0)
-    p = np.zeros(s)
-    for i in range(s):
-        acc = system.rhs[i]
-        for d in range(1, min(k, i) + 1):
-            acc -= diag[k - d] * p[i - d]
-        p[i] = acc / diag[k]
-    return p
-
-
-def _tridiagonal(system, tol):
-    s = system.size
-    lo, dg, up = system.diagonals
-    b = np.full(s, dg)
-    v = np.array(system.rhs)
-    for i in range(1, s):
-        if abs(b[i - 1]) <= tol:
-            raise SingularSystemError(i - 1)
-        w = lo / b[i - 1]
-        b[i] -= w * up
-        v[i] -= w * v[i - 1]
-    if abs(b[s - 1]) <= tol:
-        raise SingularSystemError(s - 1)
-    p = np.zeros(s)
-    p[s - 1] = v[s - 1] / b[s - 1]
-    for i in range(s - 2, -1, -1):
-        p[i] = (v[i] - up * p[i + 1]) / b[i]
-    return p
-
-
 def _banded_lu(system, tol):
     s, k, l = system.size, system.lower_bw, system.upper_bw
     width = k + l  # fill-in extends the upper bandwidth to k + l
@@ -205,7 +151,8 @@ def _banded_lu(system, tol):
     a = np.where((offset >= -k) & (offset <= l),
                  system.diagonals[np.clip(offset + k, 0, width)], 0.0)
     v = np.array(system.rhs)
-    for col in range(s):
+    # only a column with band rows below it is eliminated and pivoted
+    for col in range(s - 1 if k else 0):
         lo = min(col + k, s - 1)
         piv = col + int(np.argmax(np.abs(a[col:lo + 1, col])))
         if abs(a[piv, col]) <= tol:
@@ -221,6 +168,13 @@ def _banded_lu(system, tol):
                 v[r] -= f * v[col]
     p = np.zeros(s)
     for i in range(s - 1, -1, -1):
+        if abs(a[i, i]) <= tol:
+            raise SingularSystemError(i)
         hi = min(i + width, s - 1)
         p[i] = (v[i] - a[i, i + 1:hi + 1] @ p[i + 1:hi + 1]) / a[i, i]
     return p
+
+
+# perfbench/tracing.py counts solves by these four names, one per band
+# shape; they all bind the single elimination above.
+_back_substitution = _forward_substitution = _tridiagonal = _banded_lu

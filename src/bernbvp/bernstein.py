@@ -5,6 +5,7 @@ Coefficients p_0..p_n represent w(x) = sum_i p_i * B_i^n(x) with
 B_i^n(x) = C(n,i) x^i (1-x)^(n-i).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,15 +22,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def binomial_row(n):
     """All C(n, i) for i = 0..n by the multiplicative recurrence.
 
-    Exact in float64 for n <= 56 (values stay below 2^53).
+    Exact in float64 for n <= 56 (values stay below 2^53).  Memoized per
+    degree; the returned array is read-only.
     """
     row = np.empty(n + 1)
     row[0] = 1.0
     for i in range(n):
         row[i + 1] = row[i] * (n - i) / (i + 1)
+    row.setflags(write=False)
     return row
 
 
@@ -137,8 +141,7 @@ def derivative(p, r):
         raise ValueError(f"derivative order {r} outside 0..{n}")
     if r == 0:
         return p
-    table = diff_table(p, r)
-    return BernsteinPoly(falling_factorial(n, r) * table.rows[r])
+    return BernsteinPoly(falling_factorial(n, r) * np.diff(p.coeffs, r))
 
 
 def endpoint_derivative(p, r, end):

@@ -39,8 +39,8 @@ def _fmt(v):
 
 
 def load_problem_spec(path):
-    """Parse and validate a problem spec file; returns (problem, exact_expr,
-    quadrature dict)."""
+    """Parse and validate a problem spec file; returns (problem, reference,
+    quadrature dict), the reference None when the spec has no exact key."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -72,7 +72,7 @@ def load_problem_spec(path):
         raise SpecError(
             f"rhs references y{max_arg_index(rhs)} but order is {order}"
         )
-    exact = None
+    reference = None
     if doc.get("exact") is not None:
         try:
             exact = parse_expr(doc["exact"])
@@ -80,6 +80,8 @@ def load_problem_spec(path):
             raise SpecError(f"invalid exact expression: {exc}") from exc
         if max_arg_index(exact) >= 0:
             raise SpecError("exact solution may only reference x")
+        reference = ReferenceSolution(kind="closed_form",
+                                      fn=lambda x: eval_expr(exact, x))
     quad = doc.get("quadrature") or {}
     if not isinstance(quad, dict):
         raise SpecError("quadrature must be an object with order/panels")
@@ -87,14 +89,17 @@ def load_problem_spec(path):
         problem = BVProblem(tuple(left), tuple(right), rhs)
     except (TypeError, ValueError) as exc:
         raise SpecError(str(exc)) from exc
-    return problem, exact, quad
+    return problem, reference, quad
 
 
-def _make_options(args, quad, record_iterates=False):
+def _make_options(args, quad, m):
+    """Options from --degree and the quadrature flags, falling back on the
+    spec's quadrature block; the degree must reach the equation order m."""
+    if args.degree < m:
+        raise SpecError(f"degree {args.degree} is below the equation order {m}")
     order = args.quad_order if args.quad_order is not None else quad.get("order")
     panels = args.quad_panels if args.quad_panels is not None else quad.get("panels", 2)
-    return SolveOptions(degree=args.degree, quad_order=order,
-                        quad_panels=panels, record_iterates=record_iterates)
+    return SolveOptions(degree=args.degree, quad_order=order, quad_panels=panels)
 
 
 def _coefficient_document(report, options):
@@ -128,21 +133,15 @@ def _emit(text, out, what):
 
 
 def cmd_solve(args):
-    problem, exact, quad = load_problem_spec(args.spec)
-    if args.degree < problem.m:
-        raise SpecError(
-            f"degree {args.degree} is below the equation order {problem.m}"
-        )
-    options = _make_options(args, quad)
+    problem, reference, quad = load_problem_spec(args.spec)
+    options = _make_options(args, quad, problem.m)
     report = solve(problem, options)
     with open(args.out, "w") as fh:
         fh.write(_coefficient_document(report, options))
     print(f"degree {report.solution.degree}, "
           f"final residual {_fmt(report.residuals[-1])}")
-    if exact is not None:
-        ref = ReferenceSolution(kind="closed_form",
-                                fn=lambda x: eval_expr(exact, x))
-        err = max_error(error_curve(report.solution, ref, 200))
+    if reference is not None:
+        err = max_error(error_curve(report.solution, reference, 200))
         print(f"max error E_{report.solution.degree} = {_fmt(err)}")
     print(f"coefficients written to {args.out}")
     return 0
@@ -196,17 +195,12 @@ def cmd_error_curve(args):
         problem, reference = ex.problem, ex.reference
         quad = {}
     else:
-        problem, exact, quad = load_problem_spec(args.spec)
-        if exact is None:
+        problem, reference, quad = load_problem_spec(args.spec)
+        if reference is None:
             raise SpecError("no reference available: spec has no exact solution")
-        reference = ReferenceSolution(kind="closed_form",
-                                      fn=lambda x: eval_expr(exact, x))
-    if args.degree < problem.m:
-        raise SpecError(
-            f"degree {args.degree} is below the equation order {problem.m}"
-        )
+    options = _make_options(args, quad, problem.m)
     try:
-        report = solve(problem, _make_options(args, quad))
+        report = solve(problem, options)
         curve = error_curve(report.solution, reference, args.grid)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from mpmath import mpf
 
-from ._mp import workprec
+from ._mp import ctx
 
 __all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
 
@@ -26,7 +25,9 @@ __all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
 class DualCoeffTable:
     """Connection coefficients c_ij for the dual basis of degree n.
 
-    ``table[i][j]`` is an mpf carrying the solver's working precision.
+    ``table[i][j]`` is an mpf of the solver's private mpmath context
+    (``_mp.ctx``, working precision).  It is not an instance of
+    ``mpmath.mpf``, but ``float()`` and mixed arithmetic work as usual.
     """
 
     degree: int
@@ -39,35 +40,27 @@ class DualCoeffTable:
 
 def _dual_rows(nu):
     """The recurrence at working precision; returns a list of mpf rows."""
-    with workprec():
-        c = [[mpf(0)] * (nu + 1) for _ in range(nu + 1)]
+    c = [[ctx.mpf(0)] * (nu + 1) for _ in range(nu + 1)]
+    for j in range(nu + 1):  # an exact integer, rounded once
+        c[0][j] = ctx.mpf((-1) ** j * (nu + 1) * comb(nu + 1, j + 1))
+
+    def a(u):
+        return ctx.mpf((u - nu) * (u + 1))
+
+    def b(u):
+        return ctx.mpf(u * (u - nu - 1))
+
+    # a(i) = (i-nu)(i+1) never vanishes for i = 0..nu-1
+    for i in range(nu):
         for j in range(nu + 1):
-            # rising factorial (nu+1-j)_{j+1}, an exact integer
-            poch = mpf(1)
-            for t in range(j + 1):
-                poch *= nu + 1 - j + t
-            fact = mpf(1)
-            for t in range(2, j + 2):
-                fact *= t
-            c[0][j] = (-1) ** j * (nu + 1) * poch / fact
-
-        def a(u):
-            return mpf((u - nu) * (u + 1))
-
-        def b(u):
-            return mpf(u * (u - nu - 1))
-
-        # a(i) = (i-nu)(i+1) never vanishes for i = 0..nu-1
-        for i in range(nu):
-            for j in range(nu + 1):
-                t = 2 * (i - j) * (i + j - nu) * c[i][j]
-                if j > 0:
-                    t += b(j) * c[i][j - 1]
-                if j < nu:
-                    t += a(j) * c[i][j + 1]
-                if i > 0:
-                    t -= b(i) * c[i - 1][j]
-                c[i + 1][j] = t / a(i)
+            t = 2 * (i - j) * (i + j - nu) * c[i][j]
+            if j > 0:
+                t += b(j) * c[i][j - 1]
+            if j < nu:
+                t += a(j) * c[i][j + 1]
+            if i > 0:
+                t -= b(i) * c[i - 1][j]
+            c[i + 1][j] = t / a(i)
     return c
 
 

@@ -59,7 +59,11 @@ class Call:
     arg: object
 
 
-_FUNCTIONS = ("sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs")
+_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sec": lambda v: 1.0 / math.cos(v),
+    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
+}
 
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -157,7 +161,7 @@ class _Parser:
             m = re.fullmatch(r"y(\d)", text)
             if m:
                 return Arg(int(m.group(1)))
-            if text in _FUNCTIONS:
+            if text in _FUNCS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -207,16 +211,6 @@ def max_arg_index(e):
     if isinstance(e, Call):
         return max_arg_index(e.arg)
     return -1
-
-
-def _sec(v):
-    return 1.0 / math.cos(v)
-
-
-_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "sec": _sec,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
-}
 
 
 def _is_integer(v):

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mpf
 
-from ._mp import workprec
+from ._mp import ctx
 from .errors import EvaluationError
 
 __all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals"]
@@ -54,9 +53,10 @@ def gauss_rule(order, panels=1):
 
 
 def basis_row(n, x):
-    """All Bernstein basis values B_0^n(x)..B_n^n(x) in O(n).
+    """All Bernstein basis values B_0^n(x)..B_n^n(x) in O(n^2).
 
-    Degree-raising recurrence; the row sums to 1 up to roundoff.
+    Degree-raising recurrence (n passes over the row); the row sums to 1
+    up to roundoff.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
@@ -105,7 +105,7 @@ def moment_integrals(g, n, m, rule):
     """Moments of g against the Bernstein basis row of degree n - m.
 
     g is evaluated exactly once per quadrature node and shared across all
-    basis indices; total cost O(nodes * n).
+    basis indices; the basis rows make the total cost O(nodes * n^2).
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
@@ -126,18 +126,17 @@ def _moment_integrals_mp(g, nu, rule):
     the solver's private path; the public contract is ``moment_integrals``.
     """
     gvals = _sample(g, rule)
-    with workprec():
-        sums = [mpf(0)] * (nu + 1)
-        for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals):
-            wg = mpf(w) * gx
-            x = mpf(x)
-            s = 1 - x
-            if x <= 0.5:
-                term, ratio, qs = wg * s**nu, x / s, range(nu + 1)
-            else:
-                term, ratio, qs = wg * x**nu, s / x, range(nu, -1, -1)
-            for q in qs:
-                sums[q] += term
-                term *= ratio
-        moments = [math.comb(nu, q) * total for q, total in enumerate(sums)]
+    sums = [ctx.mpf(0)] * (nu + 1)
+    for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals):
+        wg = ctx.mpf(w) * gx
+        x = ctx.mpf(x)
+        s = 1 - x
+        if x <= 0.5:
+            term, ratio, qs = wg * s**nu, x / s, range(nu + 1)
+        else:
+            term, ratio, qs = wg * x**nu, s / x, range(nu, -1, -1)
+        for q in qs:
+            sums[q] += term
+            term *= ratio
+    moments = [math.comb(nu, q) * total for q, total in enumerate(sums)]
     return moments, gvals

@@ -132,6 +132,18 @@ class TestSolve:
         np_res = dense_from_banded(s) @ np.linalg.solve(dense_from_banded(s), s.rhs) - s.rhs
         assert np.abs(res).max() <= max(10 * np.abs(np_res).max(), 1e-8)
 
+    def test_zero_main_diagonal_needs_pivoting(self):
+        # nonsingular systems whose diagonal entries are all zero: only a
+        # row exchange makes elimination possible
+        s = BandedToeplitz(2, 1, 1, [1.0, 0.0, 1.0], [3.0, 5.0])
+        assert solve(s).tolist() == [5.0, 3.0]
+        s = BandedToeplitz(4, 1, 1, [1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0])
+        assert solve(s).tolist() == pytest.approx([-2.0, 1.0, 4.0, 2.0], abs=1e-14)
+
+    def test_singular_lower_triangular(self):
+        with pytest.raises(SingularSystemError):
+            solve(BandedToeplitz(3, 1, 0, [1.0, 0.0], [1.0, 1.0, 1.0]))
+
     def test_singular_reports_row(self):
         with pytest.raises(SingularSystemError) as err:
             solve(BandedToeplitz(3, 0, 0, [0.0], [1.0, 1.0, 1.0]))

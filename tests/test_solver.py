@@ -1,12 +1,16 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from helpers import manufactured_polynomial, monomial_bernstein_coeffs
+from mpmath import mp
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.errors import EvaluationError, IterationError
 from bernbvp.expressions import parse
+from bernbvp.problems import example
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
 
@@ -254,6 +258,41 @@ class TestSolve:
             w = iterate(problem, BernsteinPoly(np.zeros(30)), 30)
             err = np.abs(w.coeffs - monomial_bernstein_coeffs(c, 30)).max()
             assert err <= 1e-7, (m, k, err)
+
+    def test_concurrent_solves_match_serial(self):
+        # two solves in threads while a third keeps switching mpmath's
+        # global precision: the solver's 40-digit kernels must not see it
+        problems = [example(i).problem for i in (1, 3)]
+        opts = SolveOptions(degree=24)
+        serial = [solve(p, opts).solution.coeffs for p in problems]
+        threaded = [None, None]
+        stop = threading.Event()
+
+        def meddle():
+            while not stop.is_set():
+                with mp.workdps(15):
+                    pass
+
+        def run(i):
+            threaded[i] = solve(problems[i], opts).solution.coeffs
+
+        meddler = threading.Thread(target=meddle)
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        meddler.start()
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            stop.set()
+            meddler.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [meddler])
+        for got, expect in zip(threaded, serial):
+            assert np.array_equal(got, expect)
 
     def test_first_order_initial_value(self):
         # y' = y, y(0) = 1: exact solution e^x
