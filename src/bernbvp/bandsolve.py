@@ -4,17 +4,17 @@ The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
 and depends on j-i alone.  One banded LU with partial pivoting solves
 every shape in O(size * k * (k+l)) elimination steps.  The solve is plain
-float64: the matrices have small integer entries, and extended precision
-is spent only on the right-hand side (assemble_rhs), where the dual
-coefficients grow like 4^(n-m).
+float64: the matrices have small integer entries.  The right-hand side
+(assemble_rhs) is computed exactly and rounded once per entry, because the
+dual coefficients grow like 4^(n-m).
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, lcm
 
 import numpy as np
 
-from ._mp import ctx
 from .errors import SingularSystemError
 
 __all__ = ["BandedToeplitz", "assemble_matrix", "assemble_rhs", "solve"]
@@ -87,14 +87,14 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     the first k rows and the last l rows.
 
     ``duals`` is the DualCoeffTable of degree n - m, ``moments`` a
-    MomentVector (or plain sequence, possibly of mpf values), ``outer``
-    the pair (left, right) with right[j] the coefficient at index n - j.
-    The combination runs at extended precision because the c_iq grow like
-    4^(n-m), each row's dot product rounded once; the returned vector is
-    float64.
+    MomentVector or a plain sequence of floats or exact rationals
+    (``Fraction``), ``outer`` the pair (left, right) with right[j] the
+    coefficient at index n - j.  Because the c_iq grow like 4^(n-m), each
+    v_i is computed exactly (each dual row over its lcm denominator, one
+    integer dot product with the moment numerators) and rounded once to
+    float64; OverflowError if it exceeds the float64 range.
     """
     nu = n - m
-    ctab = duals.table
     if duals.degree != nu:
         raise ValueError(f"dual table degree {duals.degree} != n - m = {nu}")
     values = getattr(moments, "values", moments)
@@ -110,14 +110,17 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
     stencil = [(-1) ** (m - h) * comb(m, h) for h in range(m + 1)]
 
-    scale = ctx.mpf(factorial(nu)) / factorial(n)
-    mvals = [ctx.mpf(x) for x in values]
+    mvals = [Fraction(x) for x in values]
+    mden = lcm(*(x.denominator for x in mvals))
+    mnum = [x.numerator * (mden // x.denominator) for x in mvals]
     v = np.empty(nu + 1)
-    for i in range(nu + 1):
-        acc = ctx.fdot(ctab[i], mvals) * scale
+    for i, row in enumerate(duals.table):
+        den = lcm(*(c.denominator for c in row))
+        dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
+        acc = Fraction(dot * factorial(nu), den * mden * factorial(n))
         for h in range(m + 1):
             if fixed[i + h]:
-                acc -= stencil[h] * ctx.mpf(fixed[i + h])
+                acc -= stencil[h] * Fraction(fixed[i + h])
         v[i] = float(acc)
     return v
 

@@ -24,15 +24,12 @@ __all__ = [
 
 @functools.lru_cache(maxsize=None)
 def binomial_row(n):
-    """All C(n, i) for i = 0..n by the multiplicative recurrence.
+    """All C(n, i) for i = 0..n, each the correctly rounded float of the
+    exact integer (exact while C(n, i) < 2^53, i.e. for n <= 56).
 
-    Exact in float64 for n <= 56 (values stay below 2^53).  Memoized per
-    degree; the returned array is read-only.
+    Memoized per degree; the returned array is read-only.
     """
-    row = np.empty(n + 1)
-    row[0] = 1.0
-    for i in range(n):
-        row[i + 1] = row[i] * (n - i) / (i + 1)
+    row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
     row.setflags(write=False)
     return row
 

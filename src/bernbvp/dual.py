@@ -1,22 +1,28 @@
 """Dual Bernstein basis connection coefficients.
 
 The dual basis D_0^n..D_n^n satisfies <D_i^n, B_j^n> = delta_ij under the
-L2 inner product on [0, 1].  Each D_i^n = sum_j c_ij B_j^n, and the full
-(n+1) x (n+1) coefficient table is produced row-by-row in O(n^2) by a
-three-term recurrence.
+L2 inner product on [0, 1].  Each D_i^n = sum_j c_ij B_j^n, and the table
+comes from Juettler's closed form (Adv. Comput. Math. 8, 1998):
+
+    (-1)^(i+j) C(n,i) C(n,j) c_ij = sum_{k <= min(i,j)} (2k+1) a_ik a_jk,
+    a_ik = C(n+k+1, n-i) C(n-k, n-i),
+
+in exact integer arithmetic: O(n^3) multiplications of O(n)-digit
+integers.  The O(n^2) three-term recurrence for the same table is not
+used because at any fixed precision it loses digits (about 22 of 40 by
+n = 40).
 
 The entries grow like 4^n (about 8.8e10 at n = 18), so a table rounded to
-float64 loses its duality property beyond n ~ 14.  The table is therefore
-computed and stored at extended precision; ``DualCoeffTable.as_array()``
-gives a float64 view for callers that can live with the rounding.
+float64 loses its duality property beyond n ~ 14.  The table therefore
+holds exact rationals; ``DualCoeffTable.as_array()`` gives a float64 view
+for callers that can live with the rounding.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 
 import numpy as np
-
-from ._mp import ctx
 
 __all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
 
@@ -25,9 +31,7 @@ __all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
 class DualCoeffTable:
     """Connection coefficients c_ij for the dual basis of degree n.
 
-    ``table[i][j]`` is an mpf of the solver's private mpmath context
-    (``_mp.ctx``, working precision).  It is not an instance of
-    ``mpmath.mpf``, but ``float()`` and mixed arithmetic work as usual.
+    ``table[i][j]`` is the exact ``fractions.Fraction`` c_ij.
     """
 
     degree: int
@@ -38,38 +42,21 @@ class DualCoeffTable:
         return np.array([[float(x) for x in row] for row in self.table])
 
 
-def _dual_rows(nu):
-    """The recurrence at working precision; returns a list of mpf rows."""
-    c = [[ctx.mpf(0)] * (nu + 1) for _ in range(nu + 1)]
-    for j in range(nu + 1):  # an exact integer, rounded once
-        c[0][j] = ctx.mpf((-1) ** j * (nu + 1) * comb(nu + 1, j + 1))
-
-    def a(u):
-        return ctx.mpf((u - nu) * (u + 1))
-
-    def b(u):
-        return ctx.mpf(u * (u - nu - 1))
-
-    # a(i) = (i-nu)(i+1) never vanishes for i = 0..nu-1
-    for i in range(nu):
-        for j in range(nu + 1):
-            t = 2 * (i - j) * (i + j - nu) * c[i][j]
-            if j > 0:
-                t += b(j) * c[i][j - 1]
-            if j < nu:
-                t += a(j) * c[i][j + 1]
-            if i > 0:
-                t -= b(i) * c[i - 1][j]
-            c[i + 1][j] = t / a(i)
-    return c
-
-
 def dual_coefficients(n):
     """Connection-coefficient table of the dual Bernstein basis of degree n."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    rows = _dual_rows(n)
-    return DualCoeffTable(degree=n, table=tuple(tuple(row) for row in rows))
+    a = [[comb(n + k + 1, n - i) * comb(n - k, n - i) for k in range(i + 1)]
+         for i in range(n + 1)]
+    b = [[(2 * k + 1) * x for k, x in enumerate(row)] for row in a]
+    binom = [comb(n, i) for i in range(n + 1)]
+    c = [[None] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            s = sum(x * y for x, y in zip(a[i], b[j]))  # k = 0..i
+            c[i][j] = c[j][i] = Fraction(-s if (i + j) % 2 else s,
+                                         binom[i] * binom[j])
+    return DualCoeffTable(degree=n, table=tuple(tuple(row) for row in c))
 
 
 def bernstein_gram_entry(n, i, j):

@@ -2,18 +2,19 @@
 of a function against a Bernstein basis row.
 
 The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
-composite rules are affine images of it, all in float64.  Only the
-solver's moment kernel (``_moment_integrals_mp``) runs at extended
-precision: its per-(node, basis index) products feed the dual-basis
-combination, whose coefficients grow like 4^(n-m) (see _mp).
+composite rules are affine images of it, all in float64.  The moments are
+exact: every float64 node, weight and sample of the integrand is a dyadic
+rational, so the quadrature sum is computed in integer arithmetic over one
+power of two.  The solver combines them with dual-basis coefficients that
+grow like 4^(n-m), which would amplify any rounding here by that factor.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._mp import ctx
 from .errors import EvaluationError
 
 __all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals"]
@@ -101,42 +102,47 @@ def _sample(g, rule):
     return out
 
 
+def _over_power_of_two(ratios):
+    """Integers N_t and s with N_t / 2^s == p_t / d_t, for (p_t, d_t) pairs
+    whose d_t are powers of two (as from ``float.as_integer_ratio``)."""
+    s = max(d.bit_length() for _, d in ratios) - 1
+    return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
+
+
+def _exact_moments(g, nu, rule):
+    """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t), q = 0..nu.
+
+    g is sampled once per node in float64.  With x_t = X_t / 2^e, 1 - x_t =
+    (2^e - X_t) / 2^e and w_t g(x_t) = P_t / 2^d, every term
+    C(nu,q) P_t X_t^q (2^e - X_t)^(nu-q) is an integer over 2^(d + e nu),
+    so the sums carry no rounding.  Returns (moments as Fractions, g
+    values as floats) so the caller can reuse the node values.
+    """
+    gvals = _sample(g, rule)
+    xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
+    wgs, d = _over_power_of_two([(Fraction(w) * Fraction(gx)).as_integer_ratio()
+                                 for w, gx in zip(rule.weights.tolist(), gvals)])
+    sums = [0] * (nu + 1)
+    for x, term in zip(xs, wgs):
+        y = (1 << e) - x
+        ypow = [1]
+        for _ in range(nu):
+            ypow.append(ypow[-1] * y)
+        for q in range(nu + 1):
+            sums[q] += term * ypow[nu - q]
+            term *= x
+    den = 1 << (d + e * nu)
+    return [Fraction(math.comb(nu, q) * s, den) for q, s in enumerate(sums)], gvals
+
+
 def moment_integrals(g, n, m, rule):
     """Moments of g against the Bernstein basis row of degree n - m.
 
-    g is evaluated exactly once per quadrature node and shared across all
-    basis indices; the basis rows make the total cost O(nodes * n^2).
+    g is evaluated exactly once per quadrature node; each moment is the
+    exact quadrature sum of those float samples, rounded once.  Cost
+    O(nodes * (n - m)) integer operations.
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    gvals = np.array(_sample(g, rule))
-    rows = np.array([basis_row(n - m, x) for x in rule.nodes])
-    values = (rule.weights * gvals) @ rows
-    return MomentVector(n=n, m=m, values=values)
-
-
-def _moment_integrals_mp(g, nu, rule):
-    """Extended-precision moments against the degree-nu basis row.
-
-    g is sampled in float64; the products w_t g(x_t) B_q(x_t) and their sums
-    over the nodes run at working precision, with B_q(x) = C(nu,q) x^q
-    (1-x)^(nu-q) built from running powers of x/(1-x) (of (1-x)/x, walking
-    q downwards, for x > 1/2), O(nu) per node.  Returns (moments as mpf,
-    g values as floats) so the caller can reuse the node values.  This is
-    the solver's private path; the public contract is ``moment_integrals``.
-    """
-    gvals = _sample(g, rule)
-    sums = [ctx.mpf(0)] * (nu + 1)
-    for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals):
-        wg = ctx.mpf(w) * gx
-        x = ctx.mpf(x)
-        s = 1 - x
-        if x <= 0.5:
-            term, ratio, qs = wg * s**nu, x / s, range(nu + 1)
-        else:
-            term, ratio, qs = wg * x**nu, s / x, range(nu, -1, -1)
-        for q in qs:
-            sums[q] += term
-            term *= ratio
-    moments = [math.comb(nu, q) * total for q, total in enumerate(sums)]
-    return moments, gvals
+    moments, _ = _exact_moments(g, n - m, rule)
+    return MomentVector(n=n, m=m, values=[float(x) for x in moments])

@@ -7,13 +7,14 @@ the boundary data alone.  Each subsequent degree n raises the previous
 iterate: the k + l outer Bernstein coefficients are recomputed from the
 boundary data, and the n - m + 1 inner ones minimize the L2 residual of the
 equation with the right-hand side frozen at the previous iterate, via dual
-basis moments and one banded Toeplitz solve.  Cost per iteration is O(n^2),
-from the moment kernel and the dual coefficient table.
+basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
-nodes and the L2 residual are float64.  Only the moment products, the dual
-table and their combination into the system right-hand side run at
-extended precision (see _mp); every iterate is an ordinary float64
+nodes and the L2 residual are float64.  The moments of those float64
+samples, the dual coefficient table and their combination into the system
+right-hand side v are exact rational arithmetic, rounded once per entry of
+v (the dual coefficients grow like 4^(n-m), so rounding earlier would be
+amplified by that factor); every iterate is an ordinary float64
 BernsteinPoly.
 """
 
@@ -28,14 +29,17 @@ from .bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
 from .expressions import evaluate as eval_expr, max_arg_index
-from .quadrature import _moment_integrals_mp, gauss_rule
+from .quadrature import _exact_moments, gauss_rule
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
 
-# perfbench/tracing.py wraps this name to time the derivative arguments
-# (called inside _moment_integrals_mp) apart from the residual (outside it).
+# perfbench/tracing.py wraps these names: _eval_mp to time the derivative
+# arguments (called inside the moment kernel) apart from the residual
+# (outside it), and _moment_integrals_mp as the moment layer.  The "_mp"
+# suffixes are historical: neither runs in mpmath any more.
 _eval_mp = evaluate
+_moment_integrals_mp = _exact_moments
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,10 @@ def _iterate_core(problem, prev, n, rule):
 
     moments, gvals = _moment_integrals_mp(g, n - m, rule)
     duals = dual_coefficients(n - m)
-    v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
-    if not np.all(np.isfinite(v)):
-        raise EvaluationError("system right-hand side overflows float64")
+    try:
+        v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
+    except OverflowError as exc:
+        raise EvaluationError("system right-hand side overflows float64") from exc
     system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
     coeffs = _full_coeffs(n, k, l, left, right, bandsolve.solve(system))
 

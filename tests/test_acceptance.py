@@ -264,7 +264,7 @@ def test_criterion_7_band_solver_oracle():
     assert cases >= 100
     assert paths == {"back", "forward", "tridiagonal", "banded-lu"}
     record_criterion(f"criterion 7: band solver vs dense oracle ({cases} systems, "
-                     f"all dispatch paths)")
+                     f"all (k, l) band shapes)")
 
 
 def test_criterion_8_worked_micro_examples():

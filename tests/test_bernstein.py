@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from helpers import de_casteljau
@@ -5,6 +7,7 @@ from helpers import de_casteljau
 from bernbvp.bernstein import (
     BernsteinPoly,
     basis_value,
+    binomial_row,
     derivative,
     diff_table,
     endpoint_derivative,
@@ -14,6 +17,14 @@ from bernbvp.bernstein import (
 
 def random_poly(rng, n, scale=1.0):
     return BernsteinPoly(rng.uniform(-scale, scale, n + 1))
+
+
+class TestBinomialRow:
+    def test_correctly_rounded_through_degree_60(self):
+        # C(n, i) exceeds 2^53 from n = 57 on; every entry must still be
+        # the float nearest the exact integer
+        for n in range(61):
+            assert binomial_row(n).tolist() == [float(comb(n, i)) for i in range(n + 1)], n
 
 
 class TestBasisValue:

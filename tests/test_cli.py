@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +22,18 @@ def ex1_spec(tmp_path):
         "exact": "-ln(cos(x - 1/2)/cos(1/2))",
     }))
     return path
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test-only dependency; the installed program must not need it
+    import bernbvp
+
+    root = os.path.dirname(os.path.dirname(bernbvp.__file__))
+    code = (f"import sys; sys.path.insert(0, {root!r}); import bernbvp.cli; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSolveCommand:

@@ -98,6 +98,16 @@ class TestDualCoefficients:
                         worst = max(worst, abs(float(acc - target)))
             assert worst < 1e-9, f"duality failed at n={n}: {worst}"
 
+    def test_exact_duality_at_degree_58(self):
+        # near the CLI's degree cap: rows of the table times the exact Gram
+        # matrix are exactly rows of the identity
+        n = 58
+        t = dual_coefficients(n).table
+        g = exact_gram(n)
+        for i in (0, 29, 58):
+            row = [sum(t[i][q] * g[q][j] for q in range(n + 1)) for j in range(n + 1)]
+            assert row == [int(i == j) for j in range(n + 1)], i
+
     def test_symmetries(self):
         for n in (3, 8, 14, 20):
             a = dual_coefficients(n).as_array()

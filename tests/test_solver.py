@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import warnings
@@ -10,7 +11,7 @@ from mpmath import mp
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.errors import EvaluationError, IterationError
 from bernbvp.expressions import parse
-from bernbvp.problems import example
+from bernbvp.problems import error_curve, example, max_error
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
 
@@ -243,6 +244,23 @@ class TestSolve:
                 iterate(p, w5, 6)
             assert err.value.n == 6
 
+    def test_overflowing_system_rhs_fails_with_iteration_index(self):
+        # g stays finite, but its dual-basis combination v exceeds float64
+        p = BVProblem((0.0,), (), lambda x, y0: 1e308 * math.cos(20 * math.pi * x))
+        with pytest.raises(IterationError) as err:
+            iterate(p, BernsteinPoly(np.zeros(20)), 20)
+        assert err.value.n == 20
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "overflows float64" in str(err.value.cause)
+
+    @pytest.mark.parametrize("ex_id", [1, 5])
+    def test_examples_at_degree_60(self, ex_id):
+        # the CLI's degree cap: the error on the 201-point grid stays at the
+        # float64 level instead of growing with the dual coefficients
+        ex = example(ex_id)
+        w = solve(ex.problem, SolveOptions(degree=60)).solution
+        assert max_error(error_curve(w, ex.reference, 200)) <= 1e-12
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_manufactured_polynomials_at_degree_30(self, m):
         # The rhs p^(m)(x) ignores y, so w_30 does not depend on w_29: one
@@ -261,7 +279,7 @@ class TestSolve:
 
     def test_concurrent_solves_match_serial(self):
         # two solves in threads while a third keeps switching mpmath's
-        # global precision: the solver's 40-digit kernels must not see it
+        # global precision: the solver must not see it
         problems = [example(i).problem for i in (1, 3)]
         opts = SolveOptions(degree=24)
         serial = [solve(p, opts).solution.coeffs for p in problems]
