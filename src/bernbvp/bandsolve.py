@@ -10,8 +10,8 @@ dual coefficients grow like 4^(n-m).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 
 import numpy as np
 
@@ -86,13 +86,17 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     the fixed outer coefficients; the correction sums are empty except in
     the first k rows and the last l rows.
 
-    ``duals`` is the DualCoeffTable of degree n - m, ``moments`` a
-    MomentVector or a plain sequence of floats or exact rationals
-    (``Fraction``), ``outer`` the pair (left, right) with right[j] the
+    ``duals`` is the DualCoeffTable of degree n - m.  ``moments`` is a
+    MomentVector or a sequence of exact values: floats, ints, ``Fraction``s
+    or integer pairs (numerator, denominator) as the solver's moment kernel
+    returns them.  ``outer`` is the pair (left, right) with right[j] the
     coefficient at index n - j.  Because the c_iq grow like 4^(n-m), each
-    v_i is computed exactly (each dual row over its lcm denominator, one
-    integer dot product with the moment numerators) and rounded once to
-    float64; OverflowError if it exceeds the float64 range.
+    v_i is computed exactly and rounded once to float64: the dot product
+    of the table row's integer numerators with the moment numerators (both
+    over common denominators) and the stencil terms (over one power of
+    two) combine into one integer fraction, and CPython's int/int true
+    division rounds it correctly.  OverflowError if it exceeds the float64
+    range.
     """
     nu = n - m
     if duals.degree != nu:
@@ -108,21 +112,23 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     fixed = np.zeros(n + 1)
     fixed[:k] = left
     fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
+    fnum, fden = _over_common_denominator([x.as_integer_ratio() for x in fixed.tolist()])
     stencil = [(-1) ** (m - h) * comb(m, h) for h in range(m + 1)]
-
-    mvals = [Fraction(x) for x in values]
-    mden = lcm(*(x.denominator for x in mvals))
-    mnum = [x.numerator * (mden // x.denominator) for x in mvals]
+    mnum, mden = _over_common_denominator(
+        [x if isinstance(x, tuple) else x.as_integer_ratio() for x in values])
+    scale = mden * (factorial(n) // factorial(nu))
     v = np.empty(nu + 1)
-    for i, row in enumerate(duals.table):
-        den = lcm(*(c.denominator for c in row))
-        dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
-        acc = Fraction(dot * factorial(nu), den * mden * factorial(n))
-        for h in range(m + 1):
-            if fixed[i + h]:
-                acc -= stencil[h] * Fraction(fixed[i + h])
-        v[i] = float(acc)
+    for i, (row, den) in enumerate(zip(duals.numerators, duals.denominators)):
+        dot = sum(map(mul, row, mnum))
+        corr = sum(map(mul, stencil, fnum[i:i + m + 1]))
+        v[i] = (dot * fden - corr * den * scale) / (den * scale * fden)
     return v
+
+
+def _over_common_denominator(ratios):
+    """Numerators over the lcm of the denominators of (p, q) pairs."""
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 def solve(system):

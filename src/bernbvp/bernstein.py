@@ -94,24 +94,25 @@ def evaluate(p, x):
 
     Uses a Horner scheme in t = x/(1-x) for x <= 1/2 and the mirrored
     scheme in (1-x)/x otherwise, so no significance is lost near either
-    endpoint.  Cost O(n).
+    endpoint.  Cost O(n).  The loop runs on Python floats (the products
+    c_i C(n,i) are formed once in numpy); it performs the same IEEE
+    operations as the loop on numpy scalars, so the result is the same.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    c = p.coeffs
     n = p.degree
-    binom = binomial_row(n)
+    cb = (p.coeffs * binomial_row(n)).tolist()
     if x <= 0.5:
         s = 1.0 - x
         t = x / s if s else 0.0
-        acc = c[n]
+        acc = cb[n]
         for i in range(n - 1, -1, -1):
-            acc = acc * t + c[i] * binom[i]
+            acc = acc * t + cb[i]
         return acc * s**n
     u = (1.0 - x) / x
-    acc = c[0]
+    acc = cb[0]
     for i in range(1, n + 1):
-        acc = acc * u + c[i] * binom[i]
+        acc = acc * u + cb[i]
     return acc * x**n
 
 

@@ -99,7 +99,16 @@ def _make_options(args, quad, m):
         raise SpecError(f"degree {args.degree} is below the equation order {m}")
     order = args.quad_order if args.quad_order is not None else quad.get("order")
     panels = args.quad_panels if args.quad_panels is not None else quad.get("panels", 2)
+    if order is not None and not _is_count(order):
+        raise SpecError(f"quadrature order must be an integer >= 1, got {order!r}")
+    if not _is_count(panels):
+        raise SpecError(f"quadrature panels must be an integer >= 1, got {panels!r}")
     return SolveOptions(degree=args.degree, quad_order=order, quad_panels=panels)
+
+
+def _is_count(value):
+    """True for an int >= 1; bools, floats and strings are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _coefficient_document(report, options):

@@ -13,14 +13,20 @@ used because at any fixed precision it loses digits (about 22 of 40 by
 n = 40).
 
 The entries grow like 4^n (about 8.8e10 at n = 18), so a table rounded to
-float64 loses its duality property beyond n ~ 14.  The table therefore
-holds exact rationals; ``DualCoeffTable.as_array()`` gives a float64 view
-for callers that can live with the rounding.
+float64 loses its duality property beyond n ~ 14.  The table is therefore
+kept exact, each row as integer numerators over the lcm of the row's
+denominators: the form the solver's exact dot products with the moments
+need.  ``DualCoeffTable.table`` gives the entries as ``Fraction``s and
+``as_array()`` a float64 view for callers that can live with the rounding.
+
+Tables are memoized per degree, so each degree is built once per process.
 """
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -31,19 +37,38 @@ __all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
 class DualCoeffTable:
     """Connection coefficients c_ij for the dual basis of degree n.
 
-    ``table[i][j]`` is the exact ``fractions.Fraction`` c_ij.
+    c_ij is exactly ``numerators[i][j] / denominators[i]``; each
+    denominator is the lcm of its row's reduced denominators.
     """
 
     degree: int
-    table: tuple = field(repr=False)
+    numerators: tuple = field(repr=False)
+    denominators: tuple = field(repr=False)
+
+    @functools.cached_property
+    def table(self):
+        """``table[i][j]`` is c_ij as an exact ``fractions.Fraction``."""
+        return tuple(tuple(Fraction(a, d) for a in row)
+                     for row, d in zip(self.numerators, self.denominators))
 
     def as_array(self):
         """The table rounded to a float64 matrix."""
-        return np.array([[float(x) for x in row] for row in self.table])
+        return np.array([[a / d for a in row]
+                         for row, d in zip(self.numerators, self.denominators)])
 
 
 def dual_coefficients(n):
-    """Connection-coefficient table of the dual Bernstein basis of degree n."""
+    """Connection-coefficient table of the dual Bernstein basis of degree n.
+
+    n must be an integer (``operator.index``; TypeError otherwise).
+    Memoized: equal degrees return the same immutable table.
+    """
+    return _dual_table(operator.index(n))
+
+
+# one entry per degree n - m the CLI's degree range (n <= 60) reaches
+@functools.lru_cache(maxsize=64)
+def _dual_table(n):
     if n < 0:
         raise ValueError("degree must be non-negative")
     a = [[comb(n + k + 1, n - i) * comb(n - k, n - i) for k in range(i + 1)]
@@ -56,7 +81,10 @@ def dual_coefficients(n):
             s = sum(x * y for x, y in zip(a[i], b[j]))  # k = 0..i
             c[i][j] = c[j][i] = Fraction(-s if (i + j) % 2 else s,
                                          binom[i] * binom[j])
-    return DualCoeffTable(degree=n, table=tuple(tuple(row) for row in c))
+    dens = tuple(lcm(*(x.denominator for x in row)) for row in c)
+    nums = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row, d in zip(c, dens))
+    return DualCoeffTable(degree=n, numerators=nums, denominators=dens)
 
 
 def bernstein_gram_entry(n, i, j):

@@ -178,8 +178,8 @@ def error_curve(w, ref, M):
     Returns an (M+1, 2) array of (x, error) rows.
     """
     ys = ref.values_on_grid(M)
-    xs = np.array([i / M for i in range(M + 1)])
-    eps = np.array([abs(y - eval_poly(w, x)) for x, y in zip(xs, ys)])
+    xs = [i / M for i in range(M + 1)]
+    eps = [abs(y - eval_poly(w, x)) for x, y in zip(xs, ys.tolist())]
     return np.column_stack([xs, eps])
 
 

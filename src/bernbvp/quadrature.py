@@ -2,16 +2,18 @@
 of a function against a Bernstein basis row.
 
 The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
-composite rules are affine images of it, all in float64.  The moments are
-exact: every float64 node, weight and sample of the integrand is a dyadic
-rational, so the quadrature sum is computed in integer arithmetic over one
-power of two.  The solver combines them with dual-basis coefficients that
-grow like 4^(n-m), which would amplify any rounding here by that factor.
+composite rules are affine images of it, all in float64, and are memoized
+per (order, panels).  The moments are exact: every float64 node, weight
+and sample of the integrand is a dyadic rational, so the quadrature sum is
+computed in integer arithmetic over one power of two.  The solver combines
+them with dual-basis coefficients that grow like 4^(n-m), which would
+amplify any rounding here by that factor.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +39,18 @@ class QuadratureRule:
 
 
 def gauss_rule(order, panels=1):
-    """Composite Gauss-Legendre rule with ``panels`` equal panels on [0, 1]."""
+    """Composite Gauss-Legendre rule with ``panels`` equal panels on [0, 1].
+
+    Both arguments must be integers (``operator.index``; TypeError
+    otherwise).  Rules are memoized, so equal arguments return the same
+    immutable rule.
+    """
+    return _gauss_rule(operator.index(order), operator.index(panels))
+
+
+# one entry per rule order the CLI's degree range (n <= 60) reaches
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(order, panels):
     if order < 1:
         raise ValueError("order must be >= 1")
     if panels < 1:
@@ -113,26 +126,37 @@ def _exact_moments(g, nu, rule):
     """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t), q = 0..nu.
 
     g is sampled once per node in float64.  With x_t = X_t / 2^e, 1 - x_t =
-    (2^e - X_t) / 2^e and w_t g(x_t) = P_t / 2^d, every term
-    C(nu,q) P_t X_t^q (2^e - X_t)^(nu-q) is an integer over 2^(d + e nu),
-    so the sums carry no rounding.  Returns (moments as Fractions, g
-    values as floats) so the caller can reuse the node values.
+    (2^e - X_t) / 2^e and w_t g(x_t) = P_t / 2^d, each moment is
+    C(nu,q) S_q / 2^(d + e nu) with the integer
+    S_q = sum_t P_t X_t^q (2^e - X_t)^(nu-q).  The power sums
+    T_j = sum_t P_t X_t^j take one small-by-big product per (node, j);
+    every S_q then follows by nu - q differencing steps
+    U_j <- (U_j << e) - U_(j+1), which cost O(nu^2) shifts and
+    subtractions whatever the node count.  No step rounds.
+
+    Returns (moments, g values as floats): the moments as unreduced
+    integer pairs (numerator, 2^(d + e nu)), the caller reusing the node
+    values.
     """
     gvals = _sample(g, rule)
     xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
-    wgs, d = _over_power_of_two([(Fraction(w) * Fraction(gx)).as_integer_ratio()
-                                 for w, gx in zip(rule.weights.tolist(), gvals)])
-    sums = [0] * (nu + 1)
-    for x, term in zip(xs, wgs):
-        y = (1 << e) - x
-        ypow = [1]
-        for _ in range(nu):
-            ypow.append(ypow[-1] * y)
-        for q in range(nu + 1):
-            sums[q] += term * ypow[nu - q]
+    wgs = []
+    for w, gx in zip(rule.weights.tolist(), gvals):
+        (pw, qw), (pg, qg) = w.as_integer_ratio(), gx.as_integer_ratio()
+        wgs.append((pw * pg, qw * qg))
+    ps, d = _over_power_of_two(wgs)
+    u = [0] * (nu + 1)  # T_j
+    for x, term in zip(xs, ps):
+        for j in range(nu + 1):
+            u[j] += term
             term *= x
+    # step s leaves u[j] = sum_t P_t X_t^j (2^e - X_t)^s for j <= nu - s;
+    # u[nu - s] is then final, S_(nu-s)
+    for s in range(1, nu + 1):
+        for j in range(nu + 1 - s):
+            u[j] = (u[j] << e) - u[j + 1]
     den = 1 << (d + e * nu)
-    return [Fraction(math.comb(nu, q) * s, den) for q, s in enumerate(sums)], gvals
+    return [(math.comb(nu, q) * sq, den) for q, sq in enumerate(u)], gvals
 
 
 def moment_integrals(g, n, m, rule):
@@ -140,9 +164,9 @@ def moment_integrals(g, n, m, rule):
 
     g is evaluated exactly once per quadrature node; each moment is the
     exact quadrature sum of those float samples, rounded once.  Cost
-    O(nodes * (n - m)) integer operations.
+    O(nodes * (n - m) + (n - m)^2) integer operations.
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     moments, _ = _exact_moments(g, n - m, rule)
-    return MomentVector(n=n, m=m, values=[float(x) for x in moments])
+    return MomentVector(n=n, m=m, values=[p / q for p, q in moments])

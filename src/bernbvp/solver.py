@@ -169,7 +169,7 @@ def _iterate_core(problem, prev, n, rule):
     derivs = [derivative(prev, r) for r in range(m)]
 
     def g(x):
-        return problem.rhs_value(x, [float(_eval_mp(d, x)) for d in derivs])
+        return problem.rhs_value(x, [_eval_mp(d, x) for d in derivs])
 
     moments, gvals = _moment_integrals_mp(g, n - m, rule)
     duals = dual_coefficients(n - m)

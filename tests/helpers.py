@@ -1,5 +1,8 @@
 """Shared test oracles and reference data."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -10,6 +13,81 @@ def de_casteljau(coeffs, x):
     for r in range(1, n + 1):
         b[: n - r + 1] = (1.0 - x) * b[: n - r + 1] + x * b[1 : n - r + 2]
     return b[0]
+
+
+def evaluate_reference(p, x):
+    """Horner evaluation of a BernsteinPoly on numpy scalars, the loop that
+    ``bernstein.evaluate`` runs on Python floats; results must agree bit
+    for bit."""
+    from bernbvp.bernstein import binomial_row
+
+    c = p.coeffs
+    n = p.degree
+    binom = binomial_row(n)
+    if x <= 0.5:
+        s = 1.0 - x
+        t = x / s if s else 0.0
+        acc = c[n]
+        for i in range(n - 1, -1, -1):
+            acc = acc * t + c[i] * binom[i]
+        return acc * s**n
+    u = (1.0 - x) / x
+    acc = c[0]
+    for i in range(1, n + 1):
+        acc = acc * u + c[i] * binom[i]
+    return acc * x**n
+
+
+def exact_moments_reference(g, nu, rule):
+    """Exact moments sum_t w_t g(x_t) B_q^nu(x_t) as Fractions, by the
+    direct per-node expansion of X^q (2^e - X)^(nu-q); returns (moments,
+    g values).  Oracle for ``quadrature._exact_moments``."""
+    gvals = [float(g(x)) for x in rule.nodes.tolist()]
+    xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
+    wgs, d = _over_power_of_two([(Fraction(w) * Fraction(gx)).as_integer_ratio()
+                                 for w, gx in zip(rule.weights.tolist(), gvals)])
+    sums = [0] * (nu + 1)
+    for x, term in zip(xs, wgs):
+        y = (1 << e) - x
+        ypow = [1]
+        for _ in range(nu):
+            ypow.append(ypow[-1] * y)
+        for q in range(nu + 1):
+            sums[q] += term * ypow[nu - q]
+            term *= x
+    den = 1 << (d + e * nu)
+    return [Fraction(math.comb(nu, q) * s, den) for q, s in enumerate(sums)], gvals
+
+
+def _over_power_of_two(ratios):
+    s = max(d.bit_length() for _, d in ratios) - 1
+    return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
+
+
+def assemble_rhs_reference(n, m, k, l, duals, moments, outer):
+    """The system right-hand side v in Fraction arithmetic (each table row
+    over its lcm denominator), each entry rounded once by
+    ``float(Fraction)``.  Oracle for ``bandsolve.assemble_rhs``; moments
+    are floats or Fractions."""
+    nu = n - m
+    left, right = outer
+    fixed = np.zeros(n + 1)
+    fixed[:k] = left
+    fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
+    stencil = [(-1) ** (m - h) * math.comb(m, h) for h in range(m + 1)]
+    mvals = [Fraction(x) for x in moments]
+    mden = math.lcm(*(x.denominator for x in mvals))
+    mnum = [x.numerator * (mden // x.denominator) for x in mvals]
+    v = np.empty(nu + 1)
+    for i, row in enumerate(duals.table):
+        den = math.lcm(*(c.denominator for c in row))
+        dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
+        acc = Fraction(dot * math.factorial(nu), den * mden * math.factorial(n))
+        for h in range(m + 1):
+            if fixed[i + h]:
+                acc -= stencil[h] * Fraction(fixed[i + h])
+        v[i] = float(acc)
+    return v
 
 
 def dense_from_banded(system):

@@ -113,6 +113,27 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: exp(")
 
+    @pytest.mark.parametrize("quad,flags", [
+        ({}, ["--quad-order", "0"]),
+        ({}, ["--quad-panels", "0"]),
+        ({"order": 22.5}, []),
+        ({"order": "22"}, []),
+        ({"order": 22.0}, []),
+        ({"order": True}, []),
+        ({"panels": 2.5}, []),
+        ({"panels": 0}, []),
+    ], ids=["order-flag-0", "panels-flag-0", "order-22.5", "order-str", "order-22.0",
+            "order-true", "panels-2.5", "panels-0"])
+    def test_malformed_quadrature_exits_2(self, tmp_path, capsys, quad, flags):
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps({
+            "order": 2, "left": [0.0], "right": [0.0], "rhs": "y1^2 + 1",
+            "exact": "-ln(cos(x - 1/2)/cos(1/2))", "quadrature": quad}))
+        for argv in (["solve", str(spec), "--out", str(tmp_path / "o")],
+                     ["error-curve", "--spec", str(spec)]):
+            assert main(argv + ["--degree", "6"] + flags) == 2
+            assert capsys.readouterr().err.startswith("error: quadrature ")
+
     def test_degree_below_order_exits_2(self, ex1_spec, tmp_path):
         assert main(["solve", str(ex1_spec), "--degree", "1",
                      "--out", str(tmp_path / "o")]) == 2

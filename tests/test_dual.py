@@ -1,5 +1,6 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -80,6 +81,27 @@ class TestDualCoefficients:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             dual_coefficients(-1)
+
+    def test_memoized_table_is_shared_and_immutable(self):
+        t = dual_coefficients(9)
+        assert dual_coefficients(9) is t
+        with pytest.raises(FrozenInstanceError):
+            t.numerators = ()
+        with pytest.raises(TypeError):
+            t.numerators[0] = ()
+        with pytest.raises(TypeError):
+            t.numerators[2][3] = 0
+        with pytest.raises(TypeError):
+            t.table[0][0] = 0
+        with pytest.raises(TypeError):
+            dual_coefficients(9.0)
+
+    def test_rows_are_integers_over_their_lcm(self):
+        for n in (0, 5, 17):
+            t = dual_coefficients(n)
+            for i, (row, den) in enumerate(zip(t.numerators, t.denominators)):
+                assert all(type(a) is int for a in row)
+                assert lcm(*(c.denominator for c in t.table[i])) == den
 
     def test_duality_against_gram(self):
         # dual table times the exact Gram is the identity (max entry 1e-9)

@@ -67,6 +67,22 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_rule(3, 0)
 
+    def test_memoized_rule_is_shared_and_read_only(self):
+        rule = gauss_rule(23, 2)
+        assert gauss_rule(23, 2) is rule
+        assert gauss_rule(23, panels=2) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_non_integer_arguments_rejected_even_when_memoized(self):
+        # 22.0 hashes like 22: the memo must not let it through
+        gauss_rule(22, 2)
+        with pytest.raises(TypeError):
+            gauss_rule(22.0, 2)
+        with pytest.raises(TypeError):
+            gauss_rule(22, 2.0)
+
 
 class TestBasisRow:
     def test_known_rows(self):

@@ -9,9 +9,11 @@ from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
+from bernbvp.dual import _dual_table
 from bernbvp.errors import EvaluationError, IterationError
 from bernbvp.expressions import parse
 from bernbvp.problems import error_curve, example, max_error
+from bernbvp.quadrature import _gauss_rule
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
 
@@ -230,8 +232,8 @@ class TestSolve:
         assert err.value.n == 3
 
     def test_divergent_rhs_fails_with_iteration_index(self):
-        # the iterates blow up until v overflows float64 at n = 6; that must
-        # surface as IterationError before the band solve sees inf
+        # the iterates blow up until exp(40*y0) overflows float64 at n = 6;
+        # that must surface as IterationError before the band solve sees inf
         p = BVProblem((0.0,), (0.0,), parse("exp(40*y0) + 300*y1^3"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -311,6 +313,44 @@ class TestSolve:
         assert not any(t.is_alive() for t in workers + [meddler])
         for got, expect in zip(threaded, serial):
             assert np.array_equal(got, expect)
+
+    def test_memos_do_not_change_results(self):
+        # cold (caches cleared) and warm solves give the same bytes
+        problems = [example(i).problem for i in range(1, 6)]
+        opts = SolveOptions(degree=30)
+        _gauss_rule.cache_clear()
+        _dual_table.cache_clear()
+        cold = [solve(p, opts) for p in problems]
+        warm = [solve(p, opts) for p in problems]
+        for a, b in zip(cold, warm):
+            assert a.solution.coeffs.tobytes() == b.solution.coeffs.tobytes()
+            assert a.residuals.tobytes() == b.residuals.tobytes()
+
+    def test_threads_filling_the_memos_match_serial(self):
+        # more threads than cores build the same rules and tables at once
+        problems = [example(i).problem for i in (1, 2, 3, 4, 5, 1)]
+        opts = SolveOptions(degree=24)
+        serial = [solve(p, opts).solution.coeffs for p in problems]
+        threaded = [None] * len(problems)
+
+        def run(i):
+            threaded[i] = solve(problems[i], opts).solution.coeffs
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
+        _gauss_rule.cache_clear()
+        _dual_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        for got, expect in zip(threaded, serial):
+            assert got.tobytes() == expect.tobytes()
 
     def test_first_order_initial_value(self):
         # y' = y, y(0) = 1: exact solution e^x
