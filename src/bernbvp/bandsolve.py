@@ -42,6 +42,8 @@ class BandedToeplitz:
         diags = np.asarray(self.diagonals, dtype=float)
         if diags.size != self.lower_bw + self.upper_bw + 1:
             raise ValueError("diagonals must hold lower_bw + upper_bw + 1 values")
+        if not np.all(np.isfinite(diags)):
+            raise ValueError("diagonals must be finite")
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.size != self.size:
             raise ValueError(f"rhs must have length {self.size}")
@@ -136,9 +138,12 @@ def solve(system):
 
     One elimination serves every band shape: the upper bandwidth grows to
     k + l during elimination, and for k = 0 it reduces to back
-    substitution.  For right-hand sides of bounded solutions the residual
-    |G p - v|_inf is well within 1e-10 * (1 + |v|_inf) for every split
-    k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
+    substitution.  The elimination runs on compact band rows of Python
+    floats (2k + l + 1 entries each) and the back substitution on numpy
+    rows of U, so no dense matrix is formed.  For right-hand sides of
+    bounded solutions the residual |G p - v|_inf is well within
+    1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at every n <= 60
+    (the README gives the measured margin).
     """
     if system.size < 1:
         raise ValueError("system must have size >= 1")
@@ -156,31 +161,44 @@ def solve(system):
 def _banded_lu(system, tol):
     s, k, l = system.size, system.lower_bw, system.upper_bw
     width = k + l  # fill-in extends the upper bandwidth to k + l
-    offset = np.arange(s) - np.arange(s)[:, None]  # j - i
-    a = np.where((offset >= -k) & (offset <= l),
-                 system.diagonals[np.clip(offset + k, 0, width)], 0.0)
-    v = np.array(system.rhs)
+    diags = system.diagonals.tolist()
+    # row i holds columns i - k .. i + width at indices 0 .. k + width;
+    # entries outside the band or the matrix are 0
+    a = [[diags[d + k] if d <= l and 0 <= i + d < s else 0.0
+          for d in range(-k, width + 1)] for i in range(s)]
+    v = system.rhs.tolist()
     # only a column with band rows below it is eliminated and pivoted
     for col in range(s - 1 if k else 0):
         lo = min(col + k, s - 1)
-        piv = col + int(np.argmax(np.abs(a[col:lo + 1, col])))
-        if abs(a[piv, col]) <= tol:
-            raise SingularSystemError(col)
-        hi = min(col + width + 1, s)
-        if piv != col:
-            a[[col, piv], col:hi] = a[[piv, col], col:hi]
-            v[col], v[piv] = v[piv], v[col]
+        # the first largest |entry|, as np.argmax picks it (NaN first)
+        piv, big = col, abs(a[col][k])
         for r in range(col + 1, lo + 1):
-            f = a[r, col] / a[col, col]
+            cand = abs(a[r][col - r + k])
+            if big == big and not cand <= big:
+                piv, big = r, cand
+        if big <= tol:
+            raise SingularSystemError(col)
+        span = min(width + 1, s - col)  # columns col .. col + span - 1
+        if piv != col:
+            o = col - piv + k
+            a[col][k:k + span], a[piv][o:o + span] = a[piv][o:o + span], a[col][k:k + span]
+            v[col], v[piv] = v[piv], v[col]
+        pivot_row = a[col][k:k + span]
+        for r in range(col + 1, lo + 1):
+            row, o = a[r], col - r + k
+            f = row[o] / pivot_row[0]
             if f != 0.0:
-                a[r, col:hi] -= f * a[col, col:hi]
+                row[o:o + span] = [x - f * y for x, y in zip(row[o:o + span], pivot_row)]
                 v[r] -= f * v[col]
+    # numpy's dot on contiguous rows of U: a Python sum would add in a
+    # different order than BLAS and change the last bits
+    upper = np.array([row[k:] for row in a])
     p = np.zeros(s)
     for i in range(s - 1, -1, -1):
-        if abs(a[i, i]) <= tol:
+        if abs(upper[i, 0]) <= tol:
             raise SingularSystemError(i)
-        hi = min(i + width, s - 1)
-        p[i] = (v[i] - a[i, i + 1:hi + 1] @ p[i + 1:hi + 1]) / a[i, i]
+        h = min(width, s - 1 - i)
+        p[i] = (v[i] - upper[i, 1:h + 1] @ p[i + 1:i + h + 1]) / upper[i, 0]
     return p
 
 

@@ -90,30 +90,49 @@ def basis_value(n, i, x):
 
 
 def evaluate(p, x):
-    """Evaluate p at x in [0, 1].
+    """Evaluate p at x in [0, 1]; x is a float or a numpy array of points.
+
+    p is one BernsteinPoly, giving a float for a float x and an array of
+    x's shape otherwise, or a sequence of them (say the derivatives of an
+    iterate), giving one row of values per polynomial.
 
     Uses a Horner scheme in t = x/(1-x) for x <= 1/2 and the mirrored
     scheme in (1-x)/x otherwise, so no significance is lost near either
-    endpoint.  Cost O(n).  The loop runs on Python floats (the products
-    c_i C(n,i) are formed once in numpy); it performs the same IEEE
-    operations as the loop on numpy scalars, so the result is the same.
+    endpoint.  Cost O(n) per point and polynomial.  One numpy loop serves
+    every point and polynomial: each point takes its coefficients c_i C(n,i)
+    in its own order, and lower degrees are padded with leading -0.0, which
+    leaves the sum unchanged (-0.0 * t + c == c for every c, as t is finite
+    and >= 0).  The factor s^n or x^n is a Python pow per element.  So every
+    value carries the same IEEE operations as the scalar loop, bit for bit.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    n = p.degree
-    cb = (p.coeffs * binomial_row(n)).tolist()
-    if x <= 0.5:
-        s = 1.0 - x
-        t = x / s if s else 0.0
-        acc = cb[n]
-        for i in range(n - 1, -1, -1):
-            acc = acc * t + cb[i]
-        return acc * s**n
-    u = (1.0 - x) / x
-    acc = cb[0]
-    for i in range(1, n + 1):
-        acc = acc * u + cb[i]
-    return acc * x**n
+    polys = [p] if isinstance(p, BernsteinPoly) else list(p)
+    xs = np.asarray(x, dtype=float)
+    inside = (xs >= 0.0) & (xs <= 1.0)
+    if not inside.all():
+        raise ValueError(f"x={xs[~inside].flat[0]} outside [0, 1]")
+    flat = xs.ravel()
+    low = flat <= 0.5
+    s = 1.0 - flat
+    base = np.where(low, s, flat)
+    t = np.where(low, flat, s) / base
+    degrees = [q.degree for q in polys]
+    top = max(degrees)
+    down = np.full((top + 1, len(polys)), -0.0)  # cb[n]..cb[0], for x <= 1/2
+    up = np.full((top + 1, len(polys)), -0.0)    # cb[0]..cb[n], for x > 1/2
+    for r, (q, n) in enumerate(zip(polys, degrees)):
+        cb = q.coeffs * binomial_row(n)
+        down[top - n:, r] = cb[::-1]
+        up[top - n:, r] = cb
+    seq = np.where(low, down[:, :, None], up[:, :, None])
+    acc = seq[0]
+    for step in seq[1:]:
+        acc = acc * t + step
+    bases = base.tolist()
+    scale = np.array([[b ** n for b in bases] for n in degrees])
+    out = (acc * scale).reshape((len(polys),) + xs.shape)
+    if not isinstance(p, BernsteinPoly):
+        return out
+    return float(out[0]) if xs.ndim == 0 else out[0]
 
 
 def diff_table(p, r_max):

@@ -11,14 +11,18 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     NAME   := sin cos tan sec exp ln sqrt abs
 
 ``yk`` denotes the k-th derivative argument (y0 = y, y1 = y', ...).
-Evaluation is in float64; domain errors (ln of a non-positive value,
-division by zero, ...) and function overflow raise EvaluationError instead
-of producing NaN or escaping as a raw math exception.
+Evaluation is in float64, at one point or over arrays of points; domain
+errors (ln of a non-positive value, division by zero, ...) and function
+overflow raise EvaluationError instead of producing NaN or escaping as a
+raw math exception.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 
@@ -237,8 +241,55 @@ def _power(base, exponent):
         return sign * math.inf
 
 
+def _call(fn, v):
+    """The named function at the float v."""
+    try:
+        if fn in ("tan", "sec") and math.cos(v) == 0:
+            raise EvaluationError(f"{fn} at a pole", where=v)
+        return _FUNCS[fn](v)
+    except (OverflowError, ValueError) as exc:
+        raise EvaluationError(f"{fn}({v}): {exc}", where=v) from exc
+
+
+def _per_element(fn, *operands):
+    """fn over the broadcast operands, element by element on Python floats
+    (math and pow, whose results numpy's ufuncs do not always match)."""
+    arrays = np.broadcast_arrays(*operands)
+    values = [fn(*vs) for vs in zip(*(a.ravel().tolist() for a in arrays))]
+    return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+
+def _check(bad, values, message):
+    """EvaluationError at the first of values where bad holds, if any."""
+    if np.any(bad):
+        bad, values = np.broadcast_arrays(bad, values)
+        where = float(values[bad][0])
+        raise EvaluationError(message.format(where), where=where)
+
+
 def evaluate(e, x, args=()):
-    """Evaluate e at the point x with derivative arguments args = (y0, y1, ...)."""
+    """Evaluate e at x with derivative arguments args = (y0, y1, ...).
+
+    x and every argument are floats or numpy arrays that broadcast
+    together; the value has their common shape, so it is a float when all
+    of them are floats, and a constant e still fills the whole shape.  One
+    walk of the tree serves every point: + - * / and negation are numpy
+    operations, the functions and ^ run per element through math and
+    Python's pow, so each element carries the same IEEE operations as a
+    walk over floats.  Domain checks run over the whole array: the first
+    operation in walk order that fails at some point raises
+    EvaluationError, with ``where`` the failing operand at the first such
+    point.
+    """
+    shape = np.broadcast_shapes(np.shape(x), *map(np.shape, args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _walk(e, np.asarray(x, dtype=float), args)
+    if not shape:
+        return float(out)
+    return np.array(np.broadcast_to(out, shape))
+
+
+def _walk(e, x, args):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, X):
@@ -248,12 +299,12 @@ def evaluate(e, x, args=()):
             raise EvaluationError(
                 f"missing argument y{e.index} (got {len(args)} arguments)"
             )
-        return args[e.index]
+        return np.asarray(args[e.index], dtype=float)
     if isinstance(e, Neg):
-        return -evaluate(e.operand, x, args)
+        return -_walk(e.operand, x, args)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, x, args)
-        b = evaluate(e.right, x, args)
+        a = _walk(e.left, x, args)
+        b = _walk(e.right, x, args)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -261,20 +312,14 @@ def evaluate(e, x, args=()):
         if e.op == "*":
             return a * b
         if e.op == "/":
-            if b == 0:
-                raise EvaluationError("division by zero", where=float(a))
+            _check(b == 0, a, "division by zero")
             return a / b
-        return _power(a, b)
+        return _per_element(_power, a, b)
     if isinstance(e, Call):
-        v = evaluate(e.arg, x, args)
-        if e.fn == "ln" and v <= 0:
-            raise EvaluationError(f"ln of non-positive value {float(v)}", where=float(v))
-        if e.fn == "sqrt" and v < 0:
-            raise EvaluationError(f"sqrt of negative value {float(v)}", where=float(v))
-        try:
-            if e.fn in ("tan", "sec") and math.cos(v) == 0:
-                raise EvaluationError(f"{e.fn} at a pole", where=float(v))
-            return _FUNCS[e.fn](v)
-        except (OverflowError, ValueError) as exc:
-            raise EvaluationError(f"{e.fn}({float(v)}): {exc}", where=float(v)) from exc
+        v = _walk(e.arg, x, args)
+        if e.fn == "ln":
+            _check(v <= 0, v, "ln of non-positive value {}")
+        if e.fn == "sqrt":
+            _check(v < 0, v, "sqrt of negative value {}")
+        return _per_element(functools.partial(_call, e.fn), v)
     raise TypeError(f"not an expression node: {e!r}")

@@ -8,7 +8,6 @@ to 17 significant digits on the 201-point grid).  Problem 5's boundary data
 are themselves fixture constants, read from the same file.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,10 +25,19 @@ __all__ = ["ReferenceSolution", "ExampleProblem", "example",
 FIXTURE_GRID_M = 200
 
 
+def _grid(M):
+    """{0, 1/M, ..., 1}, each point the correctly rounded i / M."""
+    return np.arange(M + 1) / M
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
     """Exact solution, either as a callable ('closed_form') or as a fixture
-    table on the grid {i/200} ('fixture')."""
+    table on the grid {i/200} ('fixture').
+
+    A closed-form fn maps x elementwise: ``value`` passes it a float and
+    ``values_on_grid`` the whole grid as one numpy array.
+    """
 
     kind: str
     fn: object = None
@@ -50,7 +58,8 @@ class ReferenceSolution:
         if M < 1:
             raise ValueError("M must be >= 1")
         if self.kind == "closed_form":
-            return np.array([self.fn(i / M) for i in range(M + 1)])
+            xs = _grid(M)
+            return np.array(np.broadcast_to(self.fn(xs), xs.shape), dtype=float)
         if FIXTURE_GRID_M % M != 0:
             raise ValueError(
                 f"fixture reference is tabulated on M={FIXTURE_GRID_M}; "
@@ -103,17 +112,11 @@ def _expr_reference(source, note):
 
 
 def _example1():
-    # ln/cos near x = 1/2 cancels; coded natively rather than through the
-    # expression evaluator.
-    def y(x):
-        return -math.log(math.cos(x - 0.5) / math.cos(0.5))
-
     return ExampleProblem(
         id=1,
         problem=BVProblem((0.0,), (0.0,), parse("y1^2 + 1")),
-        reference=ReferenceSolution(
-            kind="closed_form", fn=y,
-            note="y = -ln(cos(x - 1/2)/cos(1/2))"),
+        reference=_expr_reference(
+            "-ln(cos(x - 1/2)/cos(1/2))", "y = -ln(cos(x - 1/2)/cos(1/2))"),
         note="second order, nonlinear",
     )
 
@@ -178,9 +181,8 @@ def error_curve(w, ref, M):
     Returns an (M+1, 2) array of (x, error) rows.
     """
     ys = ref.values_on_grid(M)
-    xs = [i / M for i in range(M + 1)]
-    eps = [abs(y - eval_poly(w, x)) for x, y in zip(xs, ys.tolist())]
-    return np.column_stack([xs, eps])
+    xs = _grid(M)
+    return np.column_stack([xs, np.abs(ys - eval_poly(w, xs))])
 
 
 def max_error(curve):

@@ -37,6 +37,12 @@ class QuadratureRule:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @functools.cached_property
+    def _node_integers(self):
+        """Integers X_t and e with x_t = X_t / 2^e at every node."""
+        xs, e = _over_power_of_two([x.as_integer_ratio() for x in self.nodes.tolist()])
+        return tuple(xs), e
+
 
 def gauss_rule(order, panels=1):
     """Composite Gauss-Legendre rule with ``panels`` equal panels on [0, 1].
@@ -103,16 +109,16 @@ class MomentVector:
 
 
 def _sample(g, rule):
-    """g at every node of the rule, once each, as a list of floats."""
-    out = []
-    for x in rule.nodes.tolist():
-        val = float(g(x))
-        if not math.isfinite(val):
-            raise EvaluationError(
-                f"right-hand side returned non-finite value at x={x}", where=x
-            )
-        out.append(val)
-    return out
+    """g over the rule's node array, as a list of floats; EvaluationError
+    names the first node where a sample is not finite."""
+    vals = np.broadcast_to(np.asarray(g(rule.nodes), dtype=float), rule.nodes.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x = rule.nodes[bad][0].item()
+        raise EvaluationError(
+            f"right-hand side returned non-finite value at x={x}", where=x
+        )
+    return vals.tolist()
 
 
 def _over_power_of_two(ratios):
@@ -125,9 +131,11 @@ def _over_power_of_two(ratios):
 def _exact_moments(g, nu, rule):
     """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t), q = 0..nu.
 
-    g is sampled once per node in float64.  With x_t = X_t / 2^e, 1 - x_t =
-    (2^e - X_t) / 2^e and w_t g(x_t) = P_t / 2^d, each moment is
-    C(nu,q) S_q / 2^(d + e nu) with the integer
+    g maps the rule's node array to float64 samples, one per node (the
+    solver passes one array evaluation of the right-hand side).  With the
+    rule's node integers x_t = X_t / 2^e, 1 - x_t = (2^e - X_t) / 2^e and
+    w_t g(x_t) = P_t / 2^d, each moment is C(nu,q) S_q / 2^(d + e nu)
+    with the integer
     S_q = sum_t P_t X_t^q (2^e - X_t)^(nu-q).  The power sums
     T_j = sum_t P_t X_t^j take one small-by-big product per (node, j);
     every S_q then follows by nu - q differencing steps
@@ -139,7 +147,7 @@ def _exact_moments(g, nu, rule):
     values.
     """
     gvals = _sample(g, rule)
-    xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
+    xs, e = rule._node_integers
     wgs = []
     for w, gx in zip(rule.weights.tolist(), gvals):
         (pw, qw), (pg, qg) = w.as_integer_ratio(), gx.as_integer_ratio()
@@ -168,5 +176,6 @@ def moment_integrals(g, n, m, rule):
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    moments, _ = _exact_moments(g, n - m, rule)
+    moments, _ = _exact_moments(lambda xs: [float(g(x)) for x in xs.tolist()],
+                                n - m, rule)
     return MomentVector(n=n, m=m, values=[p / q for p, q in moments])

@@ -10,12 +10,12 @@ equation with the right-hand side frozen at the previous iterate, via dual
 basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
-nodes and the L2 residual are float64.  The moments of those float64
-samples, the dual coefficient table and their combination into the system
-right-hand side v are exact rational arithmetic, rounded once per entry of
-v (the dual coefficients grow like 4^(n-m), so rounding earlier would be
-amplified by that factor); every iterate is an ordinary float64
-BernsteinPoly.
+nodes and the L2 residual are float64, each one evaluation over the whole
+node array per iteration.  The moments of those float64 samples, the dual
+coefficient table and their combination into the system right-hand side v
+are exact rational arithmetic, rounded once per entry of v (the dual
+coefficients grow like 4^(n-m), so rounding earlier would be amplified by
+that factor); every iterate is an ordinary float64 BernsteinPoly.
 """
 
 import math
@@ -34,10 +34,11 @@ from .quadrature import _exact_moments, gauss_rule
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
 
-# perfbench/tracing.py wraps these names: _eval_mp to time the derivative
-# arguments (called inside the moment kernel) apart from the residual
-# (outside it), and _moment_integrals_mp as the moment layer.  The "_mp"
-# suffixes are historical: neither runs in mpmath any more.
+# perfbench/tracing.py wraps these names: _eval_mp, the array evaluator,
+# to time the derivative arguments (one call per iteration, inside the
+# moment kernel, which samples g) apart from the residual (one call per
+# iteration, outside it), and _moment_integrals_mp as the moment layer.
+# The "_mp" suffixes are historical: neither runs in mpmath any more.
 _eval_mp = evaluate
 _moment_integrals_mp = _exact_moments
 
@@ -48,7 +49,8 @@ class BVProblem:
     y^(i)(0) = left_values[i] and y^(j)(1) = right_values[j].
 
     ``rhs`` is either a parsed expression over x, y0..y(m-1) or a callable
-    f(x, y0, ..., y(m-1)).  Callables receive floats during a solve; their
+    f(x, y0, ..., y(m-1)).  An expression is evaluated over all the nodes
+    at once; a callable is called once per node with floats, and its
     result is converted with float(), so returning an mpf is fine.
     """
 
@@ -84,9 +86,14 @@ class BVProblem:
         return self.k + self.l
 
     def rhs_value(self, x, args):
-        if callable(self.rhs):
+        """f at x, a float or an array of points, where args[r] holds the
+        r-th derivative value(s)."""
+        if not callable(self.rhs):
+            return eval_expr(self.rhs, x, args)
+        if np.ndim(x) == 0:
             return self.rhs(x, *args)
-        return eval_expr(self.rhs, x, args)
+        points = zip(np.asarray(x).tolist(), *(np.asarray(a).tolist() for a in args))
+        return np.array([float(self.rhs(*point)) for point in points])
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ def _iterate_core(problem, prev, n, rule):
     derivs = [derivative(prev, r) for r in range(m)]
 
     def g(x):
-        return problem.rhs_value(x, [_eval_mp(d, x) for d in derivs])
+        return problem.rhs_value(x, _eval_mp(derivs, x))
 
     moments, gvals = _moment_integrals_mp(g, n - m, rule)
     duals = dual_coefficients(n - m)
@@ -181,9 +188,9 @@ def _iterate_core(problem, prev, n, rule):
     coeffs = _full_coeffs(n, k, l, left, right, bandsolve.solve(system))
 
     # L2 residual of the new iterate against the frozen right-hand side
-    deriv_m = derivative(BernsteinPoly(coeffs), m)
-    res2 = math.fsum(w * (_eval_mp(deriv_m, x) - gx) ** 2
-                     for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals))
+    deriv_m = _eval_mp(derivative(BernsteinPoly(coeffs), m), rule.nodes).tolist()
+    res2 = math.fsum(w * (d - gx) ** 2
+                     for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals))
     return coeffs, math.sqrt(res2)
 
 

@@ -38,6 +38,121 @@ def evaluate_reference(p, x):
     return acc * x**n
 
 
+def expression_reference(e, x, args=()):
+    """The scalar tree walk over Python floats that ``expressions.evaluate``
+    replaced: one point at a time, raising at its first failing operation.
+    Oracle for the array walk, element by element."""
+    from bernbvp.errors import EvaluationError
+    from bernbvp.expressions import Arg, BinOp, Call, Neg, Num, X
+
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, X):
+        return x
+    if isinstance(e, Arg):
+        if e.index >= len(args):
+            raise EvaluationError(
+                f"missing argument y{e.index} (got {len(args)} arguments)"
+            )
+        return args[e.index]
+    if isinstance(e, Neg):
+        return -expression_reference(e.operand, x, args)
+    if isinstance(e, BinOp):
+        a = expression_reference(e.left, x, args)
+        b = expression_reference(e.right, x, args)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0:
+                raise EvaluationError("division by zero", where=float(a))
+            return a / b
+        return _power_reference(a, b)
+    if isinstance(e, Call):
+        v = expression_reference(e.arg, x, args)
+        if e.fn == "ln" and v <= 0:
+            raise EvaluationError(f"ln of non-positive value {float(v)}", where=float(v))
+        if e.fn == "sqrt" and v < 0:
+            raise EvaluationError(f"sqrt of negative value {float(v)}", where=float(v))
+        try:
+            if e.fn in ("tan", "sec") and math.cos(v) == 0:
+                raise EvaluationError(f"{e.fn} at a pole", where=float(v))
+            return _FUNCS_REFERENCE[e.fn](v)
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationError(f"{e.fn}({float(v)}): {exc}", where=float(v)) from exc
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+_FUNCS_REFERENCE = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sec": lambda v: 1.0 / math.cos(v),
+    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
+}
+
+
+def _power_reference(base, exponent):
+    from bernbvp.errors import EvaluationError
+
+    def is_integer(v):
+        try:
+            return v == int(v)
+        except (OverflowError, ValueError):
+            return False
+
+    if base < 0 and not is_integer(exponent):
+        raise EvaluationError(
+            f"negative base {float(base)} with non-integer exponent {float(exponent)}",
+            where=float(base),
+        )
+    if base == 0 and exponent < 0:
+        raise EvaluationError("zero raised to a negative power", where=0.0)
+    if is_integer(exponent):
+        exponent = int(exponent)
+    try:
+        return base**exponent
+    except OverflowError:
+        sign = -1.0 if (base < 0 and exponent % 2 == 1) else 1.0
+        return sign * math.inf
+
+
+def banded_lu_reference(system, tol):
+    """The pivoted elimination on a dense s x s matrix that
+    ``bandsolve._banded_lu`` replaced by compact band rows; both must give
+    the same bits and the same SingularSystemError row."""
+    from bernbvp.errors import SingularSystemError
+
+    s, k, l = system.size, system.lower_bw, system.upper_bw
+    width = k + l
+    offset = np.arange(s) - np.arange(s)[:, None]  # j - i
+    a = np.where((offset >= -k) & (offset <= l),
+                 system.diagonals[np.clip(offset + k, 0, width)], 0.0)
+    v = np.array(system.rhs)
+    for col in range(s - 1 if k else 0):
+        lo = min(col + k, s - 1)
+        piv = col + int(np.argmax(np.abs(a[col:lo + 1, col])))
+        if abs(a[piv, col]) <= tol:
+            raise SingularSystemError(col)
+        hi = min(col + width + 1, s)
+        if piv != col:
+            a[[col, piv], col:hi] = a[[piv, col], col:hi]
+            v[col], v[piv] = v[piv], v[col]
+        for r in range(col + 1, lo + 1):
+            f = a[r, col] / a[col, col]
+            if f != 0.0:
+                a[r, col:hi] -= f * a[col, col:hi]
+                v[r] -= f * v[col]
+    p = np.zeros(s)
+    for i in range(s - 1, -1, -1):
+        if abs(a[i, i]) <= tol:
+            raise SingularSystemError(i)
+        hi = min(i + width, s - 1)
+        p[i] = (v[i] - a[i, i + 1:hi + 1] @ p[i + 1:hi + 1]) / a[i, i]
+    return p
+
+
 def exact_moments_reference(g, nu, rule):
     """Exact moments sum_t w_t g(x_t) B_q^nu(x_t) as Fractions, by the
     direct per-node expansion of X^q (2^e - X)^(nu-q); returns (moments,

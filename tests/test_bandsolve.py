@@ -49,6 +49,13 @@ class TestAssembleMatrix:
 
 
 class TestSolve:
+    def test_nonfinite_diagonals_rejected(self):
+        # a NaN band would make the pivot tolerance NaN, so no zero pivot
+        # could be reported as singular
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BandedToeplitz(3, 1, 1, [1.0, bad, 1.0], [0.0, 0.0, 0.0])
+
     def test_one_by_one(self):
         s = BandedToeplitz(1, 0, 0, [4.0], [2.0])
         assert solve(s).tolist() == [0.5]

@@ -146,6 +146,17 @@ class TestEvalCommand:
         assert main(["eval", "--coeffs", str(coeffs), "--at", "0.25"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.25, abs=1e-15)
 
+    def test_prints_the_scalar_horner_value(self, tmp_path, capsys):
+        from helpers import evaluate_reference
+
+        rng = np.random.default_rng(9)
+        poly = BernsteinPoly(rng.uniform(-1, 1, 41) * 10.0 ** rng.integers(-5, 6, 41))
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps({"degree": 40, "coefficients": poly.coeffs.tolist()}))
+        for x in (0.0, 0.1, 0.5, 0.7, 1.0):
+            assert main(["eval", "--coeffs", str(coeffs), "--at", repr(x)]) == 0
+            assert capsys.readouterr().out == f"{evaluate_reference(poly, x):.17g}\n"
+
     def test_out_of_range_exits_2(self, tmp_path):
         coeffs = tmp_path / "c.json"
         coeffs.write_text('{"degree": 1, "coefficients": [0.0, 1.0]}')

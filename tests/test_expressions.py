@@ -215,6 +215,24 @@ class TestEvaluate:
             evaluate(parse("exp(40*y0)"), 0.5, (20.0,))
         assert err.value.where == 800.0
 
+    def test_arrays_broadcast_and_constants_fill_the_shape(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        got = evaluate(parse("6"), xs)
+        assert got.shape == (5,) and np.all(got == 6.0)
+        ys = np.arange(6.0).reshape(2, 3)
+        assert evaluate(parse("2*y0 + 1"), 0.5, (ys,)).tolist() == (2 * ys + 1).tolist()
+        assert type(evaluate(parse("6"), 0.5)) is float
+        assert type(evaluate(parse("x*y0"), 0.5, (2.0,))) is float
+
+    def test_domain_error_names_the_first_failing_point(self):
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse("ln(x - 0.5)"), np.array([0.9, 0.75, 0.25, 0.0]))
+        assert err.value.where == -0.25
+        assert str(err.value) == "ln of non-positive value -0.25"
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse("x / y0"), np.array([0.5, 0.25, 0.125]), (np.array([1.0, 0.0, 0.0]),))
+        assert err.value.where == 0.25
+
 
 class TestRoundTrip:
     CASES = ["y1^2 + 1", "-2*y2 - y0", "4*x*y1 + 2*y0", "y3^2 / y2",

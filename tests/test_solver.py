@@ -13,7 +13,7 @@ from bernbvp.dual import _dual_table
 from bernbvp.errors import EvaluationError, IterationError
 from bernbvp.expressions import parse
 from bernbvp.problems import error_curve, example, max_error
-from bernbvp.quadrature import _gauss_rule
+from bernbvp.quadrature import _gauss_rule, gauss_rule
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
 
@@ -50,6 +50,42 @@ class TestBVProblem:
     def test_rejects_excess_derivative_index(self):
         with pytest.raises(ValueError):
             BVProblem((0.0,), (0.0,), parse("y2"))
+
+
+class TestRightHandSides:
+    def test_callable_gets_floats_one_node_at_a_time(self):
+        calls = []
+
+        def f(x, y0, y1):
+            calls.append((x, y0, y1))
+            return y1 ** 2 + 1
+
+        solve(BVProblem((0.0,), (0.0,), f), SolveOptions(degree=4))
+        assert all(type(v) is float for call in calls for v in call)
+        nodes = [gauss_rule(max(n + 2, 20), 2).nodes.tolist() for n in range(2, 5)]
+        assert [x for x, _, _ in calls] == [x for rule in nodes for x in rule]
+
+    @pytest.mark.parametrize("ex_id,fn", [
+        (1, lambda x, y0, y1: y1 ** 2 + 1),
+        (2, lambda x, y0, y1, y2, y3: -2.0 * y2 - y0),
+        (3, lambda x, y0, y1, y2, y3: y3 ** 2 / y2),
+    ])
+    def test_callable_mirroring_the_expression_gives_the_same_bytes(self, ex_id, fn):
+        # the array walk over the nodes and the per-node callable do the
+        # same float operations at every node
+        problem = example(ex_id).problem
+        mirror = BVProblem(problem.left_values, problem.right_values, fn)
+        options = SolveOptions(degree=24)
+        want, got = solve(problem, options), solve(mirror, options)
+        assert got.solution.coeffs.tobytes() == want.solution.coeffs.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
+    def test_constant_rhs_solves(self):
+        # y'' = 6 with y(0) = y(1) = 0: y = 3x^2 - 3x, exact from degree 2
+        report = solve(BVProblem((0.0,), (0.0,), parse("6")), SolveOptions(degree=5))
+        xs = np.linspace(0.0, 1.0, 11)
+        assert np.abs(evaluate(report.solution, xs) - (3 * xs**2 - 3 * xs)).max() < 1e-14
+        assert np.all(report.residuals[1:] < 1e-12)
 
 
 class TestOuterCoefficients:
