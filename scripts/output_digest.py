@@ -21,12 +21,28 @@ Usage, from the repository root::
 (or that either side lacks) and exits 1 if there is any.  The bytes depend
 on the host's libm and BLAS, so compare digests made on one host; this is
 a development check, not a test.
+
+A change that moves output bytes on purpose is judged on values instead::
+
+    PYTHONPATH=src python scripts/output_digest.py --save-values before.json
+    # ... change the code ...
+    PYTHONPATH=src python scripts/output_digest.py --compare-values before.json
+
+The values of an output are those of its polynomial on the 201-point grid
+x = i/200 (the examples and the specs), the cells of the table, or the
+error column of an error curve.  ``--compare-values FILE`` prints, for
+each output, the largest absolute difference of its values from FILE's
+(empty table cells must stay empty), then the largest over all outputs;
+it exits 1 if an output is missing on either side.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -53,30 +69,71 @@ def _cli_file(argv, out):
         return fh.read()
 
 
-def digests(tmp):
-    """(name, sha256) for every output, in a fixed order."""
-    from bernbvp import SolveOptions, example, solve
+def outputs(tmp):
+    """(name, bytes, values) for every output, in a fixed order; values is
+    a list of floats, NaN for an empty table cell."""
+    import numpy as np
+
+    from bernbvp import BernsteinPoly, SolveOptions, example, solve
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import specgen
+
+    def on_grid(coeffs):
+        return BernsteinPoly(coeffs)(np.arange(201) / 200).tolist()
+
+    def csv_values(data, first_row):
+        rows = list(csv.reader(io.StringIO(data.decode())))[first_row:]
+        return [float(cell) if cell else math.nan for row in rows for cell in row[1:]]
 
     for ex_id in range(1, 6):
         for n in EXAMPLE_DEGREES:
             report = solve(example(ex_id).problem, SolveOptions(degree=n))
             data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
-            yield f"example{ex_id}-n{n}", _sha(data)
+            yield f"example{ex_id}-n{n}", data, on_grid(report.solution.coeffs)
     for seed in SPEC_SEEDS:
         specs = specgen.generate(seed)
         paths = specgen.write_specs(specs, os.path.join(tmp, f"seed{seed}"))
         for (name, _, _, degree), path in zip(specs, paths):
             out = _cli_file(["solve", path, "--degree", str(degree)], path + ".out")
-            yield f"spec-seed{seed}-{name}", _sha(out)
-    yield "table", _sha(_cli_file(["table"], os.path.join(tmp, "table.csv")))
+            yield f"spec-seed{seed}-{name}", out, on_grid(json.loads(out)["coefficients"])
+    table = _cli_file(["table"], os.path.join(tmp, "table.csv"))
+    yield "table", table, csv_values(table, 1)
     for ex_id in range(1, 6):
         for n in CURVE_DEGREES:
             out = _cli_file(["error-curve", "--example", str(ex_id), "--degree", str(n)],
                             os.path.join(tmp, "curve.csv"))
-            yield f"error-curve{ex_id}-n{n}", _sha(out)
+            yield f"error-curve{ex_id}-n{n}", out, csv_values(out, 1)
+
+
+def _max_difference(before, after):
+    """Largest |before - after|; NaN (an empty cell) must meet NaN."""
+    if len(before) != len(after):
+        return math.inf
+    diff = 0.0
+    for a, b in zip(before, after):
+        if math.isnan(a) or math.isnan(b):
+            if not (math.isnan(a) and math.isnan(b)):
+                return math.inf
+        else:
+            diff = max(diff, abs(a - b))
+    return diff
+
+
+def _compare_values(path, current):
+    with open(path) as fh:
+        before = json.load(fh)
+    missing = sorted(set(before) ^ set(current))
+    worst = 0.0
+    for name, values in current.items():
+        if name in before:
+            diff = _max_difference(before[name], values)
+            worst = max(worst, diff)
+            print(f"{name} {diff:.3g}")
+    for name in missing:
+        print(f"missing on one side: {name}")
+    print(f"largest difference {worst:.3g} over {len(current)} outputs ({len(before)} in {path})")
+    return 1 if missing else 0
 
 
 def _read(path):
@@ -86,11 +143,23 @@ def _read(path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--compare", metavar="FILE",
-                        help="digests printed earlier; exit 1 on any difference")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--compare", metavar="FILE",
+                      help="digests printed earlier; exit 1 on any difference")
+    mode.add_argument("--save-values", metavar="FILE",
+                      help="write every output's values to FILE as JSON")
+    mode.add_argument("--compare-values", metavar="FILE",
+                      help="values saved earlier; print the largest difference per output")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        current = dict(digests(tmp))
+        found = [(name, _sha(data), values) for name, data, values in outputs(tmp)]
+    if args.save_values is not None:
+        with open(args.save_values, "w") as fh:
+            json.dump({name: values for name, _, values in found}, fh)
+        return 0
+    if args.compare_values is not None:
+        return _compare_values(args.compare_values, {name: v for name, _, v in found})
+    current = {name: digest for name, digest, _ in found}
     if args.compare is None:
         for name, digest in current.items():
             print(name, digest)

@@ -3,14 +3,22 @@
 The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
 and depends on j-i alone.  One banded LU with partial pivoting solves
-every shape in O(size * k * (k+l)) elimination steps.  The solve is plain
-float64: the matrices have small integer entries.  The right-hand side
-(assemble_rhs) is computed exactly and rounded once per entry, because the
-dual coefficients grow like 4^(n-m).
+every shape in O(size * k * (k+l)) elimination steps.  The factors depend
+on the matrix alone, so each (size, band) is factored once per process and
+every later system of that shape only applies them.  Each solve then takes
+one refinement step: the residual v - G p is computed exactly (every
+entry of G, p and v is a float64, so a dyadic rational) and rounded once,
+and the correction solved with the same factors is added.
+
+The right-hand side (assemble_rhs) combines Legendre moments with the
+Legendre-to-Bernstein matrix in float64, except in the k + l rows that
+also carry the boundary stencil terms: those cancel digits, so they are
+computed exactly and rounded once.
 """
 
+import functools
 from dataclasses import dataclass
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 import numpy as np
@@ -84,89 +92,158 @@ def assemble_matrix(n, m, k, l):
 def assemble_rhs(n, m, k, l, duals, moments, outer):
     """Right-hand side v of the inner-coefficient system.
 
-    v_i = (n-m)!/n! * sum_q c_iq I_q, minus the stencil terms that touch
+    v_i = (n-m)!/n! * sum_j M_ij L_j, minus the stencil terms that touch
     the fixed outer coefficients; the correction sums are empty except in
     the first k rows and the last l rows.
 
-    ``duals`` is the DualCoeffTable of degree n - m.  ``moments`` is a
-    MomentVector or a sequence of exact values: floats, ints, ``Fraction``s
-    or integer pairs (numerator, denominator) as the solver's moment kernel
-    returns them.  ``outer`` is the pair (left, right) with right[j] the
-    coefficient at index n - j.  Because the c_iq grow like 4^(n-m), each
-    v_i is computed exactly and rounded once to float64: the dot product
-    of the table row's integer numerators with the moment numerators (both
-    over common denominators) and the stencil terms (over one power of
-    two) combine into one integer fraction, and CPython's int/int true
-    division rounds it correctly.  OverflowError if it exceeds the float64
-    range.
+    ``duals`` is the DualCoeffTable of degree nu = n - m, whose Legendre
+    factor M turns the Legendre moments L_j = (2j+1) <g, P_j> (j = 0..nu,
+    from ``quadrature.legendre_moments``) into the Bernstein coefficients
+    of the projection of g: sum_j M_ij L_j = sum_q c_iq <g, B_q^nu>.
+    ``moments`` holds those nu + 1 floats, as a sequence or in a
+    MomentVector; ``outer`` is the pair (left, right) with right[j] the
+    coefficient at index n - j.
+
+    Every row is one float64 product with the rows of M, except the rows
+    with stencil terms, whose two parts cancel: each of those is computed
+    exactly, from M's integer numerators, the moments and the stencil
+    terms as dyadic rationals, and rounded once.  OverflowError if an
+    entry of v is not finite.
     """
     nu = n - m
     if duals.degree != nu:
         raise ValueError(f"dual table degree {duals.degree} != n - m = {nu}")
-    values = getattr(moments, "values", moments)
-    if len(values) != nu + 1:
-        raise ValueError(f"expected {nu + 1} moments, got {len(values)}")
+    values = np.asarray(getattr(moments, "values", moments), dtype=float)
+    if values.shape != (nu + 1,):
+        raise ValueError(f"expected {nu + 1} moments, got {values.size}")
     left, right = outer
     if len(left) != k or len(right) != l:
         raise ValueError("outer coefficient blocks must have lengths k and l")
+    if not np.isfinite(values).all():
+        raise OverflowError("moments are not finite")
+    scale = factorial(n) // factorial(nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (duals.legendre @ values) / float(scale)
     # degree-n coefficients with the inner ones zero: the stencil terms on
     # the outer ones move to the right-hand side
     fixed = np.zeros(n + 1)
     fixed[:k] = left
     fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
-    fnum, fden = _over_common_denominator([x.as_integer_ratio() for x in fixed.tolist()])
+    fnum, fs = _dyadic(fixed.tolist())
+    lnum, ls = _dyadic(values.tolist())
     stencil = [(-1) ** (m - h) * comb(m, h) for h in range(m + 1)]
-    mnum, mden = _over_common_denominator(
-        [x if isinstance(x, tuple) else x.as_integer_ratio() for x in values])
-    scale = mden * (factorial(n) // factorial(nu))
-    v = np.empty(nu + 1)
-    for i, (row, den) in enumerate(zip(duals.numerators, duals.denominators)):
-        dot = sum(map(mul, row, mnum))
+    for i in (i for i in range(nu + 1) if i < k or i > nu - l):
+        den = comb(nu, i) * scale
+        dot = sum(map(mul, duals.legendre_numerators[i], lnum))
         corr = sum(map(mul, stencil, fnum[i:i + m + 1]))
-        v[i] = (dot * fden - corr * den * scale) / (den * scale * fden)
+        v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
+    if not np.isfinite(v).all():
+        raise OverflowError("system right-hand side overflows float64")
     return v
 
 
-def _over_common_denominator(ratios):
-    """Numerators over the lcm of the denominators of (p, q) pairs."""
-    den = lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
+def _dyadic(values):
+    """Integers N_t and s with N_t / 2^s == values[t], for finite floats."""
+    ratios = [x.as_integer_ratio() for x in values]
+    s = max(d.bit_length() for _, d in ratios) - 1
+    return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
 
 
 def solve(system):
-    """Solve G p = v by banded LU with partial pivoting.
+    """Solve G p = v by banded LU with partial pivoting and one refinement
+    step.
 
     One elimination serves every band shape: the upper bandwidth grows to
     k + l during elimination, and for k = 0 it reduces to back
-    substitution.  The elimination runs on compact band rows of Python
-    floats (2k + l + 1 entries each) and the back substitution on numpy
-    rows of U, so no dense matrix is formed.  For right-hand sides of
-    bounded solutions the residual |G p - v|_inf is well within
-    1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at every n <= 60
-    (the README gives the measured margin).
+    substitution.  The factors of each (size, k, l, diagonals) are cached
+    (``_band_factors``), so a solve applies them twice, to v and to the
+    exactly computed residual, at O(size * (k + l)) cost each.  For
+    right-hand sides of bounded solutions the residual |G p - v|_inf is
+    well within 1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at
+    every n <= 60 (the README gives the measured margin).
     """
     if system.size < 1:
         raise ValueError("system must have size >= 1")
     k, l = system.lower_bw, system.upper_bw
-    tol = _PIVOT_RTOL * max(float(np.abs(system.diagonals).max()), 1.0)
     if k == 0:
-        return _back_substitution(system, tol)
+        return _back_substitution(system)
     if l == 0:
-        return _forward_substitution(system, tol)
+        return _forward_substitution(system)
     if k == 1 and l == 1:
-        return _tridiagonal(system, tol)
-    return _banded_lu(system, tol)
+        return _tridiagonal(system)
+    return _banded_lu(system)
 
 
-def _banded_lu(system, tol):
-    s, k, l = system.size, system.lower_bw, system.upper_bw
-    width = k + l  # fill-in extends the upper bandwidth to k + l
-    diags = system.diagonals.tolist()
+def _banded_lu(system):
+    factors = _factor(system)
+    v = system.rhs.tolist()
+    p = factors.apply(v)
+    if not (np.isfinite(p).all() and np.isfinite(system.rhs).all()):
+        return p
+    return p + factors.apply(_residual(system, p))
+
+
+def _residual(system, p):
+    """v - G p, exact on the float64 entries, rounded once per entry."""
+    k, l = system.lower_bw, system.upper_bw
+    dnum, ds = _dyadic(system.diagonals.tolist())
+    pnum, ps = _dyadic(p.tolist())
+    vnum, vs = _dyadic(system.rhs.tolist())
+    e = max(vs, ds + ps)
+    sv, sp, den = e - vs, e - ds - ps, 1 << e
+    pnum = [0] * k + pnum + [0] * l  # row i meets pnum[i:i + k + l + 1]
+    w = k + l + 1
+    return [((x << sv) - (sum(map(mul, dnum, pnum[i:i + w])) << sp)) / den
+            for i, x in enumerate(vnum)]
+
+
+def _factor(system):
+    """The cached LU factors of the system's matrix."""
+    return _band_factors(system.size, system.lower_bw, system.upper_bw,
+                         system.diagonals.tobytes())
+
+
+class _BandFactors:
+    """Row exchanges, multipliers and U rows of one banded LU."""
+
+    def __init__(self, size, steps, rows):
+        self.size = size
+        self.steps = steps  # (col, pivot row, ((row, multiplier), ...))
+        # (i, U_ii, dot with U_i,i+1..U_i,i+h, i + 1, i + h + 1), bottom up
+        self.rows = rows
+
+    def apply(self, v):
+        """Solve with the factors for the right-hand side v, a sequence
+        of floats: the same operations, in the same order, as eliminating
+        with v attached."""
+        v = list(v)
+        for col, piv, mults in self.steps:
+            if piv != col:
+                v[col], v[piv] = v[piv], v[col]
+            x = v[col]
+            for r, f in mults:
+                v[r] -= f * x
+        # numpy's dot on contiguous rows of U: a Python sum would add in a
+        # different order than BLAS and change the last bits
+        p = np.zeros(self.size)
+        for i, d, dot, lo, hi in self.rows:
+            p[i] = (v[i] - dot(p[lo:hi])) / d if hi > lo else v[i] / d
+        return p
+
+
+# a solve to degree N uses one shape per degree, N - m + 1 of them; an
+# examples-n40 pass uses 190, all kept
+@functools.lru_cache(maxsize=1024)
+def _band_factors(size, k, l, diagonals):
+    s, width = size, k + l  # fill-in extends the upper bandwidth to k + l
+    diags = np.frombuffer(diagonals).tolist()
+    # a pivot below this signals a singular matrix
+    tol = _PIVOT_RTOL * max(max(map(abs, diags)), 1.0)
     # row i holds columns i - k .. i + width at indices 0 .. k + width;
     # entries outside the band or the matrix are 0
     a = [[diags[d + k] if d <= l and 0 <= i + d < s else 0.0
           for d in range(-k, width + 1)] for i in range(s)]
-    v = system.rhs.tolist()
+    steps = []
     # only a column with band rows below it is eliminated and pivoted
     for col in range(s - 1 if k else 0):
         lo = min(col + k, s - 1)
@@ -182,24 +259,23 @@ def _banded_lu(system, tol):
         if piv != col:
             o = col - piv + k
             a[col][k:k + span], a[piv][o:o + span] = a[piv][o:o + span], a[col][k:k + span]
-            v[col], v[piv] = v[piv], v[col]
         pivot_row = a[col][k:k + span]
+        mults = []
         for r in range(col + 1, lo + 1):
             row, o = a[r], col - r + k
             f = row[o] / pivot_row[0]
             if f != 0.0:
                 row[o:o + span] = [x - f * y for x, y in zip(row[o:o + span], pivot_row)]
-                v[r] -= f * v[col]
-    # numpy's dot on contiguous rows of U: a Python sum would add in a
-    # different order than BLAS and change the last bits
+                mults.append((r, f))
+        steps.append((col, piv, tuple(mults)))
     upper = np.array([row[k:] for row in a])
-    p = np.zeros(s)
+    rows = []
     for i in range(s - 1, -1, -1):
         if abs(upper[i, 0]) <= tol:
             raise SingularSystemError(i)
         h = min(width, s - 1 - i)
-        p[i] = (v[i] - upper[i, 1:h + 1] @ p[i + 1:i + h + 1]) / upper[i, 0]
-    return p
+        rows.append((i, upper[i, 0].item(), upper[i, 1:h + 1].copy().dot, i + 1, i + h + 1))
+    return _BandFactors(s, tuple(steps), tuple(rows))
 
 
 # perfbench/tracing.py counts solves by these four names, one per band

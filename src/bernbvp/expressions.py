@@ -241,6 +241,27 @@ def _power(base, exponent):
         return sign * math.inf
 
 
+def _constant_power(base, exponent):
+    """``_power`` over an array of bases with one exponent: whether the
+    exponent is an integer is decided once, the domain checks run as masks
+    (the first failing base raises, as in an element-by-element walk), and
+    the powers stay Python pow per element."""
+    base = np.asarray(base, dtype=float)
+    integer = _is_integer(exponent)
+    bad = ((base < 0) & (not integer)) | ((base == 0) & (exponent < 0))
+    if bad.any():
+        first = np.argmax(bad.ravel())
+        _power(base.ravel()[first].item(), exponent)  # raises its error
+    if integer:
+        exponent = int(exponent)
+    values = base.ravel().tolist()
+    try:
+        out = [v**exponent for v in values]
+    except OverflowError:
+        out = [_power(v, exponent) for v in values]
+    return np.array(out, dtype=float).reshape(base.shape)
+
+
 def _call(fn, v):
     """The named function at the float v."""
     try:
@@ -314,6 +335,8 @@ def _walk(e, x, args):
         if e.op == "/":
             _check(b == 0, a, "division by zero")
             return a / b
+        if np.ndim(b) == 0:
+            return _constant_power(a, float(b))
         return _per_element(_power, a, b)
     if isinstance(e, Call):
         v = _walk(e.arg, x, args)

@@ -1,17 +1,16 @@
 """Composite Gauss-Legendre quadrature on [0, 1] and the moment integrals
-of a function against a Bernstein basis row.
+of a function against a polynomial basis.
 
 The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
 composite rules are affine images of it, all in float64, and are memoized
-per (order, panels).  The moments are exact: every float64 node, weight
-and sample of the integrand is a dyadic rational, so the quadrature sum is
-computed in integer arithmetic over one power of two.  The solver combines
-them with dual-basis coefficients that grow like 4^(n-m), which would
-amplify any rounding here by that factor.
+per (order, panels).  The solver's moments are Legendre moments
+(2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1): one float64 product of the
+samples of g with a weighted Legendre Vandermonde that each rule builds on
+first use and keeps.  ``dual.DualCoeffTable.legendre`` turns them into the
+Bernstein coefficients of the projection of g.
 """
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals"]
+__all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals",
+           "legendre_moments"]
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,22 @@ class QuadratureRule:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @functools.cached_property
-    def _node_integers(self):
-        """Integers X_t and e with x_t = X_t / 2^e at every node."""
-        xs, e = _over_power_of_two([x.as_integer_ratio() for x in self.nodes.tolist()])
-        return tuple(xs), e
+    def legendre_vander(self, nu):
+        """Entries (2j + 1) w_t P_j(2 x_t - 1) for every node t and
+        j = 0..nu, as a read-only (nodes, nu + 1) view.
+
+        Built on first use with max(nu, order - 1) columns, which covers
+        every degree the solver's default rule of this order serves, and
+        rebuilt wider when a larger nu asks for it.
+        """
+        table = self.__dict__.get("_legendre_vander")
+        if table is None or table.shape[1] <= nu:
+            deg = max(nu, self.order - 1)
+            scale = self.weights[:, None] * (2 * np.arange(deg + 1) + 1)
+            table = np.polynomial.legendre.legvander(2 * self.nodes - 1, deg) * scale
+            table.setflags(write=False)
+            object.__setattr__(self, "_legendre_vander", table)
+        return table[:, :nu + 1]
 
 
 def gauss_rule(order, panels=1):
@@ -109,7 +120,7 @@ class MomentVector:
 
 
 def _sample(g, rule):
-    """g over the rule's node array, as a list of floats; EvaluationError
+    """g over the rule's node array, as a float array; EvaluationError
     names the first node where a sample is not finite."""
     vals = np.broadcast_to(np.asarray(g(rule.nodes), dtype=float), rule.nodes.shape)
     bad = ~np.isfinite(vals)
@@ -118,64 +129,30 @@ def _sample(g, rule):
         raise EvaluationError(
             f"right-hand side returned non-finite value at x={x}", where=x
         )
-    return vals.tolist()
+    return vals
 
 
-def _over_power_of_two(ratios):
-    """Integers N_t and s with N_t / 2^s == p_t / d_t, for (p_t, d_t) pairs
-    whose d_t are powers of two (as from ``float.as_integer_ratio``)."""
-    s = max(d.bit_length() for _, d in ratios) - 1
-    return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
-
-
-def _exact_moments(g, nu, rule):
-    """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t), q = 0..nu.
+def legendre_moments(g, nu, rule):
+    """Legendre moments L_j = (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1) for
+    j = 0..nu, in float64.
 
     g maps the rule's node array to float64 samples, one per node (the
-    solver passes one array evaluation of the right-hand side).  With the
-    rule's node integers x_t = X_t / 2^e, 1 - x_t = (2^e - X_t) / 2^e and
-    w_t g(x_t) = P_t / 2^d, each moment is C(nu,q) S_q / 2^(d + e nu)
-    with the integer
-    S_q = sum_t P_t X_t^q (2^e - X_t)^(nu-q).  The power sums
-    T_j = sum_t P_t X_t^j take one small-by-big product per (node, j);
-    every S_q then follows by nu - q differencing steps
-    U_j <- (U_j << e) - U_(j+1), which cost O(nu^2) shifts and
-    subtractions whatever the node count.  No step rounds.
-
-    Returns (moments, g values as floats): the moments as unreduced
-    integer pairs (numerator, 2^(d + e nu)), the caller reusing the node
-    values.
+    solver passes one array evaluation of the right-hand side).  Returns
+    (moments, samples), the caller reusing the samples.  Cost: one
+    (nodes x (nu + 1)) matrix-vector product.
     """
     gvals = _sample(g, rule)
-    xs, e = rule._node_integers
-    wgs = []
-    for w, gx in zip(rule.weights.tolist(), gvals):
-        (pw, qw), (pg, qg) = w.as_integer_ratio(), gx.as_integer_ratio()
-        wgs.append((pw * pg, qw * qg))
-    ps, d = _over_power_of_two(wgs)
-    u = [0] * (nu + 1)  # T_j
-    for x, term in zip(xs, ps):
-        for j in range(nu + 1):
-            u[j] += term
-            term *= x
-    # step s leaves u[j] = sum_t P_t X_t^j (2^e - X_t)^s for j <= nu - s;
-    # u[nu - s] is then final, S_(nu-s)
-    for s in range(1, nu + 1):
-        for j in range(nu + 1 - s):
-            u[j] = (u[j] << e) - u[j + 1]
-    den = 1 << (d + e * nu)
-    return [(math.comb(nu, q) * sq, den) for q, sq in enumerate(u)], gvals
+    return gvals @ rule.legendre_vander(nu), gvals
 
 
 def moment_integrals(g, n, m, rule):
     """Moments of g against the Bernstein basis row of degree n - m.
 
     g is evaluated exactly once per quadrature node; each moment is the
-    exact quadrature sum of those float samples, rounded once.  Cost
-    O(nodes * (n - m) + (n - m)^2) integer operations.
+    float64 quadrature sum sum_t w_t g(x_t) B_q(x_t).  Cost O(nodes (n - m)^2).
     """
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    moments, _ = _exact_moments(lambda xs: [float(g(x)) for x in xs.tolist()],
-                                n - m, rule)
-    return MomentVector(n=n, m=m, values=[p / q for p, q in moments])
+    gvals = _sample(lambda xs: [float(g(x)) for x in xs.tolist()], rule)
+    basis = np.array([basis_row(n - m, x) for x in rule.nodes.tolist()])
+    return MomentVector(n=n, m=m, values=(rule.weights * gvals) @ basis)

@@ -11,11 +11,15 @@ basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
-node array per iteration.  The moments of those float64 samples, the dual
-coefficient table and their combination into the system right-hand side v
-are exact rational arithmetic, rounded once per entry of v (the dual
-coefficients grow like 4^(n-m), so rounding earlier would be amplified by
-that factor); every iterate is an ordinary float64 BernsteinPoly.
+node array per iteration.  The projection goes through the Legendre
+factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
+moments of the samples are one float64 product with the rule's weighted
+Legendre Vandermonde, and the float rows of M combine them into the
+system right-hand side v.  Only the k + l rows of v that subtract the
+boundary stencil terms are exact, rounded once, since their two parts
+cancel.  The band solve reuses cached LU factors per shape and takes one
+refinement step with an exact residual; every iterate is an ordinary
+float64 BernsteinPoly.
 """
 
 import math
@@ -29,7 +33,7 @@ from .bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
 from .expressions import evaluate as eval_expr, max_arg_index
-from .quadrature import _exact_moments, gauss_rule
+from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
@@ -37,10 +41,11 @@ __all__ = ["BVProblem", "SolveOptions", "SolveReport",
 # perfbench/tracing.py wraps these names: _eval_mp, the array evaluator,
 # to time the derivative arguments (one call per iteration, inside the
 # moment kernel, which samples g) apart from the residual (one call per
-# iteration, outside it), and _moment_integrals_mp as the moment layer.
+# iteration, outside it), _moment_integrals_mp as the moment layer and
+# dual_coefficients as the per-degree lookup of the Legendre factor.
 # The "_mp" suffixes are historical: neither runs in mpmath any more.
 _eval_mp = evaluate
-_moment_integrals_mp = _exact_moments
+_moment_integrals_mp = legendre_moments
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def _iterate_core(problem, prev, n, rule):
     # L2 residual of the new iterate against the frozen right-hand side
     deriv_m = _eval_mp(derivative(BernsteinPoly(coeffs), m), rule.nodes).tolist()
     res2 = math.fsum(w * (d - gx) ** 2
-                     for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals))
+                     for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals.tolist()))
     return coeffs, math.sqrt(res2)
 
 

@@ -1,8 +1,9 @@
-"""The exact route against its direct reference implementations in
-helpers.py: the same exact moments, the system right-hand side v bit for
-bit, Bernstein evaluation over arrays against the scalar Horner loop bit
-for bit, and the compact band LU against the dense elimination bit for
-bit."""
+"""Fast forms against their direct reference implementations in
+helpers.py: the exact route's moments and system right-hand side v (the
+oracle of the float64 Legendre route) exactly and bit for bit, the
+Legendre route against that exact route on grid values, Bernstein
+evaluation over arrays against the scalar Horner loop bit for bit, and the
+cached band LU factors against the dense elimination bit for bit."""
 
 import math
 from fractions import Fraction
@@ -10,13 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (assemble_rhs_reference, banded_lu_reference, evaluate_reference,
-                     exact_moments_reference)
+                     exact_assemble_rhs, exact_moments, exact_moments_reference,
+                     exact_route_iterate)
 
-from bernbvp.bandsolve import _PIVOT_RTOL, BandedToeplitz, assemble_matrix, assemble_rhs, solve
+from bernbvp.bandsolve import _PIVOT_RTOL, BandedToeplitz, _factor, assemble_matrix, assemble_rhs
 from bernbvp.bernstein import BernsteinPoly, derivative, evaluate
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
-from bernbvp.quadrature import QuadratureRule, _exact_moments, gauss_rule
+from bernbvp.expressions import parse
+from bernbvp.quadrature import QuadratureRule, gauss_rule
+from bernbvp.solver import BVProblem, iterate
 
 
 def random_g(rng):
@@ -27,7 +31,7 @@ def random_g(rng):
 
 
 def over_nodes(g):
-    """The scalar g mapped over a node array, as _exact_moments samples it."""
+    """The scalar g mapped over a node array, as exact_moments samples it."""
     return lambda xs: [g(x) for x in xs.tolist()]
 
 
@@ -41,7 +45,7 @@ def test_exact_moments_match_reference_on_gauss_rules(order, panels):
     rule = gauss_rule(order, panels)
     for nu in (0, 1, 2, int(rng.integers(3, 40)), 58):
         g = random_g(rng)
-        moments, gvals = _exact_moments(over_nodes(g), nu, rule)
+        moments, gvals = exact_moments(over_nodes(g), nu, rule)
         expect, expect_g = exact_moments_reference(g, nu, rule)
         assert [Fraction(p, q) for p, q in moments] == expect, nu
         assert gvals == expect_g
@@ -55,7 +59,7 @@ def test_exact_moments_match_reference_with_nodes_at_the_ends():
     for rule in rules:
         for nu in (0, 1, 7, 30):
             g = random_g(rng)
-            moments, _ = _exact_moments(over_nodes(g), nu, rule)
+            moments, _ = exact_moments(over_nodes(g), nu, rule)
             expect, _ = exact_moments_reference(g, nu, rule)
             assert [Fraction(p, q) for p, q in moments] == expect, (rule.nodes, nu)
 
@@ -69,18 +73,86 @@ def test_rhs_bit_identical_for_every_shape(m):
         for nu in (0, int(rng.integers(1, 58)), 58):
             n = nu + m
             duals = dual_coefficients(nu)
-            exact, _ = _exact_moments(over_nodes(random_g(rng)), nu, rule)
+            exact, _ = exact_moments(over_nodes(random_g(rng)), nu, rule)
             fractions = [Fraction(p, q) for p, q in exact]
             floats = [p / q for p, q in exact]
             outer = (rng.uniform(-1, 1, k) * 10.0 ** rng.integers(-8, 9, k),
                      rng.uniform(-1, 1, l) * 10.0 ** rng.integers(-8, 9, l))
             expect = assemble_rhs_reference(n, m, k, l, duals, fractions, outer)
             for moments in (exact, fractions):
-                got = assemble_rhs(n, m, k, l, duals, moments, outer)
+                got = exact_assemble_rhs(n, m, k, l, duals, moments, outer)
                 assert bits(got) == bits(expect), (m, k, nu)
-            got = assemble_rhs(n, m, k, l, duals, floats, outer)
+            got = exact_assemble_rhs(n, m, k, l, duals, floats, outer)
             expect = assemble_rhs_reference(n, m, k, l, duals, floats, outer)
             assert bits(got) == bits(expect), (m, k, nu, "float moments")
+
+
+def route_differences(m, seed):
+    """For every k and nu in (0, random, 58): one iterate by the float64
+    Legendre route against the exact route (exact Bernstein moments and
+    dual table, v rounded once), as max |difference| / (1 + max |w|) on
+    the 201-point grid.  The rhs is smooth in x and y0, and so is the
+    previous iterate."""
+    rng = np.random.default_rng(4000 + m + 100 * seed)
+    grid = np.arange(201) / 200
+    out = {}
+    for k in range(m + 1):
+        for nu in (0, int(rng.integers(1, 58)), 58):
+            n = nu + m
+            a, b, c, d, e, f, h = rng.uniform(-2, 2, 7)
+            rhs = parse(f"{a:.17g}*sin({b:.17g}*x + {c:.17g}) + {d:.17g}*y0")
+            problem = BVProblem(tuple(rng.uniform(-1, 1, k)), tuple(rng.uniform(-1, 1, m - k)),
+                                rhs)
+            prev = BernsteinPoly(e * np.sin(f * np.linspace(0, 1, n) + h))
+            rule = gauss_rule(max(n + 2, 20), 2)
+            got = evaluate(iterate(problem, prev, n, rule), grid)
+            want = evaluate(BernsteinPoly(exact_route_iterate(problem, prev, n, rule)), grid)
+            out[k, nu] = np.abs(got - want).max() / (1 + np.abs(want).max())
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_legendre_route_matches_exact_route_on_grid_values(m):
+    # Tolerance: over seeds 0..14 the worst difference was 1.3e-9 (seed 9,
+    # m = k = 6, nu = 58), and the two-sided shapes (0 < k < m) stayed
+    # below 4e-13.  The one-sided shapes at nu = 58 are ill-conditioned for
+    # both routes: in that worst case the iterate solved exactly in
+    # Fractions from the exact v differs from the exact route by 3.0e-9
+    # and from the Legendre route by 5.3e-9.
+    worst = max(route_differences(m, 0).values())
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rhs_stencil_rows_are_exact_for_every_shape(m):
+    # the k + l rows of v with boundary stencil terms are the exact value
+    # of M's row times the float moments over n!/nu!, minus the stencil
+    # terms, rounded once; the other rows are the float64 product
+    rng = np.random.default_rng(200 + m)
+    for k in range(m + 1):
+        l = m - k
+        for nu in (0, int(rng.integers(1, 58)), 58):
+            n = nu + m
+            duals = dual_coefficients(nu)
+            moments = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-16, 3, nu + 1)
+            outer = (rng.uniform(-1, 1, k) * 10.0 ** rng.integers(-8, 9, k),
+                     rng.uniform(-1, 1, l) * 10.0 ** rng.integers(-8, 9, l))
+            got = assemble_rhs(n, m, k, l, duals, moments, outer)
+            fixed = [Fraction(0)] * (n + 1)
+            fixed[:k] = map(Fraction, outer[0])
+            for j, x in enumerate(outer[1]):
+                fixed[n - j] = Fraction(x)
+            scale = math.factorial(n) // math.factorial(nu)
+            interior = duals.legendre @ moments / scale
+            for i in range(nu + 1):
+                if k <= i <= nu - l:
+                    assert bits(got[i]) == bits(interior[i]), (k, nu, i)
+                    continue
+                dot = sum(a * Fraction(y) for a, y in zip(duals.legendre_numerators[i], moments))
+                corr = sum((-1) ** (m - h) * math.comb(m, h) * fixed[i + h]
+                           for h in range(m + 1))
+                want = float(dot / (math.comb(nu, i) * scale) - corr)
+                assert bits(got[i]) == bits(want), (k, nu, i)
 
 
 def test_evaluate_bit_identical():
@@ -173,6 +245,11 @@ def solve_or_row(solve_fn, system):
         return exc.row
 
 
+def factor_and_apply(system):
+    """One solve with the cached factors, before the refinement step."""
+    return _factor(system).apply(system.rhs.tolist())
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_band_lu_matches_dense_elimination(m):
     # the solver's matrices and random small-integer Toeplitz bands (ties
@@ -189,6 +266,6 @@ def test_band_lu_matches_dense_elimination(m):
                 system = BandedToeplitz(size, k, l, diags, rhs)
                 tol = _PIVOT_RTOL * max(float(np.abs(system.diagonals).max()), 1.0)
                 want = solve_or_row(lambda s: banded_lu_reference(s, tol), system)
-                assert solve_or_row(solve, system) == want, (k, l, size, diags)
+                assert solve_or_row(factor_and_apply, system) == want, (k, l, size, diags)
                 singular += isinstance(want, int)
     assert singular > 0

@@ -130,6 +130,30 @@ class TestDualCoefficients:
             row = [sum(t[i][q] * g[q][j] for q in range(n + 1)) for j in range(n + 1)]
             assert row == [int(i == j) for j in range(n + 1)], i
 
+    def test_legendre_factorization_is_exact(self):
+        # C = M diag(2j+1) M^T entry for entry, with M[r, j] the Bernstein
+        # coefficients of the shifted Legendre polynomial P_j
+        for n in range(0, 21):
+            t = dual_coefficients(n)
+            mat = [[Fraction(a, comb(n, r)) for a in row]
+                   for r, row in enumerate(t.legendre_numerators)]
+            prod = [[sum(mat[i][j] * (2 * j + 1) * mat[q][j] for j in range(n + 1))
+                     for q in range(n + 1)] for i in range(n + 1)]
+            assert prod == [list(row) for row in t.table], n
+
+    def test_legendre_rows_are_correctly_rounded_and_read_only(self):
+        for n in (0, 1, 7, 30, 58):
+            t = dual_coefficients(n)
+            rows = t.legendre_numerators
+            assert all(type(a) is int for row in rows for a in row)
+            # P_j(0) = (-1)^j and P_j(1) = 1 at the first and last rows
+            assert rows[0] == tuple((-1) ** j for j in range(n + 1))
+            assert rows[n] == (1,) * (n + 1)
+            want = [[a / comb(n, r) for a in row] for r, row in enumerate(rows)]
+            assert t.legendre.tolist() == want
+            with pytest.raises(ValueError):
+                t.legendre[0, 0] = 0.0
+
     def test_symmetries(self):
         for n in (3, 8, 14, 20):
             a = dual_coefficients(n).as_array()

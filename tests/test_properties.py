@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bernbvp.errors import EvaluationError
 from bernbvp.expressions import _FUNCS, Arg, BinOp, Call, Neg, Num, X, evaluate
-from bernbvp.quadrature import _exact_moments, gauss_rule
+from bernbvp.quadrature import gauss_rule, legendre_moments
 
 PROPERTY = settings(max_examples=250, deadline=None, derandomize=True)
 
@@ -90,7 +90,7 @@ def test_nonfinite_sample_names_the_first_node(order, panels, data):
     samples = np.ones(size)
     samples[bad] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
     with pytest.raises(EvaluationError) as err:
-        _exact_moments(lambda xs: samples, 3, rule)
+        legendre_moments(lambda xs: samples, 3, rule)
     first = rule.nodes[min(bad)].item()
     assert err.value.where == first
     assert str(err.value) == f"right-hand side returned non-finite value at x={first}"

@@ -8,6 +8,7 @@ import pytest
 from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
+from bernbvp.bandsolve import _band_factors
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
 from bernbvp.errors import EvaluationError, IterationError
@@ -299,15 +300,24 @@ class TestSolve:
         w = solve(ex.problem, SolveOptions(degree=60)).solution
         assert max_error(error_curve(w, ex.reference, 200)) <= 1e-12
 
+    @pytest.mark.parametrize("ex_id", range(1, 6))
+    def test_every_example_at_degree_60_within_the_precision_floor(self, ex_id):
+        # the refinement step of the band solve: without it example 3
+        # (k = 4, l = 0) read 7.7e-11 here, worst at x = 1
+        ex = example(ex_id)
+        w = solve(ex.problem, SolveOptions(degree=60)).solution
+        assert max_error(error_curve(w, ex.reference, 200)) <= 1e-11
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_manufactured_polynomials_at_degree_30(self, m):
         # The rhs p^(m)(x) ignores y, so w_30 does not depend on w_29: one
         # iterate from zero gives the degree-30 solve, for every split
         # k + l = m.  Tolerance: the worst error over these inputs was 6.5e-9
         # (m = k = 8) with 40-digit nodes and right-hand side.  With both in
-        # float64 the worst is 3.5e-8 (m = 1): the per-node rounding reaches
-        # the coefficients through the dual basis, ~2^(n-m), while the
-        # polynomial's values stay within 1e-12 of p for m <= 3.
+        # float64 the worst is 4.3e-8 (m = 1; 3.5e-8 with the exact
+        # projection): the per-node rounding reaches the coefficients
+        # through the dual basis, ~2^(n-m), while the polynomial's values
+        # stay within 1e-12 of p for m <= 3.
         rng = np.random.default_rng(30 + m)
         for k in range(m + 1):
             problem, c = manufactured_polynomial(m, k, rng)
@@ -356,6 +366,7 @@ class TestSolve:
         opts = SolveOptions(degree=30)
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
+        _band_factors.cache_clear()
         cold = [solve(p, opts) for p in problems]
         warm = [solve(p, opts) for p in problems]
         for a, b in zip(cold, warm):
@@ -375,6 +386,7 @@ class TestSolve:
         workers = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
+        _band_factors.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
