@@ -84,12 +84,16 @@ def assemble_matrix(n, m, k, l):
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     size = n - m + 1
-    diags = np.array([(-1.0) ** (l - d) * comb(m, d + k) for d in range(-k, l + 1)])
     return BandedToeplitz(size=size, lower_bw=k, upper_bw=l,
-                          diagonals=diags, rhs=np.zeros(size))
+                          diagonals=np.array(_stencil(k, l)), rhs=np.zeros(size))
 
 
-def assemble_rhs(n, m, k, l, duals, moments, outer):
+def _stencil(k, l):
+    """The diagonals of the stencil matrices of band (k, l)."""
+    return [(-1.0) ** (l - d) * comb(k + l, d + k) for d in range(-k, l + 1)]
+
+
+def assemble_rhs(n, m, k, l, duals, legendre_moments, outer):
     """Right-hand side v of the inner-coefficient system.
 
     v_i = (n-m)!/n! * sum_j M_ij L_j, minus the stencil terms that touch
@@ -100,8 +104,9 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     factor M turns the Legendre moments L_j = (2j+1) <g, P_j> (j = 0..nu,
     from ``quadrature.legendre_moments``) into the Bernstein coefficients
     of the projection of g: sum_j M_ij L_j = sum_q c_iq <g, B_q^nu>.
-    ``moments`` holds those nu + 1 floats, as a sequence or in a
-    MomentVector; ``outer`` is the pair (left, right) with right[j] the
+    ``legendre_moments`` is a sequence of those nu + 1 floats (Bernstein
+    moments, as ``quadrature.moment_integrals`` returns them, do not fit
+    here); ``outer`` is the pair (left, right) with right[j] the
     coefficient at index n - j.
 
     Every row is one float64 product with the rows of M, except the rows
@@ -113,7 +118,7 @@ def assemble_rhs(n, m, k, l, duals, moments, outer):
     nu = n - m
     if duals.degree != nu:
         raise ValueError(f"dual table degree {duals.degree} != n - m = {nu}")
-    values = np.asarray(getattr(moments, "values", moments), dtype=float)
+    values = np.asarray(legendre_moments, dtype=float)
     if values.shape != (nu + 1,):
         raise ValueError(f"expected {nu + 1} moments, got {values.size}")
     left, right = outer
@@ -155,9 +160,11 @@ def solve(system):
 
     One elimination serves every band shape: the upper bandwidth grows to
     k + l during elimination, and for k = 0 it reduces to back
-    substitution.  The factors of each (size, k, l, diagonals) are cached
+    substitution.  The factors of the stencil matrices that
+    ``assemble_matrix`` builds are cached per (size, k, l)
     (``_band_factors``), so a solve applies them twice, to v and to the
-    exactly computed residual, at O(size * (k + l)) cost each.  For
+    exactly computed residual, at O(size * (k + l)) cost each; any other
+    diagonals are factored afresh.  For
     right-hand sides of bounded solutions the residual |G p - v|_inf is
     well within 1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at
     every n <= 60 (the README gives the measured margin).
@@ -198,9 +205,12 @@ def _residual(system, p):
 
 
 def _factor(system):
-    """The cached LU factors of the system's matrix."""
-    return _band_factors(system.size, system.lower_bw, system.upper_bw,
-                         system.diagonals.tobytes())
+    """The LU factors of the system's matrix, cached for stencil matrices."""
+    k, l = system.lower_bw, system.upper_bw
+    diags = system.diagonals.tolist()
+    if diags == _stencil(k, l):
+        return _band_factors(system.size, k, l)
+    return _factorize(system.size, k, l, diags)
 
 
 class _BandFactors:
@@ -234,9 +244,12 @@ class _BandFactors:
 # a solve to degree N uses one shape per degree, N - m + 1 of them; an
 # examples-n40 pass uses 190, all kept
 @functools.lru_cache(maxsize=1024)
-def _band_factors(size, k, l, diagonals):
+def _band_factors(size, k, l):
+    return _factorize(size, k, l, _stencil(k, l))
+
+
+def _factorize(size, k, l, diags):
     s, width = size, k + l  # fill-in extends the upper bandwidth to k + l
-    diags = np.frombuffer(diagonals).tolist()
     # a pivot below this signals a singular matrix
     tol = _PIVOT_RTOL * max(max(map(abs, diags)), 1.0)
     # row i holds columns i - k .. i + width at indices 0 .. k + width;

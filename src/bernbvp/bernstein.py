@@ -104,10 +104,7 @@ def evaluate(p, x):
     leaves the sum unchanged (-0.0 * t + c == c for every c, as t is finite
     and >= 0).  The factor s^n or x^n is a Python pow per element.  So every
     value carries the same IEEE operations as the scalar loop, bit for bit.
-    One polynomial at a float x runs that loop on Python floats.
     """
-    if isinstance(p, BernsteinPoly) and np.ndim(x) == 0:
-        return _evaluate_at(p, float(x))
     polys = [p] if isinstance(p, BernsteinPoly) else list(p)
     xs = np.asarray(x, dtype=float)
     inside = (xs >= 0.0) & (xs <= 1.0)
@@ -136,25 +133,6 @@ def evaluate(p, x):
     if not isinstance(p, BernsteinPoly):
         return out
     return float(out[0]) if xs.ndim == 0 else out[0]
-
-
-def _evaluate_at(p, x):
-    """The Horner loop of ``evaluate`` for one polynomial at one float."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    n = p.degree
-    cb = (p.coeffs * binomial_row(n)).tolist()
-    if x <= 0.5:
-        base = 1.0 - x
-        t = x / base
-        cb.reverse()
-    else:
-        base = x
-        t = (1.0 - x) / x
-    acc = cb[0]
-    for c in cb[1:]:
-        acc = acc * t + c
-    return acc * base ** n
 
 
 def diff_table(p, r_max):

@@ -217,49 +217,35 @@ def max_arg_index(e):
     return -1
 
 
-def _is_integer(v):
-    try:
-        return v == int(v)
-    except (OverflowError, ValueError):
-        return False
-
-
 def _power(base, exponent):
-    if base < 0 and not _is_integer(exponent):
-        raise EvaluationError(
-            f"negative base {float(base)} with non-integer exponent {float(exponent)}",
-            where=float(base),
-        )
-    if base == 0 and exponent < 0:
+    """base ^ exponent over the broadcast operands.
+
+    The domain checks run as masks over the whole array, and the first
+    failing element raises, as in an element-by-element walk.  The powers
+    are Python pow per element, overflowing to a signed infinity.  An
+    integral exponent need not become an int first: float pow converts it
+    back to the same double.
+    """
+    base, exponent = np.broadcast_arrays(np.asarray(base, dtype=float),
+                                         np.asarray(exponent, dtype=float))
+    integer = np.isfinite(exponent) & (exponent == np.trunc(exponent))
+    negative = (base < 0) & ~integer
+    bad = negative | ((base == 0) & (exponent < 0))
+    if bad.any():
+        first = np.argmax(bad.ravel())
+        b, e = base.ravel()[first].item(), exponent.ravel()[first].item()
+        if negative.ravel()[first]:
+            raise EvaluationError(f"negative base {b} with non-integer exponent {e}", where=b)
         raise EvaluationError("zero raised to a negative power", where=0.0)
-    if _is_integer(exponent):
-        exponent = int(exponent)
+    values = list(map(_pow, base.ravel().tolist(), exponent.ravel().tolist()))
+    return np.array(values, dtype=float).reshape(base.shape)
+
+
+def _pow(base, exponent):
     try:
         return base**exponent
     except OverflowError:
-        sign = -1.0 if (base < 0 and exponent % 2 == 1) else 1.0
-        return sign * math.inf
-
-
-def _constant_power(base, exponent):
-    """``_power`` over an array of bases with one exponent: whether the
-    exponent is an integer is decided once, the domain checks run as masks
-    (the first failing base raises, as in an element-by-element walk), and
-    the powers stay Python pow per element."""
-    base = np.asarray(base, dtype=float)
-    integer = _is_integer(exponent)
-    bad = ((base < 0) & (not integer)) | ((base == 0) & (exponent < 0))
-    if bad.any():
-        first = np.argmax(bad.ravel())
-        _power(base.ravel()[first].item(), exponent)  # raises its error
-    if integer:
-        exponent = int(exponent)
-    values = base.ravel().tolist()
-    try:
-        out = [v**exponent for v in values]
-    except OverflowError:
-        out = [_power(v, exponent) for v in values]
-    return np.array(out, dtype=float).reshape(base.shape)
+        return -math.inf if base < 0 and exponent % 2 == 1 else math.inf
 
 
 def _call(fn, v):
@@ -335,9 +321,7 @@ def _walk(e, x, args):
         if e.op == "/":
             _check(b == 0, a, "division by zero")
             return a / b
-        if np.ndim(b) == 0:
-            return _constant_power(a, float(b))
-        return _per_element(_power, a, b)
+        return _power(a, b)
     if isinstance(e, Call):
         v = _walk(e.arg, x, args)
         if e.fn == "ln":

@@ -153,82 +153,11 @@ def banded_lu_reference(system, tol):
     return p
 
 
-def exact_moments(g, nu, rule):
-    """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t), q = 0..nu: the
-    moment kernel of the exact route that the float64 Legendre projection
-    replaced, kept as the differential oracle.
-
-    g maps the rule's node array to float64 samples, one per node.  With
-    the node integers x_t = X_t / 2^e, 1 - x_t = (2^e - X_t) / 2^e and
-    w_t g(x_t) = P_t / 2^d, each moment is C(nu,q) S_q / 2^(d + e nu) with
-    the integer S_q = sum_t P_t X_t^q (2^e - X_t)^(nu-q).  The power sums
-    T_j = sum_t P_t X_t^j take one small-by-big product per (node, j);
-    every S_q then follows by nu - q differencing steps
-    U_j <- (U_j << e) - U_(j+1).  No step rounds.
-
-    Returns (moments, g values as floats): the moments as unreduced
-    integer pairs (numerator, 2^(d + e nu)).
-    """
-    from bernbvp.quadrature import _sample
-
-    gvals = _sample(g, rule).tolist()
-    xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
-    wgs = []
-    for w, gx in zip(rule.weights.tolist(), gvals):
-        (pw, qw), (pg, qg) = w.as_integer_ratio(), gx.as_integer_ratio()
-        wgs.append((pw * pg, qw * qg))
-    ps, d = _over_power_of_two(wgs)
-    u = [0] * (nu + 1)  # T_j
-    for x, term in zip(xs, ps):
-        for j in range(nu + 1):
-            u[j] += term
-            term *= x
-    # step s leaves u[j] = sum_t P_t X_t^j (2^e - X_t)^s for j <= nu - s;
-    # u[nu - s] is then final, S_(nu-s)
-    for s in range(1, nu + 1):
-        for j in range(nu + 1 - s):
-            u[j] = (u[j] << e) - u[j + 1]
-    den = 1 << (d + e * nu)
-    return [(math.comb(nu, q) * sq, den) for q, sq in enumerate(u)], gvals
-
-
-def exact_assemble_rhs(n, m, k, l, duals, moments, outer):
-    """The system right-hand side v of the exact route, from Bernstein
-    moments and the dual table, each entry rounded once: the dot product
-    of the table row's integer numerators with the moment numerators (both
-    over common denominators) and the stencil terms (over one power of
-    two) combine into one integer fraction, and int/int true division
-    rounds it correctly.  ``moments`` are floats, ints, ``Fraction``s or
-    the integer pairs ``exact_moments`` returns.  OverflowError if an
-    entry exceeds the float64 range."""
-    nu = n - m
-    left, right = outer
-    fixed = np.zeros(n + 1)
-    fixed[:k] = left
-    fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
-    fnum, fden = _over_common_denominator([x.as_integer_ratio() for x in fixed.tolist()])
-    stencil = [(-1) ** (m - h) * math.comb(m, h) for h in range(m + 1)]
-    mnum, mden = _over_common_denominator(
-        [x if isinstance(x, tuple) else x.as_integer_ratio() for x in moments])
-    scale = mden * (math.factorial(n) // math.factorial(nu))
-    v = np.empty(nu + 1)
-    for i, (row, den) in enumerate(zip(duals.numerators, duals.denominators)):
-        dot = sum(a * b for a, b in zip(row, mnum))
-        corr = sum(a * b for a, b in zip(stencil, fnum[i:i + m + 1]))
-        v[i] = (dot * fden - corr * den * scale) / (den * scale * fden)
-    return v
-
-
-def _over_common_denominator(ratios):
-    """Numerators over the lcm of the denominators of (p, q) pairs."""
-    den = math.lcm(*(q for _, q in ratios))
-    return [p * (den // q) for p, q in ratios], den
-
-
 def exact_route_iterate(problem, previous, n, rule):
-    """Coefficients of the degree-n iterate by the exact route: exact
-    Bernstein moments, the exact dual table, v rounded once per entry,
-    then the production band solve."""
+    """Coefficients of the degree-n iterate by the exact route that the
+    float64 Legendre projection replaced: exact Bernstein moments, the
+    exact dual table, v rounded once per entry, then the production band
+    solve."""
     from bernbvp import bandsolve
     from bernbvp.bernstein import derivative, evaluate
     from bernbvp.dual import dual_coefficients
@@ -237,18 +166,20 @@ def exact_route_iterate(problem, previous, n, rule):
     m, k, l = problem.m, problem.k, problem.l
     left, right = outer_coefficients(problem, n)
     derivs = [derivative(previous, r) for r in range(m)]
-    moments, _ = exact_moments(lambda xs: problem.rhs_value(xs, evaluate(derivs, xs)),
-                               n - m, rule)
-    v = exact_assemble_rhs(n, m, k, l, dual_coefficients(n - m), moments, (left, right))
+    moments, _ = exact_moments_reference(
+        lambda xs: problem.rhs_value(xs, evaluate(derivs, xs)), n - m, rule)
+    v = assemble_rhs_reference(n, m, k, l, dual_coefficients(n - m), moments, (left, right))
     system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
     return _full_coeffs(n, k, l, left, right, bandsolve.solve(system))
 
 
 def exact_moments_reference(g, nu, rule):
-    """Exact moments sum_t w_t g(x_t) B_q^nu(x_t) as Fractions, by the
-    direct per-node expansion of X^q (2^e - X)^(nu-q); returns (moments,
-    g values).  Oracle for ``exact_moments``."""
-    gvals = [float(g(x)) for x in rule.nodes.tolist()]
+    """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t) as Fractions,
+    by the direct per-node expansion of X^q (2^e - X)^(nu-q), where
+    x_t = X_t / 2^e; returns (moments, g values as floats).  g maps the
+    rule's node array to one sample per node, as for
+    ``quadrature.legendre_moments``."""
+    gvals = np.asarray(g(rule.nodes), dtype=float).tolist()
     xs, e = _over_power_of_two([x.as_integer_ratio() for x in rule.nodes.tolist()])
     wgs, d = _over_power_of_two([(Fraction(w) * Fraction(gx)).as_integer_ratio()
                                  for w, gx in zip(rule.weights.tolist(), gvals)])
@@ -265,6 +196,22 @@ def exact_moments_reference(g, nu, rule):
     return [Fraction(math.comb(nu, q) * s, den) for q, s in enumerate(sums)], gvals
 
 
+def legendre_moments_reference(g, nu, rule):
+    """Exact quadrature Legendre moments
+    (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1), j = 0..nu, as Fractions, by
+    the three-term recurrence in exact arithmetic; returns (moments, g
+    values as floats).  Oracle for ``quadrature.legendre_moments``."""
+    gvals = np.asarray(g(rule.nodes), dtype=float).tolist()
+    sums = [Fraction(0)] * (nu + 1)
+    for x, w, gx in zip(rule.nodes.tolist(), rule.weights.tolist(), gvals):
+        y, wg = 2 * Fraction(x) - 1, Fraction(w) * Fraction(gx)
+        prev, cur = Fraction(0), Fraction(1)
+        for j in range(nu + 1):
+            sums[j] += wg * cur
+            prev, cur = cur, ((2 * j + 1) * y * cur - j * prev) / (j + 1)
+    return [(2 * j + 1) * s for j, s in enumerate(sums)], gvals
+
+
 def _over_power_of_two(ratios):
     s = max(d.bit_length() for _, d in ratios) - 1
     return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
@@ -273,8 +220,8 @@ def _over_power_of_two(ratios):
 def assemble_rhs_reference(n, m, k, l, duals, moments, outer):
     """The system right-hand side v in Fraction arithmetic (each table row
     over its lcm denominator), each entry rounded once by
-    ``float(Fraction)``.  Oracle for ``exact_assemble_rhs``; moments are
-    floats or Fractions."""
+    ``float(Fraction)``: the exact route's v, from Bernstein moments
+    (floats or Fractions) and the exact dual table."""
     nu = n - m
     left, right = outer
     fixed = np.zeros(n + 1)

@@ -117,14 +117,11 @@ def inner_by_normal_equations(problem, w_prev, n):
 
     derivs = [derivative(w_prev, r) for r in range(m)]
 
-    def g(x):
-        return problem.rhs_value(x, [evaluate(p, x) for p in derivs])
-
     # independent quadrature: numpy Gauss-Legendre nodes
     xg, wg = np.polynomial.legendre.leggauss(30)
     xg = (xg + 1) / 2
     wg = wg / 2
-    gvals = np.array([g(x) for x in xg])
+    gvals = np.asarray(problem.rhs_value(xg, evaluate(derivs, xg)), dtype=float)
     moments = np.zeros(nu + 1)
     for x, w, gv in zip(xg, wg, gvals):
         moments += w * gv * basis_row(nu, x)

@@ -5,7 +5,7 @@ from helpers import dense_from_banded
 from bernbvp.bandsolve import BandedToeplitz, assemble_matrix, assemble_rhs, solve
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
-from bernbvp.quadrature import MomentVector
+from bernbvp.quadrature import MomentVector, gauss_rule, legendre_moments
 
 
 class TestAssembleMatrix:
@@ -166,14 +166,14 @@ class TestAssembleRhs:
     def test_all_zero_problem(self):
         # homogeneous boundary data and zero rhs: no work needed
         duals = dual_coefficients(2)
-        moments = MomentVector(n=4, m=2, values=[0.0, 0.0, 0.0])
+        moments = [0.0, 0.0, 0.0]
         v = assemble_rhs(4, 2, 1, 1, duals, moments, ([0.0], [0.0]))
         assert v.tolist() == [0.0, 0.0, 0.0]
 
     def test_straight_line_hand_case(self):
         # y'' = 0, y(0)=0, y(1)=1 at n=2: v = [-1], giving p_1 = 1/2
         duals = dual_coefficients(0)
-        moments = MomentVector(n=2, m=2, values=[0.0])
+        moments = [0.0]
         v = assemble_rhs(2, 2, 1, 1, duals, moments, ([0.0], [1.0]))
         assert v.tolist() == pytest.approx([-1.0], abs=1e-15)
         system = assemble_matrix(2, 2, 1, 1).with_rhs(v)
@@ -182,14 +182,30 @@ class TestAssembleRhs:
     def test_parabola_hand_case(self):
         # y'' = -2 with zero boundary values: v = [-1], w(x) = x(1-x)
         duals = dual_coefficients(0)
-        moments = MomentVector(n=2, m=2, values=[-2.0])
+        moments = [-2.0]
         v = assemble_rhs(2, 2, 1, 1, duals, moments, ([0.0], [0.0]))
         assert v.tolist() == pytest.approx([-1.0], abs=1e-15)
 
     def test_dimension_mismatches(self):
         duals = dual_coefficients(2)
-        good = MomentVector(n=4, m=2, values=[0.0, 0.0, 0.0])
+        good = [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             assemble_rhs(5, 2, 1, 1, duals, good, ([0.0], [0.0]))
         with pytest.raises(ValueError):
             assemble_rhs(4, 2, 1, 1, duals, good, ([0.0, 1.0], [0.0]))
+
+    def test_legendre_moments_of_a_polynomial(self):
+        # g = x^2 lies in the degree-3 space, so M times its Legendre
+        # moments gives its Bernstein coefficients [0, 0, 1/3, 1]; with
+        # zero outer coefficients v is those over n!/nu! = 20.  Bernstein
+        # moments in their place would give other values for nu >= 1.
+        duals = dual_coefficients(3)
+        moments, _ = legendre_moments(lambda xs: xs**2, 3, gauss_rule(8))
+        v = assemble_rhs(5, 2, 1, 1, duals, moments, ([0.0], [0.0]))
+        assert v.tolist() == pytest.approx([0.0, 0.0, 1 / 60, 1 / 20], abs=1e-14)
+
+    def test_rejects_a_bernstein_moment_vector(self):
+        # MomentVector carries Bernstein moments <g, B_q>, not Legendre ones
+        moments = MomentVector(n=5, m=2, values=[0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(TypeError):
+            assemble_rhs(5, 2, 1, 1, dual_coefficients(3), moments, ([0.0], [0.0]))

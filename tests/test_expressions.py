@@ -233,6 +233,22 @@ class TestEvaluate:
             evaluate(parse("x / y0"), np.array([0.5, 0.25, 0.125]), (np.array([1.0, 0.0, 0.0]),))
         assert err.value.where == 0.25
 
+    def test_power_over_arrays(self):
+        # overflow keeps the sign of an odd power; an infinite or NaN
+        # exponent is not an integer; the first failing point raises
+        e = parse("y0^y1")
+        got = evaluate(e, 0.0, (np.array([-10.0, -10.0, 1e-300, 2.0]),
+                                np.array([401.0, 400.0, -2.0, 0.5])))
+        assert got.tolist() == [-math.inf, math.inf, math.inf, math.sqrt(2.0)]
+        for bad in (math.inf, math.nan, 0.5):
+            with pytest.raises(EvaluationError) as err:
+                evaluate(e, 0.0, (np.array([2.0, -3.0]), np.array([bad, bad])))
+            assert err.value.where == -3.0
+            assert str(err.value) == f"negative base -3.0 with non-integer exponent {bad}"
+        with pytest.raises(EvaluationError) as err:
+            evaluate(e, 0.0, (np.array([1.0, 0.0, -1.0]), np.array([-1.0, -1.0, 0.5])))
+        assert str(err.value) == "zero raised to a negative power"
+
 
 class TestRoundTrip:
     CASES = ["y1^2 + 1", "-2*y2 - y0", "4*x*y1 + 2*y0", "y3^2 / y2",
