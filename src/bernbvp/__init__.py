@@ -1,14 +1,7 @@
 """Iterative Bernstein least-squares solver for two-point boundary value
 problems on [0, 1]."""
 
-from .bernstein import (
-    BernsteinPoly,
-    DiffTable,
-    basis_value,
-    derivative,
-    diff_table,
-    endpoint_derivative,
-)
+from .bernstein import BernsteinPoly, basis_value, derivative, endpoint_derivative
 from .bernstein import evaluate as evaluate_poly
 from .dual import DualCoeffTable, bernstein_gram_entry, dual_coefficients
 from .errors import (
@@ -20,18 +13,17 @@ from .errors import (
 )
 from .expressions import parse as parse_expression
 from .problems import ExampleProblem, ReferenceSolution, error_curve, example, max_error
-from .quadrature import MomentVector, QuadratureRule, basis_row, gauss_rule, moment_integrals
+from .quadrature import QuadratureRule, basis_row, gauss_rule
 from .solver import BVProblem, SolveOptions, SolveReport, iterate, seed, solve
 
 __all__ = [
-    "BernsteinPoly", "DiffTable", "basis_value", "derivative", "diff_table",
-    "endpoint_derivative", "evaluate_poly",
+    "BernsteinPoly", "basis_value", "derivative", "endpoint_derivative", "evaluate_poly",
     "DualCoeffTable", "bernstein_gram_entry", "dual_coefficients",
     "EvaluationError", "ExpressionSyntaxError", "IterationError",
     "SingularSystemError", "UnknownIdentifierError",
     "parse_expression",
     "ExampleProblem", "ReferenceSolution", "error_curve", "example", "max_error",
-    "MomentVector", "QuadratureRule", "basis_row", "gauss_rule", "moment_integrals",
+    "QuadratureRule", "basis_row", "gauss_rule",
     "BVProblem", "SolveOptions", "SolveReport", "iterate", "seed", "solve",
 ]
 

@@ -104,10 +104,9 @@ def assemble_rhs(n, m, k, l, duals, legendre_moments, outer):
     factor M turns the Legendre moments L_j = (2j+1) <g, P_j> (j = 0..nu,
     from ``quadrature.legendre_moments``) into the Bernstein coefficients
     of the projection of g: sum_j M_ij L_j = sum_q c_iq <g, B_q^nu>.
-    ``legendre_moments`` is a sequence of those nu + 1 floats (Bernstein
-    moments, as ``quadrature.moment_integrals`` returns them, do not fit
-    here); ``outer`` is the pair (left, right) with right[j] the
-    coefficient at index n - j.
+    ``legendre_moments`` is a sequence of those nu + 1 floats;
+    ``outer`` is the pair (left, right) with right[j] the coefficient at
+    index n - j.
 
     Every row is one float64 product with the rows of M, except the rows
     with stencil terms, whose two parts cancel: each of those is computed

@@ -1,5 +1,5 @@
-"""Polynomials in Bernstein form on [0, 1]: evaluation, forward-difference
-tables, derivatives, and endpoint derivatives.
+"""Polynomials in Bernstein form on [0, 1]: evaluation, derivatives and
+endpoint derivatives.
 
 Coefficients p_0..p_n represent w(x) = sum_i p_i * B_i^n(x) with
 B_i^n(x) = C(n,i) x^i (1-x)^(n-i).
@@ -7,16 +7,14 @@ B_i^n(x) = C(n,i) x^i (1-x)^(n-i).
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BernsteinPoly",
-    "DiffTable",
     "basis_value",
     "evaluate",
-    "diff_table",
     "derivative",
     "endpoint_derivative",
 ]
@@ -66,18 +64,6 @@ class BernsteinPoly:
 
     def __repr__(self):
         return f"BernsteinPoly(degree={self.degree}, coeffs={self.coeffs.tolist()})"
-
-
-@dataclass(frozen=True)
-class DiffTable:
-    """Forward differences of a coefficient sequence.
-
-    rows[r][j] holds the r-fold difference of the source coefficients at
-    index j; row 0 is the source itself, row r has n - r + 1 entries.
-    """
-
-    base_degree: int
-    rows: tuple = field(repr=False)
 
 
 def basis_value(n, i, x):
@@ -133,18 +119,6 @@ def evaluate(p, x):
     if not isinstance(p, BernsteinPoly):
         return out
     return float(out[0]) if xs.ndim == 0 else out[0]
-
-
-def diff_table(p, r_max):
-    """Forward differences of p's coefficients for orders 0..r_max."""
-    n = p.degree
-    if not 0 <= r_max <= n:
-        raise ValueError(f"r_max={r_max} outside 0..{n}")
-    rows = [np.array(p.coeffs)]
-    for _ in range(r_max):
-        prev = rows[-1]
-        rows.append(prev[1:] - prev[:-1])
-    return DiffTable(base_degree=n, rows=tuple(rows))
 
 
 def derivative(p, r):

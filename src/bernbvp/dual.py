@@ -19,15 +19,15 @@ grow like 4^n (about 8.8e10 at n = 18), so C itself rounded to float64
 loses its duality property beyond n ~ 14 and is never formed by the
 solver.
 
-The table itself, ``numerators``/``denominators``, ``table`` and
-``as_array()``, comes from Juettler's closed form (Adv. Comput. Math. 8,
-1998) in exact integer arithmetic,
+The table itself, ``table`` as exact ``fractions.Fraction``s and
+``as_array()`` as their float64 roundings, is that product formed exactly
+from the integers N,
 
-    (-1)^(i+j) C(n,i) C(n,j) c_ij = sum_{k <= min(i,j)} (2k+1) a_ik a_jk,
-    a_ik = C(n+k+1, n-i) C(n-k, n-i),
+    c_iq = sum_j (2j + 1) N[i, j] N[q, j] / (C(n,i) C(n,q)),
 
-and is built on first access only: O(n^3) multiplications of O(n)-digit
-integers.  It is the reference the factorization is tested against.
+on first access only: O(n^3) multiplications of O(n)-digit integers.  The
+solver never forms it; the tests check it against the exact inverse of the
+Bernstein Gram matrix.
 
 Tables are memoized per degree, so each degree is built once per process.
 """
@@ -36,7 +36,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -49,9 +49,7 @@ class DualCoeffTable:
 
     ``legendre_numerators[r][j] / C(n, r)`` is the Legendre-to-Bernstein
     entry M[r, j] exactly, and ``legendre`` the float64 matrix of those
-    entries, each correctly rounded (read-only).  The entries c_ij are
-    ``numerators[i][j] / denominators[i]`` exactly, each denominator the
-    lcm of its row's reduced denominators.
+    entries, each correctly rounded (read-only).
     """
 
     degree: int
@@ -59,42 +57,17 @@ class DualCoeffTable:
     legendre: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
-    def _exact_rows(self):
-        n = self.degree
-        a = [[comb(n + k + 1, n - i) * comb(n - k, n - i) for k in range(i + 1)]
-             for i in range(n + 1)]
-        b = [[(2 * k + 1) * x for k, x in enumerate(row)] for row in a]
-        binom = [comb(n, i) for i in range(n + 1)]
-        c = [[None] * (n + 1) for _ in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                s = sum(x * y for x, y in zip(a[i], b[j]))  # k = 0..i
-                c[i][j] = c[j][i] = Fraction(-s if (i + j) % 2 else s,
-                                             binom[i] * binom[j])
-        dens = tuple(lcm(*(x.denominator for x in row)) for row in c)
-        nums = tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                     for row, d in zip(c, dens))
-        return nums, dens
-
-    @property
-    def numerators(self):
-        """Row i of the table as integers over ``denominators[i]``."""
-        return self._exact_rows[0]
-
-    @property
-    def denominators(self):
-        return self._exact_rows[1]
-
-    @functools.cached_property
     def table(self):
         """``table[i][j]`` is c_ij as an exact ``fractions.Fraction``."""
-        return tuple(tuple(Fraction(a, d) for a in row)
-                     for row, d in zip(self.numerators, self.denominators))
+        n, rows = self.degree, self.legendre_numerators
+        weighted = [[(2 * j + 1) * a for j, a in enumerate(row)] for row in rows]
+        return tuple(tuple(Fraction(sum(map(operator.mul, wi, rq)), comb(n, i) * comb(n, q))
+                           for q, rq in enumerate(rows))
+                     for i, wi in enumerate(weighted))
 
     def as_array(self):
-        """The table rounded to a float64 matrix."""
-        return np.array([[a / d for a in row]
-                         for row, d in zip(self.numerators, self.denominators)])
+        """The table, each entry correctly rounded to float64."""
+        return np.array([[float(c) for c in row] for row in self.table])
 
 
 def dual_coefficients(n):

@@ -1,5 +1,5 @@
-"""Composite Gauss-Legendre quadrature on [0, 1] and the moment integrals
-of a function against a polynomial basis.
+"""Composite Gauss-Legendre quadrature on [0, 1] and the Legendre moments
+of a function.
 
 The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
 composite rules are affine images of it, all in float64, and are memoized
@@ -7,7 +7,9 @@ per (order, panels).  The solver's moments are Legendre moments
 (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1): one float64 product of the
 samples of g with a weighted Legendre Vandermonde that each rule builds on
 first use and keeps.  ``dual.DualCoeffTable.legendre`` turns them into the
-Bernstein coefficients of the projection of g.
+Bernstein coefficients of the projection of g.  ``basis_row`` gives the
+Bernstein basis values at one point, for references that project onto
+the Bernstein basis directly.
 """
 
 import functools
@@ -18,8 +20,7 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["QuadratureRule", "MomentVector", "gauss_rule", "basis_row", "moment_integrals",
-           "legendre_moments"]
+__all__ = ["QuadratureRule", "gauss_rule", "basis_row", "legendre_moments"]
 
 
 @dataclass(frozen=True)
@@ -101,37 +102,6 @@ def basis_row(n, x):
     return b
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments I_q = <g, B_q^(n-m)> for q = 0..n-m."""
-
-    n: int
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.size != self.n - self.m + 1:
-            raise ValueError(
-                f"expected {self.n - self.m + 1} moments, got {arr.size}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def _sample(g, rule):
-    """g over the rule's node array, as a float array; EvaluationError
-    names the first node where a sample is not finite."""
-    vals = np.broadcast_to(np.asarray(g(rule.nodes), dtype=float), rule.nodes.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        x = rule.nodes[bad][0].item()
-        raise EvaluationError(
-            f"right-hand side returned non-finite value at x={x}", where=x
-        )
-    return vals
-
-
 def legendre_moments(g, nu, rule):
     """Legendre moments L_j = (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1) for
     j = 0..nu, in float64.
@@ -139,20 +109,14 @@ def legendre_moments(g, nu, rule):
     g maps the rule's node array to float64 samples, one per node (the
     solver passes one array evaluation of the right-hand side).  Returns
     (moments, samples), the caller reusing the samples.  Cost: one
-    (nodes x (nu + 1)) matrix-vector product.
+    (nodes x (nu + 1)) matrix-vector product.  EvaluationError names the
+    first node where a sample is not finite.
     """
-    gvals = _sample(g, rule)
+    gvals = np.broadcast_to(np.asarray(g(rule.nodes), dtype=float), rule.nodes.shape)
+    bad = ~np.isfinite(gvals)
+    if bad.any():
+        x = rule.nodes[bad][0].item()
+        raise EvaluationError(
+            f"right-hand side returned non-finite value at x={x}", where=x
+        )
     return gvals @ rule.legendre_vander(nu), gvals
-
-
-def moment_integrals(g, n, m, rule):
-    """Moments of g against the Bernstein basis row of degree n - m.
-
-    g is evaluated exactly once per quadrature node; each moment is the
-    float64 quadrature sum sum_t w_t g(x_t) B_q(x_t).  Cost O(nodes (n - m)^2).
-    """
-    if n < m:
-        raise ValueError(f"need n >= m, got n={n}, m={m}")
-    gvals = _sample(lambda xs: [float(g(x)) for x in xs.tolist()], rule)
-    basis = np.array([basis_row(n - m, x) for x in rule.nodes.tolist()])
-    return MomentVector(n=n, m=m, values=(rule.weights * gvals) @ basis)

@@ -194,8 +194,13 @@ def _iterate_core(problem, prev, n, rule):
 
     # L2 residual of the new iterate against the frozen right-hand side
     deriv_m = _eval_mp(derivative(BernsteinPoly(coeffs), m), rule.nodes).tolist()
-    res2 = math.fsum(w * (d - gx) ** 2
-                     for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals.tolist()))
+    try:
+        res2 = math.fsum(w * (d - gx) ** 2
+                         for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals.tolist()))
+    except OverflowError:
+        res2 = math.inf
+    if not math.isfinite(res2):
+        raise EvaluationError("L2 residual is not finite in float64")
     return coeffs, math.sqrt(res2)
 
 

@@ -5,7 +5,7 @@ from helpers import dense_from_banded
 from bernbvp.bandsolve import BandedToeplitz, assemble_matrix, assemble_rhs, solve
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
-from bernbvp.quadrature import MomentVector, gauss_rule, legendre_moments
+from bernbvp.quadrature import gauss_rule, legendre_moments
 
 
 class TestAssembleMatrix:
@@ -203,9 +203,3 @@ class TestAssembleRhs:
         moments, _ = legendre_moments(lambda xs: xs**2, 3, gauss_rule(8))
         v = assemble_rhs(5, 2, 1, 1, duals, moments, ([0.0], [0.0]))
         assert v.tolist() == pytest.approx([0.0, 0.0, 1 / 60, 1 / 20], abs=1e-14)
-
-    def test_rejects_a_bernstein_moment_vector(self):
-        # MomentVector carries Bernstein moments <g, B_q>, not Legendre ones
-        moments = MomentVector(n=5, m=2, values=[0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(TypeError):
-            assemble_rhs(5, 2, 1, 1, dual_coefficients(3), moments, ([0.0], [0.0]))

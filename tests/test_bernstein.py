@@ -9,7 +9,6 @@ from bernbvp.bernstein import (
     basis_value,
     binomial_row,
     derivative,
-    diff_table,
     endpoint_derivative,
     evaluate,
 )
@@ -115,33 +114,6 @@ class TestPolyValidation:
         p = BernsteinPoly([1.0, 2.0])
         with pytest.raises(ValueError):
             p.coeffs[0] = 3.0
-
-
-class TestDiffTable:
-    def test_hand_rows(self):
-        t = diff_table(BernsteinPoly([1.0, 3.0, 6.0]), 2)
-        assert [r.tolist() for r in t.rows] == [[1, 3, 6], [2, 3], [1]]
-
-    def test_constant_first_difference_zero(self):
-        t = diff_table(BernsteinPoly([4.0] * 6), 1)
-        assert np.all(t.rows[1] == 0.0)
-
-    def test_squares(self):
-        t = diff_table(BernsteinPoly([0.0, 1.0, 4.0, 9.0]), 3)
-        assert [r.tolist() for r in t.rows] == [[0, 1, 4, 9], [1, 3, 5], [2, 2], [0]]
-
-    def test_row_lengths_and_recurrence(self):
-        rng = np.random.default_rng(3)
-        p = random_poly(rng, 9)
-        t = diff_table(p, 9)
-        assert np.array_equal(t.rows[0], p.coeffs)
-        for r in range(1, 10):
-            assert t.rows[r].size == 9 - r + 1
-            assert np.allclose(t.rows[r], t.rows[r - 1][1:] - t.rows[r - 1][:-1])
-
-    def test_r_max_out_of_range(self):
-        with pytest.raises(ValueError):
-            diff_table(BernsteinPoly([1.0, 2.0]), 2)
 
 
 class TestDerivative:

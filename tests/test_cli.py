@@ -138,6 +138,21 @@ class TestSolveCommand:
         assert main(["solve", str(ex1_spec), "--degree", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_degree_above_the_cap_exits_2(self, ex1_spec, tmp_path, capsys):
+        assert main(["solve", str(ex1_spec), "--degree", "61",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: degree 61 is above the maximum 60\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_residual_exits_3(self, tmp_path, capsys):
+        # v and the band solve stay finite, but (w'' - f)^2 overflows
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({
+            "order": 2, "left": [0.0], "right": [0.0], "rhs": "1e160*sin(1000*x)"}))
+        assert main(["solve", str(spec), "--degree", "4",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: iteration n=2 failed: ")
+
 
 class TestEvalCommand:
     def test_simple_poly(self, tmp_path, capsys):
@@ -280,6 +295,11 @@ class TestErrorCurveCommand:
         eps = [float(line.split(",")[1])
                for line in out.read_text().splitlines()[1:]]
         assert max(eps) <= 1e-13
+
+    def test_degree_above_the_cap_exits_2(self, tmp_path, capsys):
+        assert main(["error-curve", "--example", "1", "--degree", "61",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error: degree 61 is above the maximum 60\n"
 
     def test_requires_exactly_one_target(self, tmp_path):
         assert main(["error-curve", "--degree", "3",

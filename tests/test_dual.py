@@ -1,6 +1,6 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 import pytest
@@ -86,22 +86,15 @@ class TestDualCoefficients:
         t = dual_coefficients(9)
         assert dual_coefficients(9) is t
         with pytest.raises(FrozenInstanceError):
-            t.numerators = ()
+            t.legendre_numerators = ()
         with pytest.raises(TypeError):
-            t.numerators[0] = ()
+            t.legendre_numerators[0] = ()
         with pytest.raises(TypeError):
-            t.numerators[2][3] = 0
+            t.legendre_numerators[2][3] = 0
         with pytest.raises(TypeError):
             t.table[0][0] = 0
         with pytest.raises(TypeError):
             dual_coefficients(9.0)
-
-    def test_rows_are_integers_over_their_lcm(self):
-        for n in (0, 5, 17):
-            t = dual_coefficients(n)
-            for i, (row, den) in enumerate(zip(t.numerators, t.denominators)):
-                assert all(type(a) is int for a in row)
-                assert lcm(*(c.denominator for c in t.table[i])) == den
 
     def test_duality_against_gram(self):
         # dual table times the exact Gram is the identity (max entry 1e-9)
@@ -131,8 +124,9 @@ class TestDualCoefficients:
             assert row == [int(i == j) for j in range(n + 1)], i
 
     def test_legendre_factorization_is_exact(self):
-        # C = M diag(2j+1) M^T entry for entry, with M[r, j] the Bernstein
-        # coefficients of the shifted Legendre polynomial P_j
+        # M diag(2j+1) M^T, with M[r, j] the Bernstein coefficients of the
+        # shifted Legendre polynomial P_j, is the table, and the table times
+        # the exact Gram matrix is the identity, entry for entry
         for n in range(0, 21):
             t = dual_coefficients(n)
             mat = [[Fraction(a, comb(n, r)) for a in row]
@@ -140,6 +134,10 @@ class TestDualCoefficients:
             prod = [[sum(mat[i][j] * (2 * j + 1) * mat[q][j] for j in range(n + 1))
                      for q in range(n + 1)] for i in range(n + 1)]
             assert prod == [list(row) for row in t.table], n
+            g = exact_gram(n)
+            ident = [[sum(prod[i][q] * g[q][j] for q in range(n + 1)) for j in range(n + 1)]
+                     for i in range(n + 1)]
+            assert ident == [[int(i == j) for j in range(n + 1)] for i in range(n + 1)], n
 
     def test_legendre_rows_are_correctly_rounded_and_read_only(self):
         for n in (0, 1, 7, 30, 58):

@@ -1,18 +1,8 @@
-from fractions import Fraction
-from math import comb, factorial
-
 import numpy as np
 import pytest
 
 from bernbvp.bernstein import basis_value
-from bernbvp.errors import EvaluationError
-from bernbvp.quadrature import MomentVector, basis_row, gauss_rule, moment_integrals
-
-
-def exact_monomial_moment(d, nu, q):
-    """integral of x^d B_q^nu over [0,1] as an exact rational."""
-    return Fraction(comb(nu, q) * factorial(d + q) * factorial(nu - q),
-                    factorial(d + nu + 1))
+from bernbvp.quadrature import basis_row, gauss_rule, legendre_moments
 
 
 class TestGaussRule:
@@ -111,34 +101,10 @@ class TestBasisRow:
 
 
 class TestMomentIntegrals:
-    def test_constant_one(self):
-        rule = gauss_rule(10, 1)
-        mv = moment_integrals(lambda x: 1.0, 5, 2, rule)
-        assert mv.values.tolist() == pytest.approx([0.25] * 4, rel=1e-13)
-
-    def test_zero_function(self):
-        rule = gauss_rule(6, 2)
-        mv = moment_integrals(lambda x: 0.0, 7, 3, rule)
-        assert np.all(mv.values == 0.0)
-
-    def test_constant_minus_two_order_two(self):
-        rule = gauss_rule(4, 1)
-        mv = moment_integrals(lambda x: -2.0, 2, 2, rule)
-        assert mv.values.tolist() == pytest.approx([-2.0], rel=1e-14)
-
-    def test_monomials_match_exact_moments(self):
-        for d in (0, 1, 3, 6, 10):
-            for nu in (0, 2, 5, 10):
-                order = (d + nu) // 2 + 1
-                rule = gauss_rule(max(order, 1), 1)
-                mv = moment_integrals(lambda x, d=d: x**d, nu + 3, 3, rule)
-                for q in range(nu + 1):
-                    exact = float(exact_monomial_moment(d, nu, q))
-                    assert mv.values[q] == pytest.approx(exact, rel=1e-12, abs=1e-16)
-
     def test_panel_doubling_stability(self, benchmark_sweep):
         # composing each example's rhs with its degree-19 iterate gives the
-        # n = 20 integrand; doubling panels moves no moment by more than 1e-12
+        # n = 20 integrand; doubling panels moves no Legendre moment by more
+        # than 1e-12
         from bernbvp.bernstein import derivative, evaluate
 
         for ex_id, (ex, report) in benchmark_sweep.items():
@@ -150,35 +116,7 @@ class TestMomentIntegrals:
                 args = [evaluate(d, x) for d in derivs]
                 return ex.problem.rhs_value(x, args)
 
-            n, m = 20, ex.problem.m
-            base = moment_integrals(g, n, m, gauss_rule(22, 2))
-            fine = moment_integrals(g, n, m, gauss_rule(22, 4))
-            assert np.abs(base.values - fine.values).max() < 1e-12, ex_id
-
-    def test_g_called_once_per_node(self):
-        rule = gauss_rule(7, 3)
-        calls = []
-
-        def g(x):
-            calls.append(x)
-            return 1.0
-
-        moment_integrals(g, 9, 2, rule)
-        assert len(calls) == rule.nodes.size
-        assert calls == rule.nodes.tolist()
-
-    def test_nonfinite_rhs_reports_node(self):
-        rule = gauss_rule(5, 1)
-        with pytest.raises(EvaluationError) as err:
-            moment_integrals(lambda x: float("nan"), 4, 2, rule)
-        assert err.value.where is not None
-        assert 0 < err.value.where < 1
-
-    def test_requires_n_at_least_m(self):
-        rule = gauss_rule(3, 1)
-        with pytest.raises(ValueError):
-            moment_integrals(lambda x: 1.0, 2, 3, rule)
-
-    def test_moment_vector_length_validation(self):
-        with pytest.raises(ValueError):
-            MomentVector(n=5, m=2, values=[1.0, 2.0])
+            nu = 20 - ex.problem.m
+            base, _ = legendre_moments(g, nu, gauss_rule(22, 2))
+            fine, _ = legendre_moments(g, nu, gauss_rule(22, 4))
+            assert np.abs(base - fine).max() < 1e-12, ex_id

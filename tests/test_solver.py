@@ -292,6 +292,18 @@ class TestSolve:
         assert isinstance(err.value.cause, EvaluationError)
         assert "overflows float64" in str(err.value.cause)
 
+    def test_overflowing_residual_fails_with_iteration_index(self):
+        # v and the band solve stay finite, but (w'' - f)^2 overflows
+        p = BVProblem((0.0,), (0.0,), parse("1e160*sin(1000*x)"))
+        with pytest.raises(IterationError) as err:
+            solve(p, SolveOptions(degree=4))
+        assert err.value.n == 2
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "L2 residual" in str(err.value.cause)
+
+    def test_library_solve_is_not_degree_capped(self):
+        assert solve(line_problem(), SolveOptions(degree=61)).solution.degree == 61
+
     @pytest.mark.parametrize("ex_id", [1, 5])
     def test_examples_at_degree_60(self, ex_id):
         # the CLI's degree cap: the error on the 201-point grid stays at the
