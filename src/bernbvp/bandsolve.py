@@ -8,7 +8,10 @@ on the matrix alone, so each (size, band) is factored once per process and
 every later system of that shape only applies them.  Each solve then takes
 one refinement step: the residual v - G p is computed exactly (every
 entry of G, p and v is a float64, so a dyadic rational) and rounded once,
-and the correction solved with the same factors is added.
+and the correction solved with the same factors is added.  For the
+stencil matrices, whose diagonals are small integers, the exact residual
+is a split of p into two parts whose products with the diagonals are
+exact, summed by ``math.fsum``.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
@@ -17,6 +20,7 @@ computed exactly and rounded once.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from math import comb, factorial
 from operator import mul
@@ -190,7 +194,45 @@ def _banded_lu(system):
 
 
 def _residual(system, p):
-    """v - G p, exact on the float64 entries, rounded once per entry."""
+    """v - G p, exact on the float64 entries, rounded once per entry.
+
+    When every diagonal is an integer of at most b <= 26 bits (the stencil
+    diagonals have at most 7), a Veltkamp split of each p_j into a high
+    part of 53 - b bits and a low part of at most b - 1 bits makes every
+    product with a diagonal exact, and ``math.fsum`` rounds the exact sum
+    of each row once.  Other diagonals, and entries of p or v for which a
+    split or a product could overflow or leave the normal range, take the
+    integer route (``_integer_residual``), which rounds the same exact
+    values: both give the same bits.
+    """
+    k, l = system.lower_bw, system.upper_bw
+    diags = system.diagonals.tolist()
+    if not all(d.is_integer() and abs(d) < 2**26 for d in diags):
+        return _integer_residual(system, p)
+    b = max(max(int(abs(d)).bit_length() for d in diags), 1)
+    v = system.rhs
+    size = np.abs(p)
+    # below 2^-969 the low part could be subnormal; above the bounds a
+    # product or a partial sum of fsum could overflow
+    if (size.max() > 2.0 ** (1000 - b) or np.abs(v).max() > 2.0**1000
+            or size.min() < 2.0**-969 and ((size > 0.0) & (size < 2.0**-969)).any()):
+        return _integer_residual(system, p)
+    c = (2.0**b + 1.0) * p
+    hi = c - (c - p)
+    n, w = p.size, k + l + 1
+    zk, zl = np.zeros(k), np.zeros(l)
+    # v, then hi and lo, each padded with k zeros before and l after: row i
+    # takes v_i and the w entries of each part from index i on
+    flat = np.concatenate((v, zk, hi, zl, zk, p - hi, zl))
+    starts = [0, *range(n, n + w), *range(2 * n + w - 1, 2 * n + 2 * w - 1)]
+    neg = [-d for d in diags]
+    terms = flat[np.add.outer(np.arange(n), starts)] * np.array([1.0, *neg, *neg])
+    return [math.fsum(row) for row in terms.tolist()]
+
+
+def _integer_residual(system, p):
+    """v - G p as exact integers over a common power of two, each entry
+    rounded once by the true division."""
     k, l = system.lower_bw, system.upper_bw
     dnum, ds = _dyadic(system.diagonals.tolist())
     pnum, ps = _dyadic(p.tolist())

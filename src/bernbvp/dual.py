@@ -25,9 +25,10 @@ from the integers N,
 
     c_iq = sum_j (2j + 1) N[i, j] N[q, j] / (C(n,i) C(n,q)),
 
-on first access only: O(n^3) multiplications of O(n)-digit integers.  The
-solver never forms it; the tests check it against the exact inverse of the
-Bernstein Gram matrix.
+on first access only: about n^3 / 2 multiplications of O(n)-digit
+integers, as the table is symmetric and only the entries with q >= i are
+formed.  The solver never forms it; the tests check it against the exact
+inverse of the Bernstein Gram matrix.
 
 Tables are memoized per degree, so each degree is built once per process.
 """
@@ -58,12 +59,19 @@ class DualCoeffTable:
 
     @functools.cached_property
     def table(self):
-        """``table[i][j]`` is c_ij as an exact ``fractions.Fraction``."""
+        """``table[i][j]`` is c_ij as an exact ``fractions.Fraction``.
+
+        The table is symmetric: the entries with q >= i are formed and
+        mirrored, so each entry below the diagonal is the same object as
+        its transpose.
+        """
         n, rows = self.degree, self.legendre_numerators
         weighted = [[(2 * j + 1) * a for j, a in enumerate(row)] for row in rows]
-        return tuple(tuple(Fraction(sum(map(operator.mul, wi, rq)), comb(n, i) * comb(n, q))
-                           for q, rq in enumerate(rows))
-                     for i, wi in enumerate(weighted))
+        upper = [[Fraction(sum(map(operator.mul, wi, rows[q])), comb(n, i) * comb(n, q))
+                  for q in range(i, n + 1)]
+                 for i, wi in enumerate(weighted)]
+        return tuple(tuple(upper[q][i - q] for q in range(i)) + tuple(upper[i])
+                     for i in range(n + 1))
 
     def as_array(self):
         """The table, each entry correctly rounded to float64."""

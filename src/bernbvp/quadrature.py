@@ -7,9 +7,12 @@ per (order, panels).  The solver's moments are Legendre moments
 (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1): one float64 product of the
 samples of g with a weighted Legendre Vandermonde that each rule builds on
 first use and keeps.  ``dual.DualCoeffTable.legendre`` turns them into the
-Bernstein coefficients of the projection of g.  ``basis_row`` gives the
-Bernstein basis values at one point, for references that project onto
-the Bernstein basis directly.
+Bernstein coefficients of the projection of g.  Beside the Vandermonde,
+each rule keeps one Bernstein basis matrix per degree d, the values
+B_i^d(x_t) at its nodes, so a polynomial of degree d (a derivative of the
+solver's iterate) is evaluated at every node by one matrix-vector product
+with its coefficients.  ``basis_row`` gives the Bernstein basis values at
+one point, for references that project onto the Bernstein basis directly.
 """
 
 import functools
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import binomial_row
 from .errors import EvaluationError
 
 __all__ = ["QuadratureRule", "gauss_rule", "basis_row", "legendre_moments"]
@@ -37,6 +41,7 @@ class QuadratureRule:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_bernstein_bases", {})
 
     def legendre_vander(self, nu):
         """Entries (2j + 1) w_t P_j(2 x_t - 1) for every node t and
@@ -54,6 +59,35 @@ class QuadratureRule:
             table.setflags(write=False)
             object.__setattr__(self, "_legendre_vander", table)
         return table[:, :nu + 1]
+
+    def bernstein_basis(self, d):
+        """Entries B_i^d(x_t) = C(d, i) x_t^i (1 - x_t)^(d - i) for every
+        node t and i = 0..d, as a read-only (nodes, d + 1) array.
+
+        Built on first use for each degree and kept, so later calls return
+        the same array.  Each entry is within a few roundings of its exact
+        value at the float node: s = 1 - x_t rounds below x_t = 1/2, and
+        its rounding error e, which (s - 1) + x_t gives exactly, is
+        corrected to first order, (1 - x_t)^j = s^j (1 - j e / s); above
+        1/2, e = 0 (the quotient takes max(s, 1/2), so x_t = 1 divides by
+        no zero).  So the rows sum to 1 within a few ulps, and a sum over
+        the basis, whose entries are nonnegative, is as well conditioned as
+        de Casteljau's algorithm (Farouki and Rajan, CAGD 4, 1987).  Threads
+        that build the same degree at once build equal arrays, and all of
+        them get the one that is kept.
+        """
+        if d < 0:
+            raise ValueError(f"degree must be non-negative, got {d}")
+        table = self._bernstein_bases.get(d)
+        if table is None:
+            j = d - np.arange(d + 1)  # the power of 1 - x
+            x = self.nodes[:, None]
+            s = 1.0 - x
+            rel = ((s - 1.0) + x) / np.maximum(s, 0.5)  # e / s
+            table = binomial_row(d) * x ** (d - j) * s ** j * (1.0 - j * rel)
+            table.setflags(write=False)
+            table = self._bernstein_bases.setdefault(d, table)
+        return table
 
 
 def gauss_rule(order, panels=1):

@@ -11,15 +11,19 @@ basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
-node array per iteration.  The projection goes through the Legendre
+node array per iteration.  A derivative's values at the nodes are one
+product of its coefficients (forward differences of the iterate's) with
+the Bernstein basis matrix that the quadrature rule keeps per degree, so
+the iteration works on coefficient arrays and never builds a
+BernsteinPoly before the end.  The projection goes through the Legendre
 factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
 moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
 system right-hand side v.  Only the k + l rows of v that subtract the
 boundary stencil terms are exact, rounded once, since their two parts
 cancel.  The band solve reuses cached LU factors per shape and takes one
-refinement step with an exact residual; every iterate is an ordinary
-float64 BernsteinPoly.
+refinement step with an exact residual; the iterates a solve returns are
+ordinary float64 BernsteinPolys.
 """
 
 import math
@@ -29,7 +33,7 @@ from math import comb
 import numpy as np
 
 from . import bandsolve
-from .bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
+from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
 from .expressions import evaluate as eval_expr, max_arg_index
@@ -38,13 +42,30 @@ from .quadrature import gauss_rule, legendre_moments
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
 
-# perfbench/tracing.py wraps these names: _eval_mp, the array evaluator,
-# to time the derivative arguments (one call per iteration, inside the
-# moment kernel, which samples g) apart from the residual (one call per
-# iteration, outside it), _moment_integrals_mp as the moment layer and
-# dual_coefficients as the per-degree lookup of the Legendre factor.
-# The "_mp" suffixes are historical: neither runs in mpmath any more.
-_eval_mp = evaluate
+
+def _node_derivatives(p, orders, rule):
+    """Values at the rule's nodes of the derivatives of the given orders of
+    the polynomial with Bernstein coefficients p, one array per order.
+
+    Derivative r has the coefficients n!/(n-r)! times the r-fold forward
+    differences of p, and its values are one product with the rule's basis
+    matrix of degree n - r.  A value that overflows is inf or nan, with no
+    warning; the caller checks the values it uses.
+    """
+    n = p.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [rule.bernstein_basis(n - r) @ (falling_factorial(n, r) * np.diff(p, r))
+                for r in orders]
+
+
+# perfbench/tracing.py wraps these names: _eval_mp, the node evaluator
+# above, to time the derivative arguments (one call per iteration, inside
+# the moment kernel, which samples g) apart from the residual's m-th
+# derivative (one call per iteration, outside it), _moment_integrals_mp as
+# the moment layer and dual_coefficients as the per-degree lookup of the
+# Legendre factor.  The names stay because the tracer looks them up; the
+# "_mp" suffixes are historical: neither runs in mpmath any more.
+_eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
 
 
@@ -175,13 +196,13 @@ def _full_coeffs(n, k, l, left, right, inner):
 
 
 def _iterate_core(problem, prev, n, rule):
-    """One degree-raising step; returns (coefficients, L2 residual)."""
+    """One degree-raising step from the coefficients prev of the degree
+    n - 1 iterate; returns (coefficients, L2 residual)."""
     m, k, l = problem.m, problem.k, problem.l
     left, right = outer_coefficients(problem, n)
-    derivs = [derivative(prev, r) for r in range(m)]
 
-    def g(x):
-        return problem.rhs_value(x, _eval_mp(derivs, x))
+    def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
+        return problem.rhs_value(x, _eval_mp(prev, range(m), rule))
 
     moments, gvals = _moment_integrals_mp(g, n - m, rule)
     duals = dual_coefficients(n - m)
@@ -190,13 +211,17 @@ def _iterate_core(problem, prev, n, rule):
     except OverflowError as exc:
         raise EvaluationError("system right-hand side overflows float64") from exc
     system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
-    coeffs = _full_coeffs(n, k, l, left, right, bandsolve.solve(system))
+    inner = bandsolve.solve(system)
+    if not np.isfinite(inner).all():
+        raise EvaluationError("band solve result is not finite in float64")
+    coeffs = _full_coeffs(n, k, l, left, right, inner)
 
     # L2 residual of the new iterate against the frozen right-hand side
-    deriv_m = _eval_mp(derivative(BernsteinPoly(coeffs), m), rule.nodes).tolist()
+    [deriv_m] = _eval_mp(coeffs, (m,), rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = rule.weights * (deriv_m - gvals) ** 2
     try:
-        res2 = math.fsum(w * (d - gx) ** 2
-                         for d, w, gx in zip(deriv_m, rule.weights.tolist(), gvals.tolist()))
+        res2 = math.fsum(terms.tolist())
     except OverflowError:
         res2 = math.inf
     if not math.isfinite(res2):
@@ -226,7 +251,7 @@ def iterate(problem, previous, n, rule=None):
     if rule is None:
         rule = _default_rule(n)
     try:
-        coeffs, _ = _iterate_core(problem, previous, n, rule)
+        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule)
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
     return BernsteinPoly(coeffs)
@@ -247,21 +272,21 @@ def solve(problem, options):
     if options.quad_panels < 1:
         raise ValueError("quad_panels must be >= 1")
 
-    current = seed(problem)
-    iterates = [current] if options.record_iterates else None
+    start = seed(problem)
+    coeffs = start.coeffs
+    iterates = [start] if options.record_iterates else None
     residuals = []
     for n in range(m, N + 1):
         rule = _default_rule(n, options)
         try:
-            coeffs, res = _iterate_core(problem, current, n, rule)
+            coeffs, res = _iterate_core(problem, coeffs, n, rule)
         except (EvaluationError, SingularSystemError) as exc:
             raise IterationError(n, exc) from exc
-        current = BernsteinPoly(coeffs)
         residuals.append(res)
         if iterates is not None:
-            iterates.append(current)
+            iterates.append(BernsteinPoly(coeffs))
     return SolveReport(
-        solution=current,
+        solution=iterates[-1] if iterates else BernsteinPoly(coeffs),
         residuals=np.array(residuals),
         iterates=tuple(iterates) if iterates is not None else None,
     )

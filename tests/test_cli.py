@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bernbvp import bandsolve
 from bernbvp.bernstein import BernsteinPoly, evaluate
 from bernbvp.cli import main
 from bernbvp.problems import error_curve, example
@@ -152,6 +153,13 @@ class TestSolveCommand:
         assert main(["solve", str(spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: iteration n=2 failed: ")
+
+    def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bandsolve, "solve", lambda system: np.full(system.size, np.inf))
+        assert main(["solve", str(ex1_spec), "--degree", "4",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: iteration n=2 failed: band solve result is not finite")
 
 
 class TestEvalCommand:

@@ -3,8 +3,10 @@ helpers.py: the Legendre moments against exact ones, the system
 right-hand side v bit for bit, one iterate of the float64 Legendre route
 against the exact route (exact Bernstein moments and dual table) on grid
 values, Bernstein evaluation over arrays against the scalar Horner loop
-bit for bit, and the cached band LU factors against the dense elimination
-bit for bit."""
+bit for bit, the solver's basis-matrix derivatives against Horner within
+a bound, the split exact residual against the integer one bit for bit,
+and the cached band LU factors against the dense elimination bit for
+bit."""
 
 import math
 from fractions import Fraction
@@ -14,13 +16,14 @@ import pytest
 from helpers import (banded_lu_reference, evaluate_reference, exact_route_iterate,
                      legendre_moments_reference)
 
+from bernbvp import bandsolve
 from bernbvp.bandsolve import _PIVOT_RTOL, BandedToeplitz, _factor, assemble_matrix, assemble_rhs
 from bernbvp.bernstein import BernsteinPoly, derivative, evaluate
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
 from bernbvp.expressions import parse
 from bernbvp.quadrature import QuadratureRule, gauss_rule, legendre_moments
-from bernbvp.solver import BVProblem, iterate
+from bernbvp.solver import BVProblem, _node_derivatives, iterate
 
 
 def random_g(rng):
@@ -180,8 +183,8 @@ def test_evaluate_over_arrays_matches_scalar_horner(n):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_stacked_derivatives_match_scalar_horner(m):
-    # the solver's call: derivatives 0..m-1 of one iterate, of degrees
-    # n-1 down to n-m, in one evaluation over the rule's nodes
+    # derivatives 0..m-1 of one iterate, of degrees n-1 down to n-m, in one
+    # evaluation over a rule's nodes
     rng = np.random.default_rng(2000 + m)
     for n in (m, m + 1, int(rng.integers(m + 2, 61)), 60):
         prev = BernsteinPoly(random_coeffs(rng, n - 1))
@@ -192,6 +195,29 @@ def test_stacked_derivatives_match_scalar_horner(m):
         for r, d in enumerate(derivs):
             want = [evaluate_reference(d, x) for x in xs.tolist()]
             assert bits(got[r]) == bits(want), (m, n, r)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_node_derivatives_match_horner_within_the_basis_bound(m):
+    # the solver's evaluator: derivative r of a degree-n polynomial at the
+    # nodes is one product with the rule's basis matrix of degree d = n - r,
+    # checked against the Horner loop of evaluate on the same derivative
+    # coefficients q.  Bound: 4 (d + 1) eps sum_i |q_i| B_i^d(x), at the
+    # default rules (their outer nodes are the ones nearest 0 and 1) and at
+    # nodes on both ends; the worst measured was 0.93 (d + 1) eps sum_i
+    # |q_i| B_i^d(x) over degrees <= 60
+    rng = np.random.default_rng(2050 + m)
+    ends = QuadratureRule(5, 1, [0.0, 1e-3, 0.5, 1 - 1e-3, 1.0], [0.2] * 5)
+    for n in (m, m + 1, int(rng.integers(m + 2, 60)), 60):
+        coeffs = random_coeffs(rng, n)
+        for rule in (gauss_rule(max(n + 2, 20), 2), ends):
+            got = _node_derivatives(coeffs, range(m + 1), rule)
+            for r in range(m + 1):
+                q = derivative(BernsteinPoly(coeffs), r)
+                want = evaluate(q, rule.nodes)
+                scale = evaluate(BernsteinPoly(np.abs(q.coeffs)), rule.nodes)
+                bound = 4 * (q.degree + 1) * 2.0**-52 * scale
+                assert (np.abs(got[r] - want) <= bound).all(), (m, n, r, rule.order)
 
 
 def test_stacked_polynomials_of_any_degrees():
@@ -230,6 +256,50 @@ def solve_or_row(solve_fn, system):
 def factor_and_apply(system):
     """One solve with the cached factors, before the refinement step."""
     return _factor(system).apply(system.rhs.tolist())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_split_residual_matches_integer_route(m, monkeypatch):
+    # the refinement step's residual v - G p: the Veltkamp split summed by
+    # fsum gives the bits of the exact integer route.  p near a solution
+    # (heavy cancellation) and p over the whole range the split serves take
+    # the split; an entry of p beyond it, huge or tiny (subnormal
+    # included), or a non-integer diagonal falls back to the integer route
+    rng = np.random.default_rng(3100 + m)
+    integer_route = bandsolve._integer_residual
+    fallbacks = []
+
+    def counted(system, p):
+        fallbacks.append(system.size)
+        return integer_route(system, p)
+
+    monkeypatch.setattr(bandsolve, "_integer_residual", counted)
+
+    def check(system, p, falls_back):
+        before = len(fallbacks)
+        got = bandsolve._residual(system, p)
+        assert bits(got) == bits(integer_route(system, p)), (system.diagonals, p)
+        assert len(fallbacks) - before == falls_back
+
+    for k in range(m + 1):
+        for n in (m, int(rng.integers(m + 1, 60)), 60):
+            size = n - m + 1
+            matrix = assemble_matrix(n, m, k, m - k)
+            near = matrix.with_rhs(np.ldexp(rng.uniform(-1, 1, size), rng.integers(-60, 60, size)))
+            check(near, factor_and_apply(near), 0)
+            system = matrix.with_rhs(
+                np.ldexp(rng.uniform(-1, 1, size), rng.integers(-1074, 1000, size)))
+            # |p| from 2^-969 to 2^992, some entries 0 or -0
+            p = np.ldexp(rng.uniform(0.5, 1, size) * rng.choice((-1, 1), size),
+                         rng.integers(-968, 993, size))
+            p[rng.random(size) < 0.2] = rng.choice((0.0, -0.0))
+            check(system, p, 0)
+            for extreme in (2.0**1010, -(2.0**1005), 2.0**-1000, 5e-324):
+                q = p.copy()
+                q[rng.integers(size)] = extreme
+                check(system, q, 1)
+            halves = BandedToeplitz(size, k, m - k, system.diagonals + 0.5, system.rhs)
+            check(halves, p, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from bernbvp.bernstein import basis_value
-from bernbvp.quadrature import basis_row, gauss_rule, legendre_moments
+from bernbvp.quadrature import QuadratureRule, basis_row, gauss_rule, legendre_moments
 
 
 class TestGaussRule:
@@ -98,6 +101,52 @@ class TestBasisRow:
     def test_domain_check(self):
         with pytest.raises(ValueError):
             basis_row(3, 1.2)
+
+
+class TestBernsteinBasis:
+    # the solver's default rules at n = 2, 40 and 60, and one with nodes at
+    # both ends, where x^i and (1 - x)^(d - i) vanish
+    RULES = [gauss_rule(20, 2), gauss_rule(42, 2), gauss_rule(62, 2),
+             QuadratureRule(5, 1, [0.0, 0.25, 0.5, 0.7, 1.0], [0.2] * 5)]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: f"order{r.order}")
+    def test_rows_are_a_partition_of_unity(self, rule):
+        # measured: every row sums to 1 within 1 ulp at these rules and degrees
+        for d in (0, 1, 2, 7, 20, 41, 60):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = rule.bernstein_basis(d)
+            assert table.shape == (rule.nodes.size, d + 1)
+            assert (table >= 0).all()
+            for row in table.tolist():
+                assert abs(math.fsum(row) - 1.0) <= 4 * 2.0**-52, d
+
+    def test_matches_basis_value(self):
+        rule = gauss_rule(20, 2)
+        for d in (0, 3, 17):
+            table = rule.bernstein_basis(d)
+            for t, x in enumerate(rule.nodes.tolist()):
+                for i in range(d + 1):
+                    assert table[t, i] == pytest.approx(basis_value(d, i, x), rel=1e-14)
+
+    def test_end_nodes_give_unit_rows(self):
+        rule = self.RULES[-1]
+        table = rule.bernstein_basis(9)
+        assert table[0].tolist() == [1.0] + [0.0] * 9
+        assert table[-1].tolist() == [0.0] * 9 + [1.0]
+
+    def test_kept_per_degree_and_read_only(self):
+        rule = gauss_rule(23, 2)
+        table = rule.bernstein_basis(12)
+        assert rule.bernstein_basis(12) is table
+        assert gauss_rule(23, 2).bernstein_basis(12) is table
+        assert rule.bernstein_basis(11) is not table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            gauss_rule(5, 1).bernstein_basis(-1)
 
 
 class TestMomentIntegrals:

@@ -8,6 +8,7 @@ import pytest
 from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
+from bernbvp import bandsolve
 from bernbvp.bandsolve import _band_factors
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
@@ -301,6 +302,34 @@ class TestSolve:
         assert isinstance(err.value.cause, EvaluationError)
         assert "L2 residual" in str(err.value.cause)
 
+    def test_nonfinite_band_solve_fails_with_iteration_index(self, monkeypatch):
+        # the iteration works on coefficient arrays, so nothing else checks
+        # that the inner coefficients are finite
+        monkeypatch.setattr(bandsolve, "solve", lambda system: np.full(system.size, np.inf))
+        with pytest.raises(IterationError) as err:
+            solve(parabola_problem(), SolveOptions(degree=4))
+        assert err.value.n == 2
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "band solve" in str(err.value.cause)
+
+    def test_overflowing_derivatives_fail_without_warnings(self, monkeypatch):
+        # alternating coefficients near the float64 limit: their forward
+        # differences overflow, and the basis product gives nan, in the
+        # derivative arguments of f (from the previous iterate) and in the
+        # L2 residual (the band solve is faked); both fail the iteration,
+        # and pytest turns any RuntimeWarning into a failure
+        huge = 9e307 * (-1.0) ** np.arange(9)
+        p = BVProblem((0.0,), (0.0,), parse("y1 + sin(x)"))
+        with pytest.raises(IterationError) as err:
+            iterate(p, BernsteinPoly(huge[:8]), 8)
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "non-finite value" in str(err.value.cause)
+        monkeypatch.setattr(bandsolve, "solve", lambda system: huge[:system.size])
+        with pytest.raises(IterationError) as err:
+            iterate(p, BernsteinPoly(np.zeros(8)), 8)
+        assert isinstance(err.value.cause, EvaluationError)
+        assert "L2 residual" in str(err.value.cause)
+
     def test_library_solve_is_not_degree_capped(self):
         assert solve(line_problem(), SolveOptions(degree=61)).solution.degree == 61
 
@@ -386,8 +415,12 @@ class TestSolve:
             assert a.residuals.tobytes() == b.residuals.tobytes()
 
     def test_threads_filling_the_memos_match_serial(self):
-        # more threads than cores build the same rules and tables at once
+        # more threads than cores build the same rules, basis matrices and
+        # tables at once: the examples and random (k, l) problems
+        rng = np.random.default_rng(24)
         problems = [example(i).problem for i in (1, 2, 3, 4, 5, 1)]
+        problems += [random_linear_problem(rng, int(m), int(rng.integers(m + 1)))
+                     for m in rng.integers(1, 9, 4)]
         opts = SolveOptions(degree=24)
         serial = [solve(p, opts).solution.coeffs for p in problems]
         threaded = [None] * len(problems)
