@@ -2,16 +2,15 @@
 
 The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
-and depends on j-i alone.  One banded LU with partial pivoting solves
-every shape in O(size * k * (k+l)) elimination steps.  The factors depend
-on the matrix alone, so each (size, band) is factored once per process and
-every later system of that shape only applies them.  Each solve then takes
-one refinement step: the residual v - G p is computed exactly (every
-entry of G, p and v is a float64, so a dyadic rational) and rounded once,
-and the correction solved with the same factors is added.  For the
-stencil matrices, whose diagonals are small integers, the exact residual
-is a split of p into two parts whose products with the diagonals are
-exact, summed by ``math.fsum``.
+and depends on j-i alone.  Every shape is solved the same way: the inverse
+of the matrix, which depends on its size and diagonals alone, is computed
+once per process and cached, and a solve is one product with it followed by
+one refinement step.  The step computes the residual v - G p exactly
+(every entry of G, p and v is a float64, so a dyadic rational), rounds it
+once and adds the correction that the same inverse gives.  For the stencil
+matrices, whose diagonals are small integers, the exact residual is a split
+of p into two parts whose products with the diagonals are exact, summed by
+``math.fsum``.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
@@ -31,9 +30,11 @@ from .errors import SingularSystemError
 
 __all__ = ["BandedToeplitz", "assemble_matrix", "assemble_rhs", "solve"]
 
-# A pivot below this times the matrix scale signals a singular system; the
-# assembled matrices have integer entries, so tiny pivots mean caller bugs.
-_PIVOT_RTOL = 1e-13
+# A matrix whose infinity-norm condition number |G| |G^-1| reaches this is
+# treated as singular: its inverse leaves too few digits for the refinement
+# step to recover.  The stencil matrices stay below 7e11 up to m = 8 and
+# n = 60 (m = k = 8, n = 60 is the worst).
+_MAX_CONDITION = 1e13
 
 
 @dataclass(frozen=True)
@@ -158,19 +159,15 @@ def _dyadic(values):
 
 
 def solve(system):
-    """Solve G p = v by banded LU with partial pivoting and one refinement
-    step.
+    """Solve G p = v with the cached inverse of G and one refinement step.
 
-    One elimination serves every band shape: the upper bandwidth grows to
-    k + l during elimination, and for k = 0 it reduces to back
-    substitution.  The factors of the stencil matrices that
-    ``assemble_matrix`` builds are cached per (size, k, l)
-    (``_band_factors``), so a solve applies them twice, to v and to the
-    exactly computed residual, at O(size * (k + l)) cost each; any other
-    diagonals are factored afresh.  For
-    right-hand sides of bounded solutions the residual |G p - v|_inf is
-    well within 1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at
-    every n <= 60 (the README gives the measured margin).
+    The inverse of each matrix is computed once per (size, k, l, diagonals)
+    (``_inverse``), so a solve applies it twice, to v and to the exactly
+    computed residual, at O(size^2) cost each.  SingularSystemError if G is
+    singular or its condition number is at least 1e13.  For right-hand
+    sides of bounded solutions the residual |G p - v|_inf is well within
+    1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at every n <= 60
+    (the README gives the measured margin).
     """
     if system.size < 1:
         raise ValueError("system must have size >= 1")
@@ -185,12 +182,12 @@ def solve(system):
 
 
 def _banded_lu(system):
-    factors = _factor(system)
-    v = system.rhs.tolist()
-    p = factors.apply(v)
+    inv = _inverse(system.size, system.lower_bw, system.upper_bw,
+                   tuple(system.diagonals.tolist()))
+    p = inv @ system.rhs
     if not (np.isfinite(p).all() and np.isfinite(system.rhs).all()):
         return p
-    return p + factors.apply(_residual(system, p))
+    return p + inv @ _residual(system, p)
 
 
 def _residual(system, p):
@@ -245,93 +242,29 @@ def _integer_residual(system, p):
             for i, x in enumerate(vnum)]
 
 
-def _factor(system):
-    """The LU factors of the system's matrix, cached for stencil matrices."""
-    k, l = system.lower_bw, system.upper_bw
-    diags = system.diagonals.tolist()
-    if diags == _stencil(k, l):
-        return _band_factors(system.size, k, l)
-    return _factorize(system.size, k, l, diags)
-
-
-class _BandFactors:
-    """Row exchanges, multipliers and U rows of one banded LU."""
-
-    def __init__(self, size, steps, rows):
-        self.size = size
-        self.steps = steps  # (col, pivot row, ((row, multiplier), ...))
-        # (i, U_ii, dot with U_i,i+1..U_i,i+h, i + 1, i + h + 1), bottom up
-        self.rows = rows
-
-    def apply(self, v):
-        """Solve with the factors for the right-hand side v, a sequence
-        of floats: the same operations, in the same order, as eliminating
-        with v attached."""
-        v = list(v)
-        for col, piv, mults in self.steps:
-            if piv != col:
-                v[col], v[piv] = v[piv], v[col]
-            x = v[col]
-            for r, f in mults:
-                v[r] -= f * x
-        # numpy's dot on contiguous rows of U: a Python sum would add in a
-        # different order than BLAS and change the last bits
-        p = np.zeros(self.size)
-        for i, d, dot, lo, hi in self.rows:
-            p[i] = (v[i] - dot(p[lo:hi])) / d if hi > lo else v[i] / d
-        return p
-
-
 # a solve to degree N uses one shape per degree, N - m + 1 of them; an
-# examples-n40 pass uses 190, all kept
+# examples-n40 pass uses 190, all kept (under 3 MB)
 @functools.lru_cache(maxsize=1024)
-def _band_factors(size, k, l):
-    return _factorize(size, k, l, _stencil(k, l))
-
-
-def _factorize(size, k, l, diags):
-    s, width = size, k + l  # fill-in extends the upper bandwidth to k + l
-    # a pivot below this signals a singular matrix
-    tol = _PIVOT_RTOL * max(max(map(abs, diags)), 1.0)
-    # row i holds columns i - k .. i + width at indices 0 .. k + width;
-    # entries outside the band or the matrix are 0
-    a = [[diags[d + k] if d <= l and 0 <= i + d < s else 0.0
-          for d in range(-k, width + 1)] for i in range(s)]
-    steps = []
-    # only a column with band rows below it is eliminated and pivoted
-    for col in range(s - 1 if k else 0):
-        lo = min(col + k, s - 1)
-        # the first largest |entry|, as np.argmax picks it (NaN first)
-        piv, big = col, abs(a[col][k])
-        for r in range(col + 1, lo + 1):
-            cand = abs(a[r][col - r + k])
-            if big == big and not cand <= big:
-                piv, big = r, cand
-        if big <= tol:
-            raise SingularSystemError(col)
-        span = min(width + 1, s - col)  # columns col .. col + span - 1
-        if piv != col:
-            o = col - piv + k
-            a[col][k:k + span], a[piv][o:o + span] = a[piv][o:o + span], a[col][k:k + span]
-        pivot_row = a[col][k:k + span]
-        mults = []
-        for r in range(col + 1, lo + 1):
-            row, o = a[r], col - r + k
-            f = row[o] / pivot_row[0]
-            if f != 0.0:
-                row[o:o + span] = [x - f * y for x, y in zip(row[o:o + span], pivot_row)]
-                mults.append((r, f))
-        steps.append((col, piv, tuple(mults)))
-    upper = np.array([row[k:] for row in a])
-    rows = []
-    for i in range(s - 1, -1, -1):
-        if abs(upper[i, 0]) <= tol:
-            raise SingularSystemError(i)
-        h = min(width, s - 1 - i)
-        rows.append((i, upper[i, 0].item(), upper[i, 1:h + 1].copy().dot, i + 1, i + h + 1))
-    return _BandFactors(s, tuple(steps), tuple(rows))
+def _inverse(size, k, l, diagonals):
+    """The read-only inverse of the size x size matrix with the given
+    diagonals (offsets -k..l)."""
+    offset = np.arange(size) - np.arange(size)[:, None]  # j - i
+    band = (offset >= -k) & (offset <= l)
+    dense = np.where(band, np.array(diagonals)[np.clip(offset + k, 0, k + l)], 0.0)
+    try:
+        inv = np.linalg.inv(dense)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(f"singular system: the {size} x {size} matrix "
+                                  f"of band ({k}, {l}) is singular") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    if not cond < _MAX_CONDITION:
+        raise SingularSystemError(f"singular system: the {size} x {size} matrix of band "
+                                  f"({k}, {l}) has condition number {cond:.1e}")
+    inv.setflags(write=False)
+    return inv
 
 
 # perfbench/tracing.py counts solves by these four names, one per band
-# shape; they all bind the single elimination above.
+# shape; they all bind the single solve above.
 _back_substitution = _forward_substitution = _tridiagonal = _banded_lu

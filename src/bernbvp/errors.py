@@ -30,11 +30,8 @@ class EvaluationError(ArithmeticError):
 
 
 class SingularSystemError(ArithmeticError):
-    """Banded elimination met a vanishing pivot.  ``row`` is the pivot row."""
-
-    def __init__(self, row):
-        super().__init__(f"singular system: no usable pivot in row {row}")
-        self.row = row
+    """A band system's matrix is singular, or so ill-conditioned (condition
+    number at least 1e13) that float64 cannot solve it."""
 
 
 class IterationError(RuntimeError):

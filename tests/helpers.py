@@ -118,39 +118,46 @@ def _power_reference(base, exponent):
         return sign * math.inf
 
 
-def banded_lu_reference(system, tol):
-    """The pivoted elimination on a dense s x s matrix that
-    ``bandsolve._banded_lu`` replaced by compact band rows; both must give
-    the same bits and the same SingularSystemError row."""
-    from bernbvp.errors import SingularSystemError
+def band_is_singular(system):
+    """Whether the matrix of a BandedToeplitz with integer diagonals has
+    determinant exactly 0.
 
+    A determinant that does not vanish modulo the prime 2^61 - 1 is not 0.
+    The rest are decided modulo the prime 2^521 - 1: the Hadamard bound
+    |det| <= prod_i |row_i|_2 stays below it for the bands the tests use,
+    so there the determinant vanishes exactly when it vanishes modulo the
+    prime."""
+    diags = [int(d) for d in system.diagonals.tolist()]
+    assert diags == system.diagonals.tolist(), "diagonals must be integers"
+    big = 2**521 - 1
+    assert sum(d * d for d in diags) ** system.size < big**2, "Hadamard bound above 2^521 - 1"
+    return _det_vanishes_mod(system, diags, 2**61 - 1) and _det_vanishes_mod(system, diags, big)
+
+
+def _det_vanishes_mod(system, diags, P):
+    """Gaussian elimination with row exchanges over the integers modulo
+    the prime P; True when the determinant is 0 modulo P."""
     s, k, l = system.size, system.lower_bw, system.upper_bw
-    width = k + l
-    offset = np.arange(s) - np.arange(s)[:, None]  # j - i
-    a = np.where((offset >= -k) & (offset <= l),
-                 system.diagonals[np.clip(offset + k, 0, width)], 0.0)
-    v = np.array(system.rhs)
-    for col in range(s - 1 if k else 0):
-        lo = min(col + k, s - 1)
-        piv = col + int(np.argmax(np.abs(a[col:lo + 1, col])))
-        if abs(a[piv, col]) <= tol:
-            raise SingularSystemError(col)
-        hi = min(col + width + 1, s)
-        if piv != col:
-            a[[col, piv], col:hi] = a[[piv, col], col:hi]
-            v[col], v[piv] = v[piv], v[col]
-        for r in range(col + 1, lo + 1):
-            f = a[r, col] / a[col, col]
-            if f != 0.0:
-                a[r, col:hi] -= f * a[col, col:hi]
-                v[r] -= f * v[col]
-    p = np.zeros(s)
-    for i in range(s - 1, -1, -1):
-        if abs(a[i, i]) <= tol:
-            raise SingularSystemError(i)
-        hi = min(i + width, s - 1)
-        p[i] = (v[i] - a[i, i + 1:hi + 1] @ p[i + 1:hi + 1]) / a[i, i]
-    return p
+    rows = []
+    for i in range(s):
+        row = [0] * s
+        for j in range(max(i - k, 0), min(i + l, s - 1) + 1):
+            row[j] = diags[j - i + k] % P
+        rows.append(row)
+    for col in range(s):
+        band = range(col, min(col + k, s - 1) + 1)
+        piv = next((r for r in band if rows[r][col]), None)
+        if piv is None:
+            return True
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot = rows[col]
+        hi = min(col + k + l + 1, s)  # row exchanges widen the upper band to k + l
+        inverse = pow(pivot[col], -1, P)
+        for r in band[1:]:
+            f = rows[r][col] * inverse % P
+            if f:
+                rows[r][col:hi] = [(x - f * y) % P for x, y in zip(rows[r][col:hi], pivot[col:hi])]
+    return False
 
 
 def exact_route_iterate(problem, previous, n, rule):
