@@ -50,38 +50,37 @@ def load_problem_spec(path):
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers undecodable bytes and integers of more
+        # digits than int() converts; RecursionError, nesting too deep
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     try:
-        order = int(doc["order"])
-        rhs_source = doc["rhs"]
+        order, rhs_source = doc["order"], doc["rhs"]
     except KeyError as exc:
         raise SpecError(f"spec is missing required key {exc}") from exc
+    if not _is_count(order):
+        raise SpecError(f"order must be an integer >= 1, got {order!r}")
     left = doc.get("left", [])
     right = doc.get("right", [])
     if not isinstance(left, list) or not isinstance(right, list):
         raise SpecError("left and right must be lists of boundary values")
+    if not all(_is_real(v) for v in left + right):
+        raise SpecError("boundary values must be numbers")
     if len(left) + len(right) != order:
         raise SpecError(
             f"boundary condition count mismatch: len(left)={len(left)} + "
             f"len(right)={len(right)} != order {order}"
         )
-    try:
-        rhs = parse_expr(rhs_source)
-    except ExpressionSyntaxError as exc:
-        raise SpecError(f"invalid rhs expression: {exc}") from exc
+    rhs = _parse_source(rhs_source, "rhs")
     if max_arg_index(rhs) >= order:
         raise SpecError(
             f"rhs references y{max_arg_index(rhs)} but order is {order}"
         )
     reference = None
     if doc.get("exact") is not None:
-        try:
-            exact = parse_expr(doc["exact"])
-        except ExpressionSyntaxError as exc:
-            raise SpecError(f"invalid exact expression: {exc}") from exc
+        exact = _parse_source(doc["exact"], "exact")
         if max_arg_index(exact) >= 0:
             raise SpecError("exact solution may only reference x")
         reference = ReferenceSolution(kind="closed_form",
@@ -91,9 +90,19 @@ def load_problem_spec(path):
         raise SpecError("quadrature must be an object with order/panels")
     try:
         problem = BVProblem(tuple(left), tuple(right), rhs)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecError(str(exc)) from exc
     return problem, reference, quad
+
+
+def _parse_source(source, key):
+    """The parsed expression of the spec's string under key."""
+    if not isinstance(source, str):
+        raise SpecError(f"{key} must be an expression string, got {source!r}")
+    try:
+        return parse_expr(source)
+    except ExpressionSyntaxError as exc:
+        raise SpecError(f"invalid {key} expression: {exc}") from exc
 
 
 def _make_options(args, quad, m):
@@ -116,6 +125,11 @@ def _make_options(args, quad, m):
 def _is_count(value):
     """True for an int >= 1; bools, floats and strings are not counts."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_real(value):
+    """True for an int or a float; bools and strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _coefficient_document(report, options):
@@ -232,7 +246,7 @@ def cmd_eval(args):
             doc = json.load(fh)
         coeffs = doc["coefficients"]
         degree = doc["degree"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError, RecursionError, KeyError) as exc:
         raise SpecError(f"cannot read coefficient file: {exc}") from exc
     if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
         raise SpecError("coefficient count does not match degree")

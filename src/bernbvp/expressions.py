@@ -93,11 +93,28 @@ def _tokenize(source):
     return tokens
 
 
+# Deepest syntax tree that parse accepts, and deepest nesting of
+# parentheses (and, separately, of minus signs and ^) in its source.
+# Evaluation, to_source and max_arg_index recurse once per tree level and
+# the parser at most five times per nesting level, so this keeps them all
+# far below Python's recursion limit.  Every accepted tree's to_source
+# nests no deeper than the tree, so it parses back.
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns its tree and the tree's depth.
+
+    ``parens`` counts the parentheses open at the current token and
+    ``operators`` the minus signs and ^ whose operand is being parsed; both
+    bound the recursion before a tree deeper than MAX_DEPTH is complete.
+    """
+
     def __init__(self, source):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.parens = self.operators = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -114,67 +131,90 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         kind, text, offset = self.peek()
         if kind != "eof":
             raise ExpressionSyntaxError(f"unexpected '{text}'", offset)
         return e
 
+    def deeper(self, offset, *depths):
+        """The depth of a node over subtrees of the given depths."""
+        if max(depths) >= MAX_DEPTH:
+            raise _too_deep(offset)
+        return max(depths) + 1
+
+    def operand(self, offset):
+        """The unary after a minus sign or ^ at offset."""
+        if self.operators >= MAX_DEPTH:
+            raise _too_deep(offset)
+        self.operators += 1
+        node = self.unary()
+        self.operators -= 1
+        return node
+
+    def group(self, offset):
+        """The expr and closing parenthesis after the '(' at offset."""
+        if self.parens >= MAX_DEPTH:
+            raise _too_deep(offset)
+        self.parens += 1
+        node = self.expr()
+        self.expect_op(")")
+        self.parens -= 1
+        return node
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in "+-":
+                return node, depth
+            self.advance()
+            right, rdepth = self.term()
+            node, depth = BinOp(text, node, right), self.deeper(offset, depth, rdepth)
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in "*/":
+                return node, depth
+            self.advance()
+            right, rdepth = self.unary()
+            node, depth = BinOp(text, node, right), self.deeper(offset, depth, rdepth)
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+        kind, text, offset = self.peek()
+        if kind != "op" or text != "-":
+            return self.power()
+        self.advance()
+        operand, depth = self.operand(offset)
+        return Neg(operand), self.deeper(offset, depth)
 
     def power(self):
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+        base, depth = self.atom()
+        kind, text, offset = self.peek()
+        if kind != "op" or text != "^":
+            return base, depth
+        self.advance()
+        exponent, edepth = self.operand(offset)
+        return BinOp("^", base, exponent), self.deeper(offset, depth, edepth)
 
     def atom(self):
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "name":
             if text == "x":
-                return X()
+                return X(), 1
             m = re.fullmatch(r"y(\d)", text)
             if m:
-                return Arg(int(m.group(1)))
+                return Arg(int(m.group(1))), 1
             if text in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
+                arg, depth = self.group(self.expect_op("(")[2])
+                return Call(text, arg), self.deeper(offset, depth)
             raise UnknownIdentifierError(text, offset)
         if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.group(offset)
         raise ExpressionSyntaxError(
             f"expected a number, variable, function, or '(', got {text!r}"
             if text else "unexpected end of input",
@@ -182,8 +222,16 @@ class _Parser:
         )
 
 
+def _too_deep(offset):
+    return ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+
+
 def parse(source):
-    """Parse expression source text into an immutable syntax tree."""
+    """Parse expression source text into an immutable syntax tree.
+
+    ExpressionSyntaxError for malformed source, and for a tree deeper than
+    MAX_DEPTH levels or source nested deeper than that.
+    """
     return _Parser(source).parse()
 
 

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bernbvp import bandsolve
 from bernbvp.bernstein import BernsteinPoly, evaluate
@@ -85,6 +86,44 @@ class TestSolveCommand:
         bad.write_text('{"order": 1, "left": ["a"], "rhs": "x"}')
         assert main(["solve", str(bad), "--degree", "3",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"rhs": 3}, "rhs must be an expression string, got 3"),
+        ({"rhs": None}, "rhs must be an expression string, got None"),
+        ({"exact": 3}, "exact must be an expression string, got 3"),
+        ({"order": True}, "order must be an integer >= 1, got True"),
+        ({"order": 1.0}, "order must be an integer >= 1, got 1.0"),
+        ({"order": "1"}, "order must be an integer >= 1, got '1'"),
+        ({"left": ["1"]}, "boundary values must be numbers"),
+        ({"left": [True]}, "boundary values must be numbers"),
+    ], ids=["rhs-int", "rhs-null", "exact-int", "order-true", "order-float", "order-str",
+            "left-str", "left-true"])
+    def test_mistyped_spec_exits_2(self, tmp_path, capsys, fields, message):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"order": 1, "left": [0.0], "rhs": "y0", **fields}))
+        assert main(["solve", str(spec), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_boundary_value_beyond_float_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "s.json"
+        spec.write_text('{"order": 1, "left": [1' + "0" * 400 + '], "rhs": "y0"}')
+        assert main(["solve", str(spec), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: int too large to convert to float")
+
+    @pytest.mark.parametrize("rhs", ["(" * 5000, "-" * 5000 + "x", "^".join(["2"] * 3000)],
+                             ids=["parentheses", "unary-minus", "power-chain"])
+    def test_deeply_nested_rhs_exits_2(self, tmp_path, capsys, rhs):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"order": 1, "left": [0.0], "rhs": rhs}))
+        assert main(["solve", str(spec), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid rhs expression: "
+                                                  "expression nested deeper than")
+
+    def test_deeply_nested_spec_json_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "s.json"
+        spec.write_text("[" * 100000)
+        assert main(["solve", str(spec), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: spec is not valid JSON: ")
 
     def test_rhs_domain_error_exits_3(self, tmp_path, capsys):
         spec = tmp_path / "sing.json"
@@ -191,6 +230,12 @@ class TestEvalCommand:
         assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
         coeffs.write_text('{"degree": 2, "coefficients": [0.0, 1.0]}')
         assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
+
+    def test_deeply_nested_coefficient_file_exits_2(self, tmp_path, capsys):
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text("[" * 100000)
+        assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read coefficient file: ")
 
     def test_example3_left_boundary_value(self, tmp_path, capsys):
         spec = tmp_path / "ex3.json"
@@ -333,3 +378,55 @@ class TestErrorCurveCommand:
         assert main(["error-curve", "--spec", str(spec), "--degree", "3",
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: exp(")
+
+
+# JSON values of every type, huge and non-finite numbers included
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_expressions = st.one_of(
+    st.sampled_from(["y0", "x", "y1^2 + 1", "sin(x) - y0", "1/y0", "ln(y0)", "exp(40*y0)",
+                     "y3", "(" * 5000, "-" * 5000 + "x", "^".join(["2"] * 3000)]),
+    st.text("xy0123+-*/^().e sinlnexp", max_size=30))
+_numbers = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**400, 10**400)
+            | st.booleans() | st.text(max_size=3))
+# quadrature values stay small: a large rule order is a valid request that
+# takes order^2 memory
+_quadrature = st.dictionaries(st.sampled_from(["order", "panels"]),
+                              st.integers(-2, 40) | st.floats(0, 40) | st.booleans()
+                              | st.text(max_size=3) | st.none())
+
+
+@st.composite
+def _specs(draw):
+    """A well-formed spec of order 1..3, then up to three keys replaced by
+    hostile values."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(0, m))
+    small = st.floats(-2, 2)
+    spec = {"order": m, "left": draw(st.lists(small, min_size=k, max_size=k)),
+            "right": draw(st.lists(small, min_size=m - k, max_size=m - k)),
+            "rhs": draw(_expressions)}
+    if draw(st.booleans()):
+        spec["exact"] = draw(_expressions)
+    hostile = {"order": st.integers(-1, 4) | _json_values,
+               "left": st.lists(_numbers, max_size=3) | _json_values,
+               "right": st.lists(_numbers, max_size=3) | _json_values,
+               "rhs": _expressions | _json_values, "exact": _expressions | _json_values,
+               "quadrature": _quadrature | _json_values, "unknown": _json_values}
+    for key in draw(st.lists(st.sampled_from(sorted(hostile)), max_size=3, unique=True)):
+        spec[key] = draw(hostile[key])
+    return spec
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=(_specs() | _json_values).map(json.dumps) | st.just("[" * 100000))
+def test_solve_exits_0_2_or_3_on_any_spec(tmp_path_factory, text):
+    # every spec file, however malformed, ends in a documented exit code
+    tmp = tmp_path_factory.mktemp("spec")
+    path = tmp / "s.json"
+    path.write_text(text)
+    assert main(["solve", str(path), "--degree", "5", "--out", str(tmp / "o.json")]) in (0, 2, 3)

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from bernbvp.errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 from bernbvp.expressions import (
+    MAX_DEPTH,
     Arg,
     BinOp,
     Call,
@@ -119,6 +121,39 @@ class TestParse:
 
     def test_deterministic_trees(self):
         assert parse("sin(x)*2 - y0/4") == parse("sin(x)*2 - y0/4")
+
+    @pytest.mark.parametrize("source,offset", [
+        ("(" * 5000, MAX_DEPTH),
+        ("-" * 5000 + "x", MAX_DEPTH),
+        ("^".join(["2"] * 3000), 2 * MAX_DEPTH + 1),
+        ("+".join(["x"] * 3000), 2 * MAX_DEPTH - 1),
+        ("sin(" * 5000, 4 * MAX_DEPTH + 3),
+    ], ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "calls"])
+    def test_too_deep_is_a_syntax_error(self, source, offset):
+        with pytest.raises(ExpressionSyntaxError, match="nested deeper") as err:
+            parse(source)
+        assert err.value.offset == offset
+
+    def test_deepest_accepted_trees_walk(self):
+        # MAX_DEPTH parentheses and trees of MAX_DEPTH levels parse;
+        # evaluation, to_source and max_arg_index walk the trees from deep
+        # in a call stack, and to_source parses back
+        d = MAX_DEPTH
+        trees = [parse("(" * d + "x" + ")" * d),
+                 parse("-" * (d - 1) + "x"),
+                 parse("^".join(["1"] * d)),
+                 parse("+".join(["y0"] * d)),
+                 parse("sin(" * (d - 1) + "x" + ")" * (d - 1))]
+
+        def from_depth(frames):
+            if frames:
+                return from_depth(frames - 1)
+            return [(evaluate(e, 0.5, (1.0,)), max_arg_index(e), to_source(e)) for e in trees]
+
+        walked = from_depth(sys.getrecursionlimit() - 300)
+        assert [value for value, _, _ in walked[:4]] == [0.5, 0.5 * (-1) ** (d - 1), 1.0, float(d)]
+        assert [index for _, index, _ in walked] == [-1, -1, -1, 0, -1]
+        assert [parse(source) for _, _, source in walked] == trees
 
 
 class TestPrecedence:
