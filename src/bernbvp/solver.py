@@ -21,9 +21,9 @@ moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
 system right-hand side v.  Only the k + l rows of v that subtract the
 boundary stencil terms are exact, rounded once, since their two parts
-cancel.  The band solve reuses cached LU factors per shape and takes one
-refinement step with an exact residual; the iterates a solve returns are
-ordinary float64 BernsteinPolys.
+cancel.  The band solve multiplies by the cached inverse of each matrix
+and takes one refinement step with an exact residual; the iterates a
+solve returns are ordinary float64 BernsteinPolys.
 """
 
 import math

@@ -5,8 +5,7 @@ against the exact route (exact Bernstein moments and dual table) on grid
 values, Bernstein evaluation over arrays against the scalar Horner loop
 bit for bit, the solver's basis-matrix derivatives against Horner within
 a bound, the split exact residual against the integer one bit for bit,
-and the cached band LU factors against the dense elimination bit for
-bit."""
+and the band solve's singular systems against exact determinants."""
 
 import math
 from fractions import Fraction
