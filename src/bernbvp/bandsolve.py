@@ -2,15 +2,15 @@
 
 The matrix couples each row of the m-th forward-difference stencil to the
 unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
-and depends on j-i alone.  Every shape is solved the same way: the inverse
-of the matrix, which depends on its size and diagonals alone, is computed
-once per process and cached, and a solve is one product with it followed by
-one refinement step.  The step computes the residual v - G p exactly
-(every entry of G, p and v is a float64, so a dyadic rational), rounds it
-once and adds the correction that the same inverse gives.  For the stencil
-matrices, whose diagonals are small integers, the exact residual is a split
-of p into two parts whose products with the diagonals are exact, summed by
-``math.fsum``.
+and depends on j-i alone.  Every shape is solved the same way: the matrix
+and its inverse, which depend on its size and diagonals alone, are built
+once per process and cached, and a solve is one product with the inverse
+followed by one refinement step.  The step computes the residual v - G p
+exactly (every entry of G, p and v is a float64, so a dyadic rational),
+rounds it once and adds the correction that the same inverse gives.  For
+the stencil matrices, whose diagonals are small integers, p is split into
+a few parts whose products with G are exact, and ``math.fsum`` rounds
+each row of v minus those products once.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
@@ -55,7 +55,7 @@ class BandedToeplitz:
         diags = np.asarray(self.diagonals, dtype=float)
         if diags.size != self.lower_bw + self.upper_bw + 1:
             raise ValueError("diagonals must hold lower_bw + upper_bw + 1 values")
-        if not np.all(np.isfinite(diags)):
+        if not np.isfinite(diags).all():
             raise ValueError("diagonals must be finite")
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.size != self.size:
@@ -78,6 +78,8 @@ class BandedToeplitz:
                               self.diagonals, np.asarray(v, dtype=float))
 
 
+# one matrix per degree and (k, l): 190 in an examples-n40 pass
+@functools.lru_cache(maxsize=1024)
 def assemble_matrix(n, m, k, l):
     """System matrix for degree n, order m = k + l; rhs zeroed.
 
@@ -88,14 +90,8 @@ def assemble_matrix(n, m, k, l):
         raise ValueError(f"need k + l = m with k, l >= 0; got k={k}, l={l}, m={m}")
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
-    size = n - m + 1
-    return BandedToeplitz(size=size, lower_bw=k, upper_bw=l,
-                          diagonals=np.array(_stencil(k, l)), rhs=np.zeros(size))
-
-
-def _stencil(k, l):
-    """The diagonals of the stencil matrices of band (k, l)."""
-    return [(-1.0) ** (l - d) * comb(k + l, d + k) for d in range(-k, l + 1)]
+    diags = [(-1.0) ** (l - d) * comb(m, d + k) for d in range(-k, l + 1)]
+    return BandedToeplitz(n - m + 1, k, l, np.array(diags), np.zeros(n - m + 1))
 
 
 def assemble_rhs(n, m, k, l, duals, legendre_moments, outer):
@@ -161,13 +157,13 @@ def _dyadic(values):
 def solve(system):
     """Solve G p = v with the cached inverse of G and one refinement step.
 
-    The inverse of each matrix is computed once per (size, k, l, diagonals)
-    (``_inverse``), so a solve applies it twice, to v and to the exactly
-    computed residual, at O(size^2) cost each.  SingularSystemError if G is
-    singular or its condition number is at least 1e13.  For right-hand
-    sides of bounded solutions the residual |G p - v|_inf is well within
-    1e-10 * (1 + |v|_inf) for every split k + l = m <= 8 at every n <= 60
-    (the README gives the measured margin).
+    The matrix and its inverse are built once per (size, k, l, diagonals)
+    (``_band``), so a solve applies the inverse twice, to v and to the
+    exactly computed residual, at O(size^2) cost each.
+    SingularSystemError if G is singular or its condition number is at
+    least 1e13.  For right-hand sides of bounded solutions the residual
+    |G p - v|_inf is well within 1e-10 * (1 + |v|_inf) for every split
+    k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
     """
     if system.size < 1:
         raise ValueError("system must have size >= 1")
@@ -182,8 +178,11 @@ def solve(system):
 
 
 def _banded_lu(system):
-    inv = _inverse(system.size, system.lower_bw, system.upper_bw,
-                   tuple(system.diagonals.tolist()))
+    size, k, l = system.size, system.lower_bw, system.upper_bw
+    _, inv, cond, _ = _band(size, k, l, tuple(system.diagonals.tolist()))
+    if not cond < _MAX_CONDITION:
+        raise SingularSystemError(f"singular system: {size} x {size} matrix of band "
+                                  f"({k}, {l}), condition number {cond:.1e}")
     p = inv @ system.rhs
     if not (np.isfinite(p).all() and np.isfinite(system.rhs).all()):
         return p
@@ -193,38 +192,41 @@ def _banded_lu(system):
 def _residual(system, p):
     """v - G p, exact on the float64 entries, rounded once per entry.
 
-    When every diagonal is an integer of at most b <= 26 bits (the stencil
-    diagonals have at most 7), a Veltkamp split of each p_j into a high
-    part of 53 - b bits and a low part of at most b - 1 bits makes every
-    product with a diagonal exact, and ``math.fsum`` rounds the exact sum
-    of each row once.  Other diagonals, and entries of p or v for which a
-    split or a product could overflow or leave the normal range, take the
-    integer route (``_integer_residual``), which rounds the same exact
-    values: both give the same bits.
+    When the diagonals are integers with sum |d| <= 2^b <= 2^26 (2^m for
+    the stencils), -p splits into parts whose products with G are exact
+    (``_split``), and ``math.fsum`` rounds each v_i plus those products
+    once.  Other diagonals, and p or v too large for the grids, take the
+    integer route (``_integer_residual``): both round the same exact values.
     """
-    k, l = system.lower_bw, system.upper_bw
-    diags = system.diagonals.tolist()
-    if not all(d.is_integer() and abs(d) < 2**26 for d in diags):
+    dense, _, _, bits = _band(system.size, system.lower_bw, system.upper_bw,
+                              tuple(system.diagonals.tolist()))
+    parts = None if bits is None else _split(-p, bits)
+    v = system.rhs.tolist()
+    if parts is None or max(map(abs, v)) > 2.0**1000:
         return _integer_residual(system, p)
-    b = max(max(int(abs(d)).bit_length() for d in diags), 1)
-    v = system.rhs
-    size = np.abs(p)
-    # below 2^-969 the low part could be subnormal; above the bounds a
-    # product or a partial sum of fsum could overflow
-    if (size.max() > 2.0 ** (1000 - b) or np.abs(v).max() > 2.0**1000
-            or size.min() < 2.0**-969 and ((size > 0.0) & (size < 2.0**-969)).any()):
-        return _integer_residual(system, p)
-    c = (2.0**b + 1.0) * p
-    hi = c - (c - p)
-    n, w = p.size, k + l + 1
-    zk, zl = np.zeros(k), np.zeros(l)
-    # v, then hi and lo, each padded with k zeros before and l after: row i
-    # takes v_i and the w entries of each part from index i on
-    flat = np.concatenate((v, zk, hi, zl, zk, p - hi, zl))
-    starts = [0, *range(n, n + w), *range(2 * n + w - 1, 2 * n + 2 * w - 1)]
-    neg = [-d for d in diags]
-    terms = flat[np.add.outer(np.arange(n), starts)] * np.array([1.0, *neg, *neg])
-    return [math.fsum(row) for row in terms.tolist()]
+    return list(map(math.fsum, zip(v, *(parts @ dense.T).tolist())))
+
+
+def _split(p, bits):
+    """Rows that sum to p exactly, or None if p is beyond 2^(1000 - bits).
+
+    Each row is the ExtractVector step of Rump, Ogita and Oishi ("Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31, 2008): for
+    sigma = 2^e >= 2^bits max|rest|, (sigma + rest) - sigma holds multiples
+    of 2^(e-53) of size at most 2^(e-bits) and leaves at most 2^(e-53) for
+    the next row.  Its products with integer diagonals of sum |d| <= 2^bits,
+    and all their partial sums, are multiples of 2^(e-53) of size at most
+    2^e, so exact in any order of summation, with fused multiply-adds or not.
+    """
+    sigma = math.ldexp(1.0, math.frexp(np.abs(p).max())[1] + bits)
+    if sigma > 2.0**1000:
+        return None
+    parts, rest = [], p
+    while np.count_nonzero(rest):
+        parts.append((sigma + rest) - sigma)
+        rest = rest - parts[-1]
+        sigma *= 2.0 ** (bits - 53)
+    return np.array(parts).reshape(-1, p.size)
 
 
 def _integer_residual(system, p):
@@ -243,26 +245,28 @@ def _integer_residual(system, p):
 
 
 # a solve to degree N uses one shape per degree, N - m + 1 of them; an
-# examples-n40 pass uses 190, all kept (0.8 MB)
+# examples-n40 pass uses 190, all kept (1.5 MB)
 @functools.lru_cache(maxsize=1024)
-def _inverse(size, k, l, diagonals):
-    """The read-only inverse of the size x size matrix with the given
-    diagonals (offsets -k..l)."""
+def _band(size, k, l, diagonals):
+    """(matrix, inverse, condition number, bits) of the size x size matrix
+    with the given diagonals (offsets -k..l): the arrays read-only, the
+    inverse None and |G|_inf |G^-1|_inf infinite if it is singular, and
+    bits b with sum |d| <= 2^b <= 2^26 for integer diagonals, else None."""
     offset = np.arange(size) - np.arange(size)[:, None]  # j - i
     band = (offset >= -k) & (offset <= l)
     dense = np.where(band, np.array(diagonals)[np.clip(offset + k, 0, k + l)], 0.0)
+    dense.setflags(write=False)
     try:
         inv = np.linalg.inv(dense)
     except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            f"singular system: {size} x {size} matrix of band ({k}, {l})") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    if not cond < _MAX_CONDITION:
-        raise SingularSystemError(f"singular system: {size} x {size} matrix of band "
-                                  f"({k}, {l}), condition number {cond:.1e}")
-    inv.setflags(write=False)
-    return inv
+        inv, cond = None, math.inf
+    else:
+        inv.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = np.abs(dense).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    total = sum(map(abs, diagonals))
+    small = total <= 2**26 and all(d.is_integer() for d in diagonals)
+    return dense, inv, cond, max(int(total) - 1, 0).bit_length() if small else None
 
 
 # perfbench/tracing.py counts solves by these four names, one per band

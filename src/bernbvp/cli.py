@@ -32,6 +32,9 @@ _EXAMPLE_IDS = (1, 2, 3, 4, 5)
 # digits fast (example 1 reads 1.2e-15 at N = 60, 2.9e-13 at N = 70 and
 # 1.7e+00 at N = 80)
 MAX_DEGREE = 60
+# largest Gauss rule the commands build: leggauss takes order^2 memory, and
+# every iteration evaluates the basis at order * panels nodes
+MAX_QUAD_ORDER, MAX_QUAD_NODES = 256, 1024
 
 
 class SpecError(ValueError):
@@ -120,6 +123,11 @@ def _make_options(args, quad, m):
         raise SpecError(f"quadrature order must be an integer >= 1, got {order!r}")
     if not _is_count(panels):
         raise SpecError(f"quadrature panels must be an integer >= 1, got {panels!r}")
+    if order is not None and order > MAX_QUAD_ORDER:
+        raise SpecError(f"quadrature order {order} is above the maximum {MAX_QUAD_ORDER}")
+    nodes = (order or max(args.degree + 2, 20)) * panels  # the solver's default order
+    if nodes > MAX_QUAD_NODES:
+        raise SpecError(f"quadrature of {nodes} nodes is above the maximum {MAX_QUAD_NODES}")
     return SolveOptions(degree=args.degree, quad_order=order, quad_panels=panels)
 
 
@@ -245,11 +253,12 @@ def cmd_eval(args):
     try:
         with open(args.coeffs) as fh:
             doc = json.load(fh)
-        coeffs = doc["coefficients"]
-        degree = doc["degree"]
-    except (OSError, ValueError, RecursionError, KeyError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecError(f"cannot read coefficient file: {exc}") from exc
-    if not isinstance(coeffs, list) or len(coeffs) != degree + 1:
+    if not isinstance(doc, dict) or type(doc.get("degree")) is not int:
+        raise SpecError("coefficient file must be an object with an integer degree")
+    coeffs = doc.get("coefficients")
+    if not isinstance(coeffs, list) or len(coeffs) != doc["degree"] + 1:
         raise SpecError("coefficient count does not match degree")
     if not 0.0 <= args.at <= 1.0:
         raise SpecError(f"evaluation point {args.at} outside [0, 1]")

@@ -18,6 +18,7 @@ raw math exception.
 """
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -269,23 +270,29 @@ def _power(base, exponent):
     """base ^ exponent over the broadcast operands.
 
     The domain checks run as masks over the whole array, and the first
-    failing element raises, as in an element-by-element walk.  The powers
-    are Python pow per element, overflowing to a signed infinity.  An
-    integral exponent need not become an int first: float pow converts it
-    back to the same double.
+    failing element raises, as in an element-by-element walk; a constant
+    exponent that is a non-negative integer cannot fail them and skips
+    them.  The powers are Python pow per element, overflowing to a signed
+    infinity.  An integral exponent need not become an int first: float
+    pow converts it back to the same double.
     """
-    base, exponent = np.broadcast_arrays(np.asarray(base, dtype=float),
-                                         np.asarray(exponent, dtype=float))
-    integer = np.isfinite(exponent) & (exponent == np.trunc(exponent))
-    negative = (base < 0) & ~integer
-    bad = negative | ((base == 0) & (exponent < 0))
-    if bad.any():
-        first = np.argmax(bad.ravel())
-        b, e = base.ravel()[first].item(), exponent.ravel()[first].item()
-        if negative.ravel()[first]:
-            raise EvaluationError(f"negative base {b} with non-integer exponent {e}", where=b)
-        raise EvaluationError("zero raised to a negative power", where=0.0)
-    values = list(map(_pow, base.ravel().tolist(), exponent.ravel().tolist()))
+    base = np.asarray(base, dtype=float)
+    if isinstance(exponent, float) and exponent >= 0 and exponent.is_integer():
+        exponents = itertools.repeat(exponent)
+    else:
+        base, exponent = np.broadcast_arrays(base, np.asarray(exponent, dtype=float))
+        integer = np.isfinite(exponent) & (exponent == np.trunc(exponent))
+        negative = (base < 0) & ~integer
+        bad = negative | ((base == 0) & (exponent < 0))
+        if bad.any():
+            first = np.argmax(bad.ravel())
+            b, e = base.ravel()[first].item(), exponent.ravel()[first].item()
+            if negative.ravel()[first]:
+                raise EvaluationError(f"negative base {b} with non-integer exponent {e}",
+                                      where=b)
+            raise EvaluationError("zero raised to a negative power", where=0.0)
+        exponents = exponent.ravel().tolist()
+    values = list(map(_pow, base.ravel().tolist(), exponents))
     return np.array(values, dtype=float).reshape(base.shape)
 
 
@@ -316,7 +323,7 @@ def _per_element(fn, *operands):
 
 def _check(bad, values, message):
     """EvaluationError at the first of values where bad holds, if any."""
-    if np.any(bad):
+    if np.asarray(bad).any():
         bad, values = np.broadcast_arrays(bad, values)
         where = float(values[bad][0])
         raise EvaluationError(message.format(where), where=where)

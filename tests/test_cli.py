@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bernbvp import bandsolve
+from bernbvp import bandsolve, quadrature
 from bernbvp.bernstein import BernsteinPoly, evaluate
 from bernbvp.cli import main
 from bernbvp.problems import error_curve, example
@@ -174,6 +174,34 @@ class TestSolveCommand:
             assert main(argv + ["--degree", "6"] + flags) == 2
             assert capsys.readouterr().err.startswith("error: quadrature ")
 
+    @pytest.mark.parametrize("quad,flags", [
+        ({"order": 10**9}, []),
+        ({}, ["--quad-order", str(10**9)]),
+        ({}, ["--quad-order", "257"]),
+        ({"order": 256, "panels": 5}, []),
+        ({}, ["--quad-panels", "10000"]),
+    ], ids=["spec-order-1e9", "flag-order-1e9", "order-257", "nodes-1280", "default-order-panels"])
+    def test_oversized_quadrature_exits_2_before_any_rule(self, tmp_path, capsys, monkeypatch,
+                                                          quad, flags):
+        # rules above order 256 or 1024 nodes are refused before leggauss
+        # allocates its order x order matrix
+        def no_rule(order, panels):
+            raise AssertionError(f"a rule of order {order} x {panels} was built")
+
+        monkeypatch.setattr(quadrature, "_gauss_rule", no_rule)
+        spec = tmp_path / "q.json"
+        spec.write_text(json.dumps({
+            "order": 2, "left": [0.0], "right": [0.0], "rhs": "y1^2 + 1",
+            "exact": "-ln(cos(x - 1/2)/cos(1/2))", "quadrature": quad}))
+        for argv in (["solve", str(spec), "--out", str(tmp_path / "o")],
+                     ["error-curve", "--spec", str(spec)]):
+            assert main(argv + ["--degree", "6"] + flags) == 2
+            assert capsys.readouterr().err.startswith("error: quadrature ")
+
+    def test_largest_quadrature_solves(self, ex1_spec, tmp_path):
+        assert main(["solve", str(ex1_spec), "--degree", "6", "--quad-order", "256",
+                     "--quad-panels", "4", "--out", str(tmp_path / "o")]) == 0
+
     def test_degree_below_order_exits_2(self, ex1_spec, tmp_path):
         assert main(["solve", str(ex1_spec), "--degree", "1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -230,6 +258,18 @@ class TestEvalCommand:
         assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
         coeffs.write_text('{"degree": 2, "coefficients": [0.0, 1.0]}')
         assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[1]", '"degree"', '{"degree": "1", "coefficients": [0, 1]}',
+        '{"degree": true, "coefficients": [0, 1]}', '{"degree": 1.0, "coefficients": [0, 1]}',
+        '{"coefficients": [0, 1]}', '{"degree": 1}'],
+        ids=["list", "string", "degree-str", "degree-true", "degree-float", "no-degree",
+             "no-coefficients"])
+    def test_malformed_coefficient_document_exits_2(self, tmp_path, capsys, text):
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(text)
+        assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_deeply_nested_coefficient_file_exits_2(self, tmp_path, capsys):
         coeffs = tmp_path / "c.json"
@@ -393,11 +433,11 @@ _expressions = st.one_of(
     st.text("xy0123+-*/^().e sinlnexp", max_size=30))
 _numbers = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**400, 10**400)
             | st.booleans() | st.text(max_size=3))
-# quadrature values stay small: a large rule order is a valid request that
-# takes order^2 memory
+# huge quadrature values are refused before a rule is built (cli.MAX_QUAD_ORDER
+# and MAX_QUAD_NODES), so they cost nothing here
 _quadrature = st.dictionaries(st.sampled_from(["order", "panels"]),
-                              st.integers(-2, 40) | st.floats(0, 40) | st.booleans()
-                              | st.text(max_size=3) | st.none())
+                              st.integers(-2, 40) | st.integers(257, 10**12) | st.floats(0, 40)
+                              | st.booleans() | st.text(max_size=3) | st.none())
 
 
 @st.composite

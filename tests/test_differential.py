@@ -16,7 +16,7 @@ from helpers import (band_is_singular, dense_from_banded, evaluate_reference,
                      exact_route_iterate, legendre_moments_reference)
 
 from bernbvp import bandsolve
-from bernbvp.bandsolve import BandedToeplitz, _inverse, assemble_matrix, assemble_rhs, solve
+from bernbvp.bandsolve import BandedToeplitz, _band, assemble_matrix, assemble_rhs, solve
 from bernbvp.bernstein import BernsteinPoly, derivative, evaluate
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
@@ -246,27 +246,34 @@ def test_evaluate_scalar_returns_python_float():
 
 def factor_and_apply(system):
     """One solve with the cached inverse, before the refinement step."""
-    inverse = _inverse(system.size, system.lower_bw, system.upper_bw,
-                       tuple(system.diagonals.tolist()))
+    _, inverse, _, _ = _band(system.size, system.lower_bw, system.upper_bw,
+                             tuple(system.diagonals.tolist()))
     return inverse @ system.rhs
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_split_residual_matches_integer_route(m, monkeypatch):
-    # the refinement step's residual v - G p: the Veltkamp split summed by
-    # fsum gives the bits of the exact integer route.  p near a solution
-    # (heavy cancellation) and p over the whole range the split serves take
-    # the split; an entry of p beyond it, huge or tiny (subnormal
-    # included), or a non-integer diagonal falls back to the integer route
+    # the refinement step's residual v - G p: p split on shared grids and
+    # each row summed by fsum gives the bits of the exact integer route.
+    # p near a solution (heavy cancellation), p over the whole range the
+    # split serves (tiny and subnormal entries included) and p spanning
+    # more than 300 binades take the split; an entry of p too large for
+    # the grids, or a non-integer diagonal, falls back to the integer route
     rng = np.random.default_rng(3100 + m)
-    integer_route = bandsolve._integer_residual
-    fallbacks = []
+    integer_route, split = bandsolve._integer_residual, bandsolve._split
+    fallbacks, rows = [], []
 
     def counted(system, p):
         fallbacks.append(system.size)
         return integer_route(system, p)
 
+    def counted_split(p, bits):
+        parts = split(p, bits)
+        rows.append(None if parts is None else len(parts))
+        return parts
+
     monkeypatch.setattr(bandsolve, "_integer_residual", counted)
+    monkeypatch.setattr(bandsolve, "_split", counted_split)
 
     def check(system, p, falls_back):
         before = len(fallbacks)
@@ -287,10 +294,17 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
                          rng.integers(-968, 993, size))
             p[rng.random(size) < 0.2] = rng.choice((0.0, -0.0))
             check(system, p, 0)
-            for extreme in (2.0**1010, -(2.0**1005), 2.0**-1000, 5e-324):
+            for extreme, falls_back in ((2.0**1010, 1), (-(2.0**1005), 1),
+                                        (2.0**-1000, 0), (5e-324, 0)):
                 q = p.copy()
                 q[rng.integers(size)] = extreme
-                check(system, q, 1)
+                check(system, q, falls_back)
+            # seven magnitudes 60 binades apart, 2^0 down to 2^-360: each
+            # needs a grid of its own
+            wide = np.ldexp(rng.uniform(0.5, 1, size) * rng.choice((-1, 1), size),
+                            -60 * (np.arange(size) % 7))
+            check(system, wide, 0)
+            assert rows[-1] >= min(size, 7), rows
             halves = BandedToeplitz(size, k, m - k, system.diagonals + 0.5, system.rhs)
             check(halves, p, 1)
 

@@ -9,7 +9,7 @@ from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
 from bernbvp import bandsolve
-from bernbvp.bandsolve import _inverse
+from bernbvp.bandsolve import _band, assemble_matrix
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
 from bernbvp.errors import EvaluationError, IterationError
@@ -407,7 +407,8 @@ class TestSolve:
         opts = SolveOptions(degree=30)
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
-        _inverse.cache_clear()
+        _band.cache_clear()
+        assemble_matrix.cache_clear()
         cold = [solve(p, opts) for p in problems]
         warm = [solve(p, opts) for p in problems]
         for a, b in zip(cold, warm):
@@ -431,7 +432,8 @@ class TestSolve:
         workers = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
-        _inverse.cache_clear()
+        _band.cache_clear()
+        assemble_matrix.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
