@@ -30,10 +30,13 @@ A change that moves output bytes on purpose is judged on values instead::
 
 The values of an output are those of its polynomial on the 201-point grid
 x = i/200 (the examples and the specs), the cells of the table, or the
-error column of an error curve.  ``--compare-values FILE`` prints, for
-each output, the largest absolute difference of its values from FILE's
-(empty table cells must stay empty), then the largest over all outputs;
-it exits 1 if an output is missing on either side.
+error column of an error curve.  Polynomials are evaluated here by the
+de Casteljau algorithm of ``perfbench/checks.py``, not by the library's
+own evaluator, so their drift measures the coefficients alone.
+``--compare-values FILE`` prints, for each output, the largest absolute
+difference of its values from FILE's (empty table cells must stay
+empty), then the largest over all outputs; it exits 1 if an output is
+missing on either side.
 """
 
 import argparse
@@ -74,13 +77,14 @@ def outputs(tmp):
     a list of floats, NaN for an empty table cell."""
     import numpy as np
 
-    from bernbvp import BernsteinPoly, SolveOptions, example, solve
+    from bernbvp import SolveOptions, example, solve
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import specgen
+    from checks import de_casteljau
 
     def on_grid(coeffs):
-        return BernsteinPoly(coeffs)(np.arange(201) / 200).tolist()
+        return de_casteljau(coeffs, np.arange(201) / 200).tolist()
 
     def csv_values(data, first_row):
         rows = list(csv.reader(io.StringIO(data.decode())))[first_row:]

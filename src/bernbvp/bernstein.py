@@ -1,8 +1,10 @@
-"""Polynomials in Bernstein form on [0, 1]: evaluation, derivatives and
-endpoint derivatives.
+"""Polynomials in Bernstein form on [0, 1]: the basis values, evaluation,
+derivatives and endpoint derivatives.
 
 Coefficients p_0..p_n represent w(x) = sum_i p_i * B_i^n(x) with
-B_i^n(x) = C(n,i) x^i (1-x)^(n-i).
+B_i^n(x) = C(n,i) x^i (1-x)^(n-i).  ``basis_matrix`` is the one evaluator
+of that basis: ``evaluate`` sums over its values, and each quadrature rule
+keeps its values at the rule's nodes for the solver.
 """
 
 import functools
@@ -13,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "BernsteinPoly",
-    "basis_value",
+    "basis_matrix",
     "evaluate",
     "derivative",
     "endpoint_derivative",
@@ -66,59 +68,43 @@ class BernsteinPoly:
         return f"BernsteinPoly(degree={self.degree}, coeffs={self.coeffs.tolist()})"
 
 
-def basis_value(n, i, x):
-    """Value of the i-th Bernstein basis polynomial of degree n at x."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index {i} out of range for degree {n}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    return binomial_row(n)[i] * x**i * (1.0 - x) ** (n - i)
+def basis_matrix(d, x):
+    """Values B_i^d(x) = C(d, i) x^i (1 - x)^(d - i) for i = 0..d at every
+    point of x, as an array of shape x.shape + (d + 1,).
+
+    Each entry is within a few roundings of its exact value at the float
+    point: s = 1 - x rounds below x = 1/2, and its rounding error e, which
+    (s - 1) + x gives exactly, is corrected to first order,
+    (1 - x)^j = s^j (1 - j e / s); above 1/2, e = 0 (the quotient takes
+    max(s, 1/2), so x = 1 divides by no zero).  So the values at a point
+    sum to 1 within a few ulps, and a sum over the basis, whose entries are
+    nonnegative, is as well conditioned as de Casteljau's algorithm
+    (Farouki and Rajan, CAGD 4, 1987).  Every operation is elementwise, so
+    a point gives the same values alone as within an array.
+    """
+    if d < 0:
+        raise ValueError(f"degree must be non-negative, got {d}")
+    j = d - np.arange(d + 1)  # the power of 1 - x
+    x = np.asarray(x, dtype=float)[..., None]
+    s = 1.0 - x
+    rel = ((s - 1.0) + x) / np.maximum(s, 0.5)  # e / s
+    return binomial_row(d) * x ** (d - j) * s ** j * (1.0 - j * rel)
 
 
 def evaluate(p, x):
-    """Evaluate p at x in [0, 1]; x is a float or a numpy array of points.
+    """Evaluate the BernsteinPoly p at x in [0, 1]: a float for a float x,
+    an array of x's shape otherwise.
 
-    p is one BernsteinPoly, giving a float for a float x and an array of
-    x's shape otherwise, or a sequence of them (say the derivatives of an
-    iterate), giving one row of values per polynomial.
-
-    Uses a Horner scheme in t = x/(1-x) for x <= 1/2 and the mirrored
-    scheme in (1-x)/x otherwise, so no significance is lost near either
-    endpoint.  Cost O(n) per point and polynomial.  One numpy loop serves
-    every point and polynomial: each point takes its coefficients c_i C(n,i)
-    in its own order, and lower degrees are padded with leading -0.0, which
-    leaves the sum unchanged (-0.0 * t + c == c for every c, as t is finite
-    and >= 0).  The factor s^n or x^n is a Python pow per element.  So every
-    value carries the same IEEE operations as the scalar loop, bit for bit.
+    Sums p_i B_i^n(x) over ``basis_matrix``'s values, per point along the
+    last axis, so an array gives the same bits as a loop over its points.
+    Cost O(n) per point.
     """
-    polys = [p] if isinstance(p, BernsteinPoly) else list(p)
     xs = np.asarray(x, dtype=float)
     inside = (xs >= 0.0) & (xs <= 1.0)
     if not inside.all():
         raise ValueError(f"x={xs[~inside].flat[0]} outside [0, 1]")
-    flat = xs.ravel()
-    low = flat <= 0.5
-    s = 1.0 - flat
-    base = np.where(low, s, flat)
-    t = np.where(low, flat, s) / base
-    degrees = [q.degree for q in polys]
-    top = max(degrees)
-    down = np.full((top + 1, len(polys)), -0.0)  # cb[n]..cb[0], for x <= 1/2
-    up = np.full((top + 1, len(polys)), -0.0)    # cb[0]..cb[n], for x > 1/2
-    for r, (q, n) in enumerate(zip(polys, degrees)):
-        cb = q.coeffs * binomial_row(n)
-        down[top - n:, r] = cb[::-1]
-        up[top - n:, r] = cb
-    seq = np.where(low, down[:, :, None], up[:, :, None])
-    acc = seq[0]
-    for step in seq[1:]:
-        acc = acc * t + step
-    bases = base.tolist()
-    scale = np.array([[b ** n for b in bases] for n in degrees])
-    out = (acc * scale).reshape((len(polys),) + xs.shape)
-    if not isinstance(p, BernsteinPoly):
-        return out
-    return float(out[0]) if xs.ndim == 0 else out[0]
+    out = (basis_matrix(p.degree, xs) * p.coeffs).sum(axis=-1)
+    return float(out) if xs.ndim == 0 else out
 
 
 def derivative(p, r):

@@ -8,11 +8,10 @@ per (order, panels).  The solver's moments are Legendre moments
 samples of g with a weighted Legendre Vandermonde that each rule builds on
 first use and keeps.  ``dual.DualCoeffTable.legendre`` turns them into the
 Bernstein coefficients of the projection of g.  Beside the Vandermonde,
-each rule keeps one Bernstein basis matrix per degree d, the values
+each rule keeps one ``bernstein.basis_matrix`` per degree d, the values
 B_i^d(x_t) at its nodes, so a polynomial of degree d (a derivative of the
 solver's iterate) is evaluated at every node by one matrix-vector product
-with its coefficients.  ``basis_row`` gives the Bernstein basis values at
-one point, for references that project onto the Bernstein basis directly.
+with its coefficients.
 """
 
 import functools
@@ -21,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import binomial_row
+from .bernstein import basis_matrix
 from .errors import EvaluationError
 
-__all__ = ["QuadratureRule", "gauss_rule", "basis_row", "legendre_moments"]
+__all__ = ["QuadratureRule", "gauss_rule", "legendre_moments"]
 
 
 @dataclass(frozen=True)
@@ -61,30 +60,16 @@ class QuadratureRule:
         return table[:, :nu + 1]
 
     def bernstein_basis(self, d):
-        """Entries B_i^d(x_t) = C(d, i) x_t^i (1 - x_t)^(d - i) for every
-        node t and i = 0..d, as a read-only (nodes, d + 1) array.
+        """``basis_matrix(d, self.nodes)``: B_i^d(x_t) for every node t and
+        i = 0..d, as a read-only (nodes, d + 1) array.
 
         Built on first use for each degree and kept, so later calls return
-        the same array.  Each entry is within a few roundings of its exact
-        value at the float node: s = 1 - x_t rounds below x_t = 1/2, and
-        its rounding error e, which (s - 1) + x_t gives exactly, is
-        corrected to first order, (1 - x_t)^j = s^j (1 - j e / s); above
-        1/2, e = 0 (the quotient takes max(s, 1/2), so x_t = 1 divides by
-        no zero).  So the rows sum to 1 within a few ulps, and a sum over
-        the basis, whose entries are nonnegative, is as well conditioned as
-        de Casteljau's algorithm (Farouki and Rajan, CAGD 4, 1987).  Threads
-        that build the same degree at once build equal arrays, and all of
-        them get the one that is kept.
+        the same array.  Threads that build the same degree at once build
+        equal arrays, and all of them get the one that is kept.
         """
-        if d < 0:
-            raise ValueError(f"degree must be non-negative, got {d}")
         table = self._bernstein_bases.get(d)
         if table is None:
-            j = d - np.arange(d + 1)  # the power of 1 - x
-            x = self.nodes[:, None]
-            s = 1.0 - x
-            rel = ((s - 1.0) + x) / np.maximum(s, 0.5)  # e / s
-            table = binomial_row(d) * x ** (d - j) * s ** j * (1.0 - j * rel)
+            table = basis_matrix(d, self.nodes)
             table.setflags(write=False)
             table = self._bernstein_bases.setdefault(d, table)
         return table
@@ -116,24 +101,6 @@ def _gauss_rule(order, panels):
         nodes=(starts[:, None] + (x + 1) / 2 * h).ravel(),
         weights=np.tile(w * h / 2, panels),
     )
-
-
-def basis_row(n, x):
-    """All Bernstein basis values B_0^n(x)..B_n^n(x) in O(n^2).
-
-    Degree-raising recurrence (n passes over the row); the row sums to 1
-    up to roundoff.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    b = np.zeros(n + 1)
-    b[0] = 1.0
-    for d in range(1, n + 1):
-        b[d] = x * b[d - 1]
-        for i in range(d - 1, 0, -1):
-            b[i] = x * b[i - 1] + (1.0 - x) * b[i]
-        b[0] = (1.0 - x) * b[0]
-    return b
 
 
 def legendre_moments(g, nu, rule):

@@ -44,18 +44,24 @@ __all__ = ["BVProblem", "SolveOptions", "SolveReport",
 
 
 def _node_derivatives(p, orders, rule):
-    """Values at the rule's nodes of the derivatives of the given orders of
-    the polynomial with Bernstein coefficients p, one array per order.
+    """Values at the rule's nodes of the derivatives of the given orders
+    (ascending) of the polynomial with Bernstein coefficients p, one array
+    per order.
 
     Derivative r has the coefficients n!/(n-r)! times the r-fold forward
-    differences of p, and its values are one product with the rule's basis
-    matrix of degree n - r.  A value that overflows is inf or nan, with no
-    warning; the caller checks the values it uses.
+    differences of p, taken once, order after order, and its values are
+    one product with the rule's basis matrix of degree n - r.  A value
+    that overflows is inf or nan, with no warning; the caller checks the
+    values it uses.
     """
     n = p.size - 1
+    values, q = [], p
     with np.errstate(over="ignore", invalid="ignore"):
-        return [rule.bernstein_basis(n - r) @ (falling_factorial(n, r) * np.diff(p, r))
-                for r in orders]
+        for r in orders:
+            while q.size > n + 1 - r:
+                q = q[1:] - q[:-1]
+            values.append(rule.bernstein_basis(n - r) @ (falling_factorial(n, r) * q))
+    return values
 
 
 # perfbench/tracing.py wraps these names: _eval_mp, the node evaluator

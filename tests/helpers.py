@@ -7,7 +7,7 @@ import numpy as np
 
 
 def de_casteljau(coeffs, x):
-    """O(n^2) Bernstein evaluation; independent oracle for the Horner path."""
+    """O(n^2) Bernstein evaluation; independent oracle for the basis sum."""
     b = np.array(coeffs, dtype=float)
     n = b.size - 1
     for r in range(1, n + 1):
@@ -16,9 +16,11 @@ def de_casteljau(coeffs, x):
 
 
 def evaluate_reference(p, x):
-    """Horner evaluation of a BernsteinPoly on numpy scalars, the loop that
-    ``bernstein.evaluate`` runs on Python floats; results must agree bit
-    for bit."""
+    """Horner evaluation of a BernsteinPoly at one point, in t = x/(1-x) for
+    x <= 1/2 and in (1-x)/x otherwise, so no significance is lost near
+    either end.  Oracle for ``bernstein.evaluate`` and the solver's node
+    derivatives, which sum over the basis instead: the two differ by at
+    most 4 (d + 1) eps sum_i |q_i| B_i^d(x)."""
     from bernbvp.bernstein import binomial_row
 
     c = p.coeffs
@@ -36,6 +38,29 @@ def evaluate_reference(p, x):
     for i in range(1, n + 1):
         acc = acc * u + c[i] * binom[i]
     return acc * x**n
+
+
+def basis_exact(d, i, x):
+    """B_i^d(x) = C(d, i) x^i (1 - x)^(d - i) as an exact Fraction at the
+    float x."""
+    x = Fraction(x)
+    return math.comb(d, i) * x**i * (1 - x) ** (d - i)
+
+
+def assert_basis_near_exact(values, d, x):
+    """Basis values B_0^d(x)..B_d^d(x) at one float x: each within
+    2 (d + 1) eps B_i^d(x) of the exact value (measured worst:
+    0.32 (d + 1) eps) and within 4 (d + 1) eps B_i^d(x) of the Horner
+    oracle on the unit coefficients, or within 2^-1022 where the powers
+    underflow."""
+    from bernbvp.bernstein import BernsteinPoly
+
+    for i, value in enumerate(values):
+        exact = basis_exact(d, i, x)
+        bound = 4 * (d + 1) * 2.0**-52 * exact
+        assert abs(Fraction(value) - exact) <= max(bound / 2, 2.0**-1022), (d, i, x)
+        horner = evaluate_reference(BernsteinPoly(np.eye(d + 1)[i]), x)
+        assert abs(Fraction(value) - Fraction(horner)) <= max(bound, 2.0**-1022), (d, i, x)
 
 
 def expression_reference(e, x, args=()):
@@ -174,7 +199,7 @@ def exact_route_iterate(problem, previous, n, rule):
     left, right = outer_coefficients(problem, n)
     derivs = [derivative(previous, r) for r in range(m)]
     moments, _ = exact_moments_reference(
-        lambda xs: problem.rhs_value(xs, evaluate(derivs, xs)), n - m, rule)
+        lambda xs: problem.rhs_value(xs, [evaluate(d, xs) for d in derivs]), n - m, rule)
     v = assemble_rhs_reference(n, m, k, l, dual_coefficients(n - m), moments, (left, right))
     system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
     return _full_coeffs(n, k, l, left, right, bandsolve.solve(system))

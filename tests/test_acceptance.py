@@ -12,13 +12,14 @@ from helpers import (BENCHMARK_MAX_ERRORS, PRECISION_FLOOR, dense_from_banded,
                      manufactured_polynomial, monomial_bernstein_coeffs)
 
 from bernbvp.bandsolve import assemble_matrix, solve as band_solve
-from bernbvp.bernstein import BernsteinPoly, derivative, endpoint_derivative, evaluate
+from bernbvp.bernstein import (BernsteinPoly, basis_matrix, derivative, endpoint_derivative,
+                               evaluate)
 from bernbvp.cli import main as cli_main
 from bernbvp.dual import bernstein_gram_entry, dual_coefficients
 from bernbvp.errors import IterationError
 from bernbvp.expressions import parse
 from bernbvp.problems import error_curve, max_error
-from bernbvp.quadrature import basis_row, gauss_rule
+from bernbvp.quadrature import gauss_rule
 from bernbvp.solver import BVProblem, SolveOptions, iterate, outer_coefficients, seed, solve
 
 RATIO_BAND = 10.0  # reproduction tolerance: within a factor of 10
@@ -121,10 +122,10 @@ def inner_by_normal_equations(problem, w_prev, n):
     xg, wg = np.polynomial.legendre.leggauss(30)
     xg = (xg + 1) / 2
     wg = wg / 2
-    gvals = np.asarray(problem.rhs_value(xg, evaluate(derivs, xg)), dtype=float)
+    gvals = np.asarray(problem.rhs_value(xg, [evaluate(d, xg) for d in derivs]), dtype=float)
     moments = np.zeros(nu + 1)
-    for x, w, gv in zip(xg, wg, gvals):
-        moments += w * gv * basis_row(nu, x)
+    for row, w, gv in zip(basis_matrix(nu, xg), wg, gvals):
+        moments += w * gv * row
 
     a_full = fac**2 * d.T @ gram @ d
     b_full = fac * d.T @ moments

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import numpy as np
@@ -6,7 +7,7 @@ from helpers import de_casteljau
 
 from bernbvp.bernstein import (
     BernsteinPoly,
-    basis_value,
+    basis_matrix,
     binomial_row,
     derivative,
     endpoint_derivative,
@@ -27,33 +28,29 @@ class TestBinomialRow:
 
 
 class TestBasisValue:
+    # the values of basis_matrix at one point
     def test_known_values(self):
-        assert basis_value(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert basis_value(5, 0, 0.0) == 1.0
-        assert basis_value(4, 3, 0.25) == pytest.approx(0.046875, rel=1e-14)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            basis_value(3, 4, 0.5)
-        with pytest.raises(ValueError):
-            basis_value(3, -1, 0.5)
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            basis_value(3, 1, 1.5)
+        assert basis_matrix(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
+        assert basis_matrix(5, 0.0)[0] == 1.0
+        assert basis_matrix(4, 0.25)[3] == pytest.approx(0.046875, rel=1e-14)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 5, 11, 17, 30):
             for x in rng.uniform(0, 1, 20):
-                total = sum(basis_value(n, i, x) for i in range(n + 1))
-                assert total == pytest.approx(1.0, abs=1e-13)
+                assert math.fsum(basis_matrix(n, x).tolist()) == pytest.approx(1.0, abs=1e-13)
 
     def test_endpoint_cardinality_exact(self):
         for n in range(0, 13):
-            for i in range(n + 1):
-                assert basis_value(n, i, 0.0) == (1.0 if i == 0 else 0.0)
-                assert basis_value(n, i, 1.0) == (1.0 if i == n else 0.0)
+            assert basis_matrix(n, 0.0).tolist() == [1.0] + [0.0] * n
+            assert basis_matrix(n, 1.0).tolist() == [0.0] * n + [1.0]
+
+    def test_shape_follows_x(self):
+        for shape in ((), (0,), (3,), (2, 5)):
+            x = np.full(shape, 0.25)
+            assert basis_matrix(4, x).shape == shape + (5,)
+        with pytest.raises(ValueError):
+            basis_matrix(-1, 0.5)
 
 
 class TestEvaluate:

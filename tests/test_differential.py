@@ -2,10 +2,11 @@
 helpers.py: the Legendre moments against exact ones, the system
 right-hand side v bit for bit, one iterate of the float64 Legendre route
 against the exact route (exact Bernstein moments and dual table) on grid
-values, Bernstein evaluation over arrays against the scalar Horner loop
-bit for bit, the solver's basis-matrix derivatives against Horner within
-a bound, the split exact residual against the integer one bit for bit,
-and the band solve's singular systems against exact determinants."""
+values, Bernstein evaluation over arrays against a loop over the points
+bit for bit and against the scalar Horner loop within a bound, the
+solver's basis-matrix derivatives against Horner within that bound, the
+split exact residual against the integer one bit for bit, and the band
+solve's singular systems against exact determinants."""
 
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ from helpers import (band_is_singular, dense_from_banded, evaluate_reference,
 
 from bernbvp import bandsolve
 from bernbvp.bandsolve import BandedToeplitz, _band, assemble_matrix, assemble_rhs, solve
-from bernbvp.bernstein import BernsteinPoly, derivative, evaluate
+from bernbvp.bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import SingularSystemError
 from bernbvp.expressions import parse
@@ -139,15 +140,30 @@ def test_legendre_route_matches_exact_route_on_grid_values(m):
     assert worst <= 1e-8
 
 
+def horner_bound(q, x):
+    """4 (d + 1) eps sum_i |q_i| B_i^d(x) for the degree-d BernsteinPoly q
+    at one point: the most the sum over the basis may differ from the
+    Horner oracle (measured worst: 0.93 of it without the 4)."""
+    return 4 * (q.degree + 1) * 2.0**-52 * evaluate_reference(BernsteinPoly(np.abs(q.coeffs)), x)
+
+
+def assert_near_horner(q, xs, got):
+    for x, value in zip(xs.tolist(), np.asarray(got).tolist()):
+        assert abs(value - evaluate_reference(q, x)) <= horner_bound(q, x), (q.degree, x)
+
+
 def test_evaluate_bit_identical():
+    # a Python float, an np.float64 and a one-point array give the same bits
     rng = np.random.default_rng(17)
     for n in list(range(0, 8)) + [20, 39, 59, 60]:
         coeffs = rng.uniform(-1, 1, n + 1) * 10.0 ** rng.integers(-10, 11, n + 1)
         p = BernsteinPoly(coeffs)
-        xs = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53] + rng.uniform(0, 1, 40).tolist()
-        for x in xs:
-            assert bits(evaluate(p, x)) == bits(evaluate_reference(p, x)), (n, x)
-            assert bits(evaluate(p, np.float64(x))) == bits(evaluate_reference(p, x)), (n, x)
+        xs = np.array([0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53] + rng.uniform(0, 1, 40).tolist())
+        for x in xs.tolist():
+            got = evaluate(p, x)
+            assert bits(evaluate(p, np.float64(x))) == bits(got), (n, x)
+            assert bits(evaluate(p, np.array([x]))) == bits(got), (n, x)
+        assert_near_horner(p, xs, evaluate(p, xs))
 
 
 def random_coeffs(rng, n):
@@ -168,43 +184,27 @@ def edge_points():
 
 @pytest.mark.parametrize("n", range(0, 61))
 def test_evaluate_over_arrays_matches_scalar_horner(n):
-    # the nodes of the rule the solver uses at degree n (orders 20..62, two
-    # panels), the 201-point grid and the edge points
+    # at the nodes of the rule the solver uses at degree n (orders 20..62,
+    # two panels), the 201-point grid and the edge points: an array gives
+    # the bits of a loop over its points, within the bound of Horner
     rng = np.random.default_rng(1000 + n)
     p = BernsteinPoly(random_coeffs(rng, n))
     for xs in (gauss_rule(max(n + 2, 20), 2).nodes, np.arange(201) / 200, edge_points()):
-        want = [evaluate_reference(p, x) for x in xs.tolist()]
-        assert bits(evaluate(p, xs)) == bits(want), n
+        got = evaluate(p, xs)
+        assert bits(got) == bits([evaluate(p, x) for x in xs.tolist()]), n
+        assert_near_horner(p, xs, got)
     xs = edge_points().reshape(2, 5)
     assert evaluate(p, xs).shape == (2, 5)
     assert bits(evaluate(p, xs)) == bits(evaluate(p, xs.ravel()))
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_stacked_derivatives_match_scalar_horner(m):
-    # derivatives 0..m-1 of one iterate, of degrees n-1 down to n-m, in one
-    # evaluation over a rule's nodes
-    rng = np.random.default_rng(2000 + m)
-    for n in (m, m + 1, int(rng.integers(m + 2, 61)), 60):
-        prev = BernsteinPoly(random_coeffs(rng, n - 1))
-        derivs = [derivative(prev, r) for r in range(m)]
-        xs = np.concatenate([gauss_rule(max(n + 2, 20), 2).nodes, edge_points()])
-        got = evaluate(derivs, xs)
-        assert got.shape == (m, xs.size)
-        for r, d in enumerate(derivs):
-            want = [evaluate_reference(d, x) for x in xs.tolist()]
-            assert bits(got[r]) == bits(want), (m, n, r)
-
-
-@pytest.mark.parametrize("m", range(1, 9))
 def test_node_derivatives_match_horner_within_the_basis_bound(m):
     # the solver's evaluator: derivative r of a degree-n polynomial at the
     # nodes is one product with the rule's basis matrix of degree d = n - r,
-    # checked against the Horner loop of evaluate on the same derivative
-    # coefficients q.  Bound: 4 (d + 1) eps sum_i |q_i| B_i^d(x), at the
-    # default rules (their outer nodes are the ones nearest 0 and 1) and at
-    # nodes on both ends; the worst measured was 0.93 (d + 1) eps sum_i
-    # |q_i| B_i^d(x) over degrees <= 60
+    # checked against the Horner oracle on the same derivative coefficients
+    # q within horner_bound, at the default rules (their outer nodes are
+    # the ones nearest 0 and 1) and at nodes on both ends
     rng = np.random.default_rng(2050 + m)
     ends = QuadratureRule(5, 1, [0.0, 1e-3, 0.5, 1 - 1e-3, 1.0], [0.2] * 5)
     for n in (m, m + 1, int(rng.integers(m + 2, 60)), 60):
@@ -212,36 +212,23 @@ def test_node_derivatives_match_horner_within_the_basis_bound(m):
         for rule in (gauss_rule(max(n + 2, 20), 2), ends):
             got = _node_derivatives(coeffs, range(m + 1), rule)
             for r in range(m + 1):
-                q = derivative(BernsteinPoly(coeffs), r)
-                want = evaluate(q, rule.nodes)
-                scale = evaluate(BernsteinPoly(np.abs(q.coeffs)), rule.nodes)
-                bound = 4 * (q.degree + 1) * 2.0**-52 * scale
-                assert (np.abs(got[r] - want) <= bound).all(), (m, n, r, rule.order)
-
-
-def test_stacked_polynomials_of_any_degrees():
-    # padding a lower degree must not touch a signed zero: rows of -0.0 and
-    # +-0 mixes keep their sign, as in the scalar loop
-    rng = np.random.default_rng(2100)
-    zeros = [BernsteinPoly([-0.0] * 3), BernsteinPoly([-0.0]), BernsteinPoly([0.0, -0.0])]
-    polys = zeros + [BernsteinPoly(random_coeffs(rng, int(n)))
-                     for n in rng.integers(0, 61, 8)]
-    xs = np.concatenate([np.arange(201) / 200, edge_points()])
-    got = evaluate(polys, xs)
-    for r, p in enumerate(polys):
-        want = [evaluate_reference(p, x) for x in xs.tolist()]
-        assert bits(got[r]) == bits(want), (r, p.degree)
+                assert_near_horner(derivative(BernsteinPoly(coeffs), r), rule.nodes, got[r])
+                # differences taken order after order give the bits of np.diff's
+                once = rule.bernstein_basis(n - r) @ (falling_factorial(n, r) * np.diff(coeffs, r))
+                assert bits(got[r]) == bits(once), (m, n, r)
+                assert bits(_node_derivatives(coeffs, (r,), rule)[0]) == bits(once), (m, n, r)
 
 
 def test_evaluate_scalar_returns_python_float():
     p = BernsteinPoly([0.25, -0.5, 1.0, 0.75])
-    for x in (0.0, 0.3, 0.5, 1.0, np.float64(0.7)):
+    for x in (0.0, 0.3, 0.5, 1.0, np.float64(0.7), np.array(0.7)):
         got = evaluate(p, x)
         assert type(got) is float
-        assert bits(got) == bits(evaluate_reference(p, float(x)))
+        assert bits(got) == bits(evaluate(p, np.array([x]))[0])
         assert bits(p(x)) == bits(got)
     with pytest.raises(ValueError, match="outside"):
         evaluate(p, np.array([0.5, 1.5]))
+    assert evaluate(p, np.empty((0, 3))).shape == (0, 3)
 
 
 def factor_and_apply(system):

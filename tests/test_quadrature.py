@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import assert_basis_near_exact
 
-from bernbvp.bernstein import basis_value
-from bernbvp.quadrature import QuadratureRule, basis_row, gauss_rule, legendre_moments
+from bernbvp.bernstein import basis_matrix
+from bernbvp.quadrature import QuadratureRule, gauss_rule, legendre_moments
 
 
 class TestGaussRule:
@@ -78,29 +79,25 @@ class TestGaussRule:
 
 
 class TestBasisRow:
+    # basis_matrix at one point: one row of values
     def test_known_rows(self):
-        assert basis_row(1, 0.25).tolist() == pytest.approx([0.75, 0.25])
-        assert basis_row(2, 0.5).tolist() == pytest.approx([0.25, 0.5, 0.25])
-        assert basis_row(3, 0.2).tolist() == pytest.approx(
+        assert basis_matrix(1, 0.25).tolist() == pytest.approx([0.75, 0.25])
+        assert basis_matrix(2, 0.5).tolist() == pytest.approx([0.25, 0.5, 0.25])
+        assert basis_matrix(3, 0.2).tolist() == pytest.approx(
             [0.512, 0.384, 0.096, 0.008], rel=1e-14)
 
     def test_matches_basis_value(self):
         rng = np.random.default_rng(2)
-        for n in (0, 1, 4, 9, 17):
-            x = float(rng.uniform(0, 1))
-            row = basis_row(n, x)
-            for i in range(n + 1):
-                assert row[i] == pytest.approx(basis_value(n, i, x), rel=1e-12, abs=1e-15)
+        ends = [0.0, 5e-324, 1e-300, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0]
+        for n in (0, 1, 2, 4, 9, 17, 30, 60):
+            for x in ends + rng.uniform(0, 1, 3).tolist():
+                assert_basis_near_exact(basis_matrix(n, x).tolist(), n, x)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         for n in (1, 6, 15, 33):
             for x in rng.uniform(0, 1, 10):
-                assert float(basis_row(n, x).sum()) == pytest.approx(1.0, abs=1e-13)
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            basis_row(3, 1.2)
+                assert float(basis_matrix(n, x).sum()) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestBernsteinBasis:
@@ -125,9 +122,9 @@ class TestBernsteinBasis:
         rule = gauss_rule(20, 2)
         for d in (0, 3, 17):
             table = rule.bernstein_basis(d)
-            for t, x in enumerate(rule.nodes.tolist()):
-                for i in range(d + 1):
-                    assert table[t, i] == pytest.approx(basis_value(d, i, x), rel=1e-14)
+            assert table.tolist() == basis_matrix(d, rule.nodes).tolist()
+            for row, x in zip(table.tolist(), rule.nodes.tolist()):
+                assert_basis_near_exact(row, d, x)
 
     def test_end_nodes_give_unit_rows(self):
         rule = self.RULES[-1]
