@@ -57,13 +57,17 @@ class BandedToeplitz:
             raise ValueError("diagonals must hold lower_bw + upper_bw + 1 values")
         if not np.isfinite(diags).all():
             raise ValueError("diagonals must be finite")
-        rhs = np.asarray(self.rhs, dtype=float)
+        diags.setflags(write=False)
+        object.__setattr__(self, "diagonals", diags)
+        object.__setattr__(self, "rhs", self._rhs_array(self.rhs))
+
+    def _rhs_array(self, v):
+        """v as a read-only float64 array, checked to have length size."""
+        rhs = np.asarray(v, dtype=float)
         if rhs.size != self.size:
             raise ValueError(f"rhs must have length {self.size}")
-        diags.setflags(write=False)
         rhs.setflags(write=False)
-        object.__setattr__(self, "diagonals", diags)
-        object.__setattr__(self, "rhs", rhs)
+        return rhs
 
     def entry(self, i, j):
         """Matrix entry (i, j); zero outside the band."""
@@ -73,9 +77,14 @@ class BandedToeplitz:
         return 0.0
 
     def with_rhs(self, v):
-        """Copy of the system carrying a new right-hand side."""
-        return BandedToeplitz(self.size, self.lower_bw, self.upper_bw,
-                              self.diagonals, np.asarray(v, dtype=float))
+        """Copy of the system carrying a new right-hand side.
+
+        The diagonals were validated when self was built, so only the new
+        rhs is checked; the copy shares them.
+        """
+        system = object.__new__(BandedToeplitz)
+        system.__dict__.update(self.__dict__, rhs=self._rhs_array(v))
+        return system
 
 
 # one matrix per degree and (k, l): 190 in an examples-n40 pass
@@ -126,25 +135,35 @@ def assemble_rhs(n, m, k, l, duals, legendre_moments, outer):
         raise ValueError("outer coefficient blocks must have lengths k and l")
     if not np.isfinite(values).all():
         raise OverflowError("moments are not finite")
-    scale = factorial(n) // factorial(nu)
+    scale, stencil, rows = _exact_rows(n, m, k, l)
     with np.errstate(over="ignore", invalid="ignore"):
         v = (duals.legendre @ values) / float(scale)
     # degree-n coefficients with the inner ones zero: the stencil terms on
     # the outer ones move to the right-hand side
-    fixed = np.zeros(n + 1)
-    fixed[:k] = left
-    fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
-    fnum, fs = _dyadic(fixed.tolist())
+    onum, fs = _dyadic(np.asarray(left, dtype=float).tolist()
+                       + np.asarray(right, dtype=float)[::-1].tolist())
+    fnum = onum[:k] + [0] * (n + 1 - m) + onum[k:]
     lnum, ls = _dyadic(values.tolist())
-    stencil = [(-1) ** (m - h) * comb(m, h) for h in range(m + 1)]
-    for i in (i for i in range(nu + 1) if i < k or i > nu - l):
-        den = comb(nu, i) * scale
+    for i, den in rows:
         dot = sum(map(mul, duals.legendre_numerators[i], lnum))
         corr = sum(map(mul, stencil, fnum[i:i + m + 1]))
         v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
     if not np.isfinite(v).all():
         raise OverflowError("system right-hand side overflows float64")
     return v
+
+
+# one entry per degree and (k, l), like assemble_matrix
+@functools.lru_cache(maxsize=1024)
+def _exact_rows(n, m, k, l):
+    """What assemble_rhs needs of the shape alone: the scale n!/(n-m)!,
+    the m-th difference stencil, and the pairs (i, C(n-m, i) n!/(n-m)!)
+    for the rows i of v with stencil terms."""
+    nu = n - m
+    scale = factorial(n) // factorial(nu)
+    stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
+    rows = tuple((i, comb(nu, i) * scale) for i in range(nu + 1) if i < k or i > nu - l)
+    return scale, stencil, rows
 
 
 def _dyadic(values):

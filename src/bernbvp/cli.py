@@ -17,6 +17,7 @@ names the failing iteration).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -311,9 +312,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser main uses for every argv: building it costs about
+    0.5 ms, and parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecError as exc:

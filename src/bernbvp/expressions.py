@@ -15,6 +15,12 @@ Evaluation is in float64, at one point or over arrays of points; domain
 errors (ln of a non-positive value, division by zero, ...) and function
 overflow raise EvaluationError instead of producing NaN or escaping as a
 raw math exception.
+
+Evaluating the same tree at the same points many times, with only the yk
+changing, can bind the points first: bind(e, x) evaluates every maximal
+subtree that contains x and no yk once and keeps its values in a Bound
+node, so later evaluations at x walk only the rest.  The results have the
+same bits, and the same errors, as evaluating e.
 """
 
 import functools
@@ -27,8 +33,8 @@ import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 
-__all__ = ["parse", "evaluate", "to_source", "max_arg_index",
-           "Num", "X", "Arg", "Neg", "BinOp", "Call"]
+__all__ = ["parse", "evaluate", "bind", "bindable", "to_source", "max_arg_index",
+           "Num", "X", "Arg", "Neg", "BinOp", "Call", "Bound"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class Call:
     arg: object
 
 
+@dataclass(frozen=True, eq=False)
+class Bound:
+    """Values of an x-only subtree at the points bind was given (see bind)."""
+
+    values: object
+
+
 _FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sec": lambda v: 1.0 / math.cos(v),
@@ -96,9 +109,9 @@ def _tokenize(source):
 
 # Deepest syntax tree that parse accepts, and deepest nesting of
 # parentheses (and, separately, of minus signs and ^) in its source.
-# Evaluation, to_source and max_arg_index recurse once per tree level and
-# the parser at most five times per nesting level, so this keeps them all
-# far below Python's recursion limit.  Every accepted tree's to_source
+# Evaluation, binding, to_source and max_arg_index recurse once per tree
+# level and the parser at most five times per nesting level, so this keeps
+# them all far below Python's recursion limit.  Every accepted tree's to_source
 # nests no deeper than the tree, so it parses back.
 MAX_DEPTH = 64
 
@@ -362,26 +375,130 @@ def _walk(e, x, args):
                 f"missing argument y{e.index} (got {len(args)} arguments)"
             )
         return np.asarray(args[e.index], dtype=float)
+    if isinstance(e, Bound):
+        return e.values
     if isinstance(e, Neg):
         return -_walk(e.operand, x, args)
     if isinstance(e, BinOp):
-        a = _walk(e.left, x, args)
-        b = _walk(e.right, x, args)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            _check(b == 0, a, "division by zero")
-            return a / b
-        return _power(a, b)
+        return _binop(e.op, _walk(e.left, x, args), _walk(e.right, x, args))
     if isinstance(e, Call):
-        v = _walk(e.arg, x, args)
-        if e.fn == "ln":
-            _check(v <= 0, v, "ln of non-positive value {}")
-        if e.fn == "sqrt":
-            _check(v < 0, v, "sqrt of negative value {}")
-        return _per_element(functools.partial(_call, e.fn), v)
+        return _function(e.fn, _walk(e.arg, x, args))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _binop(op, a, b):
+    """a op b over the operands' values, as the walk applies it."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        _check(b == 0, a, "division by zero")
+        return a / b
+    return _power(a, b)
+
+
+def _function(fn, v):
+    """The named function over the argument's values, as the walk applies it."""
+    if fn == "ln":
+        _check(v <= 0, v, "ln of non-positive value {}")
+    if fn == "sqrt":
+        _check(v < 0, v, "sqrt of negative value {}")
+    return _per_element(functools.partial(_call, fn), v)
+
+
+def bindable(e):
+    """Whether e has a subtree other than a bare x that contains x and no
+    yk: whether bind(e, x) can take work out of later evaluations."""
+    return _scan(e)[2]
+
+
+def _scan(e):
+    """(contains x, contains a yk, has a bindable subtree) for e."""
+    if isinstance(e, X):
+        return True, False, False
+    if isinstance(e, Arg):
+        return False, True, False
+    if isinstance(e, Num):
+        return False, False, False
+    if isinstance(e, BinOp):
+        lx, ly, lfound = _scan(e.left)
+        rx, ry, rfound = _scan(e.right)
+        has_x, has_y, found = lx or rx, ly or ry, lfound or rfound
+    elif isinstance(e, Neg):
+        has_x, has_y, found = _scan(e.operand)
+    elif isinstance(e, Call):
+        has_x, has_y, found = _scan(e.arg)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return has_x, has_y, found or (has_x and not has_y)
+
+
+def bind(e, x):
+    """e with every maximal subtree that contains x and no yk replaced by
+    a Bound node holding that subtree's values at x.
+
+    Only evaluate(bind(e, x), x, args), at the same x, is meaningful; its
+    value has the same bits as evaluate(e, x, args), and it raises the
+    same EvaluationError, because a subtree whose evaluation fails stays
+    unbound and fails again at its own place in the walk.  One bottom-up
+    walk applies each operator once, to its children's values, under the
+    same floating-point error state as evaluate.  A bare x stays as it is:
+    walking it costs nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        node, values, has_x = _bind(e, np.asarray(x, dtype=float))
+    return _bound(node, values, has_x)
+
+
+def _bind(e, x):
+    """(tree, values, contains x) for e at x.
+
+    values is e's value when e contains no yk and evaluates without error,
+    and tree is then e itself; otherwise values is None and tree is e with
+    its maximal x-only subtrees bound.
+    """
+    if isinstance(e, Num):
+        return e, e.value, False
+    if isinstance(e, X):
+        return e, x, True
+    if isinstance(e, Arg):
+        return e, None, False
+    if isinstance(e, BinOp):
+        left, a, ax = _bind(e.left, x)
+        right, b, bx = _bind(e.right, x)
+        if a is not None and b is not None:
+            try:
+                return e, _binop(e.op, a, b), ax or bx
+            except EvaluationError:
+                pass
+        left, right = _bound(left, a, ax), _bound(right, b, bx)
+        if left is not e.left or right is not e.right:
+            e = BinOp(e.op, left, right)
+        return e, None, ax or bx
+    if isinstance(e, Neg):
+        operand, v, has_x = _bind(e.operand, x)
+        if v is not None:
+            return e, -v, has_x
+        return (e if operand is e.operand else Neg(operand)), None, has_x
+    if isinstance(e, Call):
+        arg, v, has_x = _bind(e.arg, x)
+        if v is not None:
+            try:
+                return e, _function(e.fn, v), has_x
+            except EvaluationError:
+                pass
+        arg = _bound(arg, v, has_x)
+        return (e if arg is e.arg else Call(e.fn, arg)), None, has_x
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _bound(node, values, has_x):
+    """node, or a Bound node for it if it is an x-only subtree beyond x."""
+    if values is None or not has_x or isinstance(node, X):
+        return node
+    if isinstance(values, np.ndarray):
+        values.setflags(write=False)
+    return Bound(values)

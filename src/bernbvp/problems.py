@@ -45,28 +45,37 @@ class ReferenceSolution:
     grid_y: np.ndarray = None
     note: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "_grid_values", {})
+
     def value(self, x):
         if self.kind != "closed_form":
             raise ValueError("fixture references only provide grid values")
         return self.fn(x)
 
     def values_on_grid(self, M):
-        """Reference values on {0, 1/M, ..., 1}.
+        """Reference values on {0, 1/M, ..., 1}, as a read-only array.
 
-        Fixture references require M to divide their native grid.
+        Computed once per M and kept, so later calls return the same
+        array.  Fixture references require M to divide their native grid.
         """
+        values = self._grid_values.get(M)
+        if values is not None:
+            return values
         if M < 1:
             raise ValueError("M must be >= 1")
         if self.kind == "closed_form":
             xs = _grid(M)
-            return np.array(np.broadcast_to(self.fn(xs), xs.shape), dtype=float)
-        if FIXTURE_GRID_M % M != 0:
+            values = np.array(np.broadcast_to(self.fn(xs), xs.shape), dtype=float)
+        elif FIXTURE_GRID_M % M != 0:
             raise ValueError(
                 f"fixture reference is tabulated on M={FIXTURE_GRID_M}; "
                 f"M={M} is not a divisor grid"
             )
-        stride = FIXTURE_GRID_M // M
-        return self.grid_y[::stride]
+        else:
+            values = self.grid_y[::FIXTURE_GRID_M // M]
+        values.setflags(write=False)
+        return self._grid_values.setdefault(M, values)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
-node array per iteration.  A derivative's values at the nodes are one
-product of its coefficients (forward differences of the iterate's) with
-the Bernstein basis matrix that the quadrature rule keeps per degree, so
-the iteration works on coefficient arrays and never builds a
-BernsteinPoly before the end.  The projection goes through the Legendre
+node array per iteration.  The x-only parts of an expression right-hand
+side, forcing terms such as exp(a*x), depend on the nodes alone, so solve
+evaluates them once per quadrature rule (``expressions.bind``) and each
+iteration only the parts that involve the iterate.  A derivative's values
+at the nodes are one product of its coefficients (forward differences of
+the iterate's) with the Bernstein basis matrix that the quadrature rule
+keeps per degree, so the iteration works on coefficient arrays and never
+builds a BernsteinPoly before the end.  The projection goes through the Legendre
 factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
 moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
@@ -36,7 +39,7 @@ from . import bandsolve
 from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
-from .expressions import evaluate as eval_expr, max_arg_index
+from .expressions import bind, bindable, evaluate as eval_expr, max_arg_index
 from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
@@ -201,14 +204,21 @@ def _full_coeffs(n, k, l, left, right, inner):
     return p
 
 
-def _iterate_core(problem, prev, n, rule):
+def _iterate_core(problem, prev, n, rule, bound_rhs=None):
     """One degree-raising step from the coefficients prev of the degree
-    n - 1 iterate; returns (coefficients, L2 residual)."""
+    n - 1 iterate; returns (coefficients, L2 residual).
+
+    bound_rhs, when given, is problem.rhs bound to rule.nodes, and is
+    evaluated in its place.
+    """
     m, k, l = problem.m, problem.k, problem.l
     left, right = outer_coefficients(problem, n)
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        return problem.rhs_value(x, _eval_mp(prev, range(m), rule))
+        args = _eval_mp(prev, range(m), rule)
+        if bound_rhs is None:
+            return problem.rhs_value(x, args)
+        return eval_expr(bound_rhs, x, args)
 
     moments, gvals = _moment_integrals_mp(g, n - m, rule)
     duals = dual_coefficients(n - m)
@@ -268,6 +278,11 @@ def solve(problem, options):
 
     Deterministic for fixed inputs; residuals are recorded for every
     n = m..N, iterates only when options.record_iterates is set.
+
+    An expression rhs with x-only subtrees beyond a bare x is bound to
+    each quadrature rule's nodes once (``expressions.bind``), when the
+    rule changes, so each iteration evaluates only its y-dependent rest;
+    the iterates are the same bits as iterate() gives.
     """
     N = options.degree
     m = problem.m
@@ -282,10 +297,14 @@ def solve(problem, options):
     coeffs = start.coeffs
     iterates = [start] if options.record_iterates else None
     residuals = []
+    binds = not callable(problem.rhs) and bindable(problem.rhs)
+    rule = bound_rhs = None
     for n in range(m, N + 1):
-        rule = _default_rule(n, options)
+        previous_rule, rule = rule, _default_rule(n, options)
+        if binds and rule is not previous_rule:
+            bound_rhs = bind(problem.rhs, rule.nodes)
         try:
-            coeffs, res = _iterate_core(problem, coeffs, n, rule)
+            coeffs, res = _iterate_core(problem, coeffs, n, rule, bound_rhs)
         except (EvaluationError, SingularSystemError) as exc:
             raise IterationError(n, exc) from exc
         residuals.append(res)

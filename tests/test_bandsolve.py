@@ -47,6 +47,18 @@ class TestAssembleMatrix:
         with pytest.raises(ValueError):
             assemble_matrix(1, 2, 1, 1)
 
+    def test_with_rhs_checks_only_the_new_rhs(self):
+        # the copy shares the validated diagonals and keeps the matrix
+        # it came from unchanged
+        s0 = assemble_matrix(5, 2, 1, 1)
+        s = s0.with_rhs([1, 2, 3, 4])
+        assert s.diagonals is s0.diagonals and s0.rhs.tolist() == [0.0] * 4
+        assert s.rhs.tolist() == [1.0, 2.0, 3.0, 4.0] and s.rhs.dtype == float
+        assert not s.rhs.flags.writeable
+        for bad in ([1.0, 2.0, 3.0], np.zeros(5)):
+            with pytest.raises(ValueError, match="length 4"):
+                s0.with_rhs(bad)
+
 
 class TestSolve:
     def test_nonfinite_diagonals_rejected(self):

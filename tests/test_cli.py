@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bernbvp import bandsolve, quadrature
 from bernbvp.bernstein import BernsteinPoly, evaluate
 from bernbvp.cli import main
-from bernbvp.problems import error_curve, example
+from bernbvp.problems import ReferenceSolution, error_curve, example
 
 
 @pytest.fixture
@@ -36,6 +36,32 @@ def test_cli_import_leaves_mpmath_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of bernbvp argv in a new interpreter."""
+    import bernbvp
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bernbvp.__file__)))
+    out = subprocess.run([sys.executable, "-m", "bernbvp.cli", *argv], capture_output=True,
+                         text=True, env=env)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_parser_kept_after_a_usage_error_behaves_as_a_fresh_one(capsys):
+    # main parses every argv with one parser per process: an argv it
+    # rejects must leave nothing behind for the next one
+    bad, good = ["table", "--max-degree", "six"], ["table", "--examples", "1,4",
+                                                    "--max-degree", "6"]
+    runs = []
+    for argv in (bad, good):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0][0] == 2 and runs[1][0] == 0
+    assert runs == [_fresh_process(bad), _fresh_process(good)]
 
 
 class TestSolveCommand:
@@ -344,6 +370,21 @@ class TestTableCommand:
             assert main(["table", "--examples", "1", "--min-degree", "2",
                          "--max-degree", "5", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_match_references_evaluated_for_every_cell(self, tmp_path, monkeypatch):
+        # each reference keeps its grid values; the CSV must have the bytes
+        # of evaluating the reference afresh for every cell
+        def fresh(self, M):
+            xs = np.arange(M + 1) / M
+            if self.kind == "closed_form":
+                return np.array(np.broadcast_to(self.fn(xs), xs.shape), dtype=float)
+            return self.grid_y[::200 // M]
+
+        kept, afresh = tmp_path / "kept.csv", tmp_path / "afresh.csv"
+        assert main(["table", "--max-degree", "12", "--out", str(kept)]) == 0
+        monkeypatch.setattr(ReferenceSolution, "values_on_grid", fresh)
+        assert main(["table", "--max-degree", "12", "--out", str(afresh)]) == 0
+        assert kept.read_bytes() == afresh.read_bytes()
 
 
 class TestErrorCurveCommand:

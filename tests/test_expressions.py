@@ -3,16 +3,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernbvp.errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 from bernbvp.expressions import (
     MAX_DEPTH,
     Arg,
     BinOp,
+    Bound,
     Call,
     Neg,
     Num,
     X,
+    bind,
+    bindable,
     evaluate,
     max_arg_index,
     parse,
@@ -136,8 +140,8 @@ class TestParse:
 
     def test_deepest_accepted_trees_walk(self):
         # MAX_DEPTH parentheses and trees of MAX_DEPTH levels parse;
-        # evaluation, to_source and max_arg_index walk the trees from deep
-        # in a call stack, and to_source parses back
+        # evaluation, binding, to_source and max_arg_index walk the trees
+        # from deep in a call stack, and to_source parses back
         d = MAX_DEPTH
         trees = [parse("(" * d + "x" + ")" * d),
                  parse("-" * (d - 1) + "x"),
@@ -148,12 +152,15 @@ class TestParse:
         def from_depth(frames):
             if frames:
                 return from_depth(frames - 1)
-            return [(evaluate(e, 0.5, (1.0,)), max_arg_index(e), to_source(e)) for e in trees]
+            return [(evaluate(e, 0.5, (1.0,)), max_arg_index(e), to_source(e),
+                     evaluate(bind(e, 0.5), 0.5, (1.0,)), bindable(e)) for e in trees]
 
         walked = from_depth(sys.getrecursionlimit() - 300)
-        assert [value for value, _, _ in walked[:4]] == [0.5, 0.5 * (-1) ** (d - 1), 1.0, float(d)]
-        assert [index for _, index, _ in walked] == [-1, -1, -1, 0, -1]
-        assert [parse(source) for _, _, source in walked] == trees
+        assert [w[0] for w in walked[:4]] == [0.5, 0.5 * (-1) ** (d - 1), 1.0, float(d)]
+        assert [w[1] for w in walked] == [-1, -1, -1, 0, -1]
+        assert [parse(w[2]) for w in walked] == trees
+        assert [w[3] for w in walked] == [w[0] for w in walked]
+        assert [w[4] for w in walked] == [False, True, False, False, True]
 
 
 class TestPrecedence:
@@ -297,3 +304,77 @@ class TestRoundTrip:
     def test_max_arg_index(self):
         assert max_arg_index(parse("x + 1")) == -1
         assert max_arg_index(parse("y0 * y3 - y1")) == 3
+
+
+def _outcome(e, x, args):
+    """evaluate's value as bytes, or its error's message and where."""
+    try:
+        return np.asarray(evaluate(e, x, args)).tobytes()
+    except EvaluationError as exc:
+        return str(exc), repr(exc.where)
+
+
+# trees over x, y0..y2, numbers, every operator and every function; half
+# the leaves are x, so most trees have x-only subtrees, and 0 and
+# negatives put domain failures among them
+_trees = st.recursive(
+    st.sampled_from([X(), X(), X(), Arg(0), Arg(1), Arg(2)])
+    | st.sampled_from([0.0, 1.0, 2.0, 0.5, -3.0, 1000.0]).map(Num),
+    lambda inner: inner.map(Neg)
+    | st.builds(BinOp, st.sampled_from("+-*/^"), inner, inner)
+    | st.builds(Call, st.sampled_from(["sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs"]),
+                inner),
+    max_leaves=12)
+_points = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -2.5, 1e-300, 700.0, math.pi / 2])
+_nodes = st.lists(_points, min_size=1, max_size=6).map(np.array) | _points
+
+
+class TestBind:
+    @settings(max_examples=400, deadline=None)
+    @given(e=_trees, x=_nodes, ys=st.lists(st.lists(_points, min_size=6, max_size=6),
+                                          max_size=3))
+    def test_bound_tree_evaluates_to_the_same_bits_or_error(self, e, x, ys):
+        # every draw binds at x and evaluates both trees there; the value
+        # or the first error in walk order, with its where, must not change
+        size = np.size(x)
+        args = tuple(np.array(y[:size]) if np.ndim(x) else y[0] for y in ys)
+        assert _outcome(bind(e, x), x, args) == _outcome(e, x, args)
+
+    def test_walk_order_decides_the_error(self):
+        # ln(x - 2) fails at every node, so it stays unbound and ln(y0),
+        # first in walk order, still raises first when y0 <= 0
+        e = parse("ln(y0) + ln(x - 2)")
+        x = np.array([0.25, 0.5])
+        b = bind(e, x)
+        assert isinstance(b.right.arg, Bound)
+        for y0, message, where in ((np.array([1.0, -0.5]), "ln of non-positive value -0.5", -0.5),
+                                   (np.array([1.0, 2.0]), "ln of non-positive value -1.75", -1.75)):
+            for tree in (e, b):
+                with pytest.raises(EvaluationError) as err:
+                    evaluate(tree, x, (y0,))
+                assert (str(err.value), err.value.where) == (message, where)
+
+    def test_binds_maximal_x_only_subtrees(self):
+        x = np.array([0.0, 0.5, 1.0])
+        e = parse("4*x*y1 + (x + 2)^2*y0 + x*y0 + 2*3")
+        b = bind(e, x)
+        # ((((4*x)*y1 + ((x+2)^2)*y0) + x*y0) + 2*3)
+        assert isinstance(b.left.left.left.left, Bound)
+        assert b.left.left.left.left.values.tolist() == [0.0, 2.0, 4.0]
+        assert isinstance(b.left.left.right.left, Bound)
+        assert not b.left.left.right.left.values.flags.writeable
+        assert b.left.right is e.left.right  # a bare x stays as it is
+        assert b.right is e.right  # so does a constant
+        whole = bind(parse("sin(x) + 1"), x)
+        assert isinstance(whole, Bound)
+        assert evaluate(whole, x).tolist() == evaluate(parse("sin(x) + 1"), x).tolist()
+        assert bind(parse("x"), x) == X()
+        y_only = parse("y1^2 + 1")
+        assert bind(y_only, x) is y_only
+
+    def test_bindable(self):
+        for source, want in (("y1^2 + 1", False), ("-2*y2 - y0", False), ("y3^2 / y2", False),
+                             ("x*y0", False), ("x", False), ("2*3 + y0", False),
+                             ("4*x*y1 + 2*y0", True), ("-(x + 2)^2 * y0", True),
+                             ("-x", True), ("y0 + sin(x)", True), ("ln(x - 2) + y0", True)):
+            assert bindable(parse(source)) is want, source

@@ -193,6 +193,15 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             error_curve(w, ex.reference, 0)
 
+    @pytest.mark.parametrize("ex_id", [1, 4])
+    def test_grid_values_kept_per_grid_and_read_only(self, ex_id):
+        ref = example(ex_id).reference
+        ys = ref.values_on_grid(200)
+        assert ref.values_on_grid(200) is ys
+        assert ref.values_on_grid(100).tolist() == ys[::2].tolist()
+        with pytest.raises(ValueError):
+            ys[0] = 1.0
+
     def test_max_error_validation(self):
         assert max_error(np.array([[0.0, 0.0], [1.0, 0.0]])) == 0.0
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
-from bernbvp import bandsolve
+from bernbvp import bandsolve, solver
 from bernbvp.bandsolve import _band, assemble_matrix
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
@@ -88,6 +88,38 @@ class TestRightHandSides:
         xs = np.linspace(0.0, 1.0, 11)
         assert np.abs(evaluate(report.solution, xs) - (3 * xs**2 - 3 * xs)).max() < 1e-14
         assert np.all(report.residuals[1:] < 1e-12)
+
+
+class TestBoundRhs:
+    # y'' = f with forcing terms in x alone, one of them nonlinear in y0
+    FORCED = BVProblem((0.4,), (-1.1,), parse(
+        "0.3*y0 - 0.2*y1 + 0.1*y0^2 + 0.5*exp(0.7*x) - 2*sin(1.3*x + 0.4)"
+        " + (x + 2)^2 - 0.1*(cos(x) - x^2)^2"))
+
+    def test_solve_never_binds_without_x_only_subtrees(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "bind", lambda e, x: calls.append(x) or e)
+        solve(example(1).problem, SolveOptions(degree=24))
+        assert calls == []
+
+    def test_solve_binds_once_per_rule(self, monkeypatch):
+        # example 4 (m = 3) to N = 24: order 20 serves n = 3..18, then
+        # each degree has its own rule
+        bind, calls = solver.bind, []
+        monkeypatch.setattr(solver, "bind", lambda e, x: calls.append(x) or bind(e, x))
+        solve(example(4).problem, SolveOptions(degree=24))
+        assert [x.size for x in calls] == [2 * order for order in range(20, 27)]
+
+    @pytest.mark.parametrize("quad_order", [None, 30])
+    def test_x_forcing_matches_a_chain_of_unbound_iterates(self, quad_order):
+        p = self.FORCED
+        report = solve(p, SolveOptions(degree=26, quad_order=quad_order,
+                                       record_iterates=True))
+        w = seed(p)
+        for n, got in zip(range(p.m, 27), report.iterates[1:]):
+            rule = gauss_rule(quad_order, 2) if quad_order else None
+            w = iterate(p, w, n, rule)
+            assert got.coeffs.tobytes() == w.coeffs.tobytes()
 
 
 class TestOuterCoefficients:
