@@ -42,7 +42,9 @@ class BandedToeplitz:
     """System G p = v with constant diagonals.
 
     ``diagonals[d + lower_bw]`` is the matrix value on offset d = j - i for
-    d in -lower_bw..upper_bw; entries outside that band are zero.
+    d in -lower_bw..upper_bw; entries outside that band are zero.  The key
+    of the matrix in the ``_band`` cache is formed once, when the system is
+    built, and every ``with_rhs`` copy carries it.
     """
 
     size: int
@@ -60,6 +62,8 @@ class BandedToeplitz:
         diags.setflags(write=False)
         object.__setattr__(self, "diagonals", diags)
         object.__setattr__(self, "rhs", self._rhs_array(self.rhs))
+        object.__setattr__(self, "_band_key", (self.size, self.lower_bw, self.upper_bw,
+                                               tuple(diags.tolist())))
 
     def _rhs_array(self, v):
         """v as a read-only float64 array, checked to have length size."""
@@ -80,7 +84,7 @@ class BandedToeplitz:
         """Copy of the system carrying a new right-hand side.
 
         The diagonals were validated when self was built, so only the new
-        rhs is checked; the copy shares them.
+        rhs is checked; the copy shares them and their ``_band`` key.
         """
         system = object.__new__(BandedToeplitz)
         system.__dict__.update(self.__dict__, rhs=self._rhs_array(v))
@@ -177,8 +181,9 @@ def solve(system):
     """Solve G p = v with the cached inverse of G and one refinement step.
 
     The matrix and its inverse are built once per (size, k, l, diagonals)
-    (``_band``), so a solve applies the inverse twice, to v and to the
-    exactly computed residual, at O(size^2) cost each.
+    (``_band``, under the key that each system forms when it is built), so
+    a solve applies the inverse twice, to v and to the exactly computed
+    residual, at O(size^2) cost each.
     SingularSystemError if G is singular or its condition number is at
     least 1e13.  For right-hand sides of bounded solutions the residual
     |G p - v|_inf is well within 1e-10 * (1 + |v|_inf) for every split
@@ -198,7 +203,7 @@ def solve(system):
 
 def _banded_lu(system):
     size, k, l = system.size, system.lower_bw, system.upper_bw
-    _, inv, cond, _ = _band(size, k, l, tuple(system.diagonals.tolist()))
+    _, inv, cond, _ = _band(*system._band_key)
     if not cond < _MAX_CONDITION:
         raise SingularSystemError(f"singular system: {size} x {size} matrix of band "
                                   f"({k}, {l}), condition number {cond:.1e}")
@@ -217,8 +222,7 @@ def _residual(system, p):
     once.  Other diagonals, and p or v too large for the grids, take the
     integer route (``_integer_residual``): both round the same exact values.
     """
-    dense, _, _, bits = _band(system.size, system.lower_bw, system.upper_bw,
-                              tuple(system.diagonals.tolist()))
+    dense, _, _, bits = _band(*system._band_key)
     parts = None if bits is None else _split(-p, bits)
     v = system.rhs.tolist()
     if parts is None or max(map(abs, v)) > 2.0**1000:

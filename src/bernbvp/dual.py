@@ -31,10 +31,15 @@ formed.  The solver never forms it; the tests check it against the exact
 inverse of the Bernstein Gram matrix.
 
 Tables are memoized per degree, so each degree is built once per process.
+The integers N of a new degree are elevated, by Pascal's rule
+N_n[r, j] = N_(n-1)[r-1, j] + N_(n-1)[r, j] (j < n) plus the column of
+P_n, from the highest degree below it whose table is still alive: one
+degree of integer additions when the solver raises the degree by one.
 """
 
 import functools
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -88,22 +93,35 @@ def dual_coefficients(n):
     return _dual_table(operator.index(n))
 
 
+# every table alive, by degree: a new degree is elevated from the highest
+# one below it
+_tables = weakref.WeakValueDictionary()
+
+
 # one entry per degree n - m, with room for every degree the CLI's range
 # (n <= 60) reaches
 @functools.lru_cache(maxsize=128)
 def _dual_table(n):
     if n < 0:
         raise ValueError("degree must be non-negative")
-    # column j of N: the coefficients of P_j in degree j, (-1)^(i+j) C(j,i)
-    # times the elevation weight C(j,i), convolved with C(n-j, .)
-    cols = [np.convolve(np.array([(-1) ** (i + j) * comb(j, i) ** 2 for i in range(j + 1)],
-                                 dtype=object),
-                        np.array([comb(n - j, s) for s in range(n - j + 1)], dtype=object))
-            for j in range(n + 1)]
-    rows = tuple(tuple(int(col[r]) for col in cols) for r in range(n + 1))
-    legendre = np.array([[a / comb(n, r) for a in row] for r, row in enumerate(rows)])
+    rows, d = ((1,),), 0
+    for below in range(n - 1, 0, -1):
+        table = _tables.get(below)
+        if table is not None:
+            rows, d = table.legendre_numerators, below
+            break
+    # elevate to degree d by Pascal's rule, N_d[r, j] = N_(d-1)[r-1, j] +
+    # N_(d-1)[r, j] for j < d, and append the column of P_d, (-1)^(r+d) C(d, r)^2
+    for d in range(d + 1, n + 1):
+        padded = ((0,) * d, *rows, (0,) * d)
+        rows = tuple((*map(operator.add, a, b), (-1) ** (r + d) * comb(d, r) ** 2)
+                     for r, (a, b) in enumerate(zip(padded, padded[1:])))
+    binomials = [comb(n, r) for r in range(n + 1)]
+    legendre = np.array([[a / c for a in row] for c, row in zip(binomials, rows)])
     legendre.setflags(write=False)
-    return DualCoeffTable(degree=n, legendre_numerators=rows, legendre=legendre)
+    table = DualCoeffTable(degree=n, legendre_numerators=rows, legendre=legendre)
+    _tables[n] = table
+    return table
 
 
 def bernstein_gram_entry(n, i, j):

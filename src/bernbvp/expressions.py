@@ -23,7 +23,6 @@ node, so later evaluations at x walk only the rest.  The results have the
 same bits, and the same errors, as evaluating e.
 """
 
-import functools
 import itertools
 import math
 import re
@@ -285,9 +284,10 @@ def _power(base, exponent):
     The domain checks run as masks over the whole array, and the first
     failing element raises, as in an element-by-element walk; a constant
     exponent that is a non-negative integer cannot fail them and skips
-    them.  The powers are Python pow per element, overflowing to a signed
-    infinity.  An integral exponent need not become an int first: float
-    pow converts it back to the same double.
+    them.  The powers are Python pow mapped over the elements; only when
+    one overflows are they taken again through ``_pow``, which gives a
+    signed infinity there.  An integral exponent need not become an int
+    first: float pow converts it back to the same double.
     """
     base = np.asarray(base, dtype=float)
     if isinstance(exponent, float) and exponent >= 0 and exponent.is_integer():
@@ -305,7 +305,11 @@ def _power(base, exponent):
                                       where=b)
             raise EvaluationError("zero raised to a negative power", where=0.0)
         exponents = exponent.ravel().tolist()
-    values = list(map(_pow, base.ravel().tolist(), exponents))
+    bases = base.ravel().tolist()
+    try:
+        values = list(map(pow, bases, exponents))
+    except OverflowError:
+        values = list(map(_pow, bases, exponents))
     return np.array(values, dtype=float).reshape(base.shape)
 
 
@@ -324,14 +328,6 @@ def _call(fn, v):
         return _FUNCS[fn](v)
     except (OverflowError, ValueError) as exc:
         raise EvaluationError(f"{fn}({v}): {exc}", where=v) from exc
-
-
-def _per_element(fn, *operands):
-    """fn over the broadcast operands, element by element on Python floats
-    (math and pow, whose results numpy's ufuncs do not always match)."""
-    arrays = np.broadcast_arrays(*operands)
-    values = [fn(*vs) for vs in zip(*(a.ravel().tolist() for a in arrays))]
-    return np.array(values, dtype=float).reshape(arrays[0].shape)
 
 
 def _check(bad, values, message):
@@ -355,12 +351,20 @@ def evaluate(e, x, args=()):
     operation in walk order that fails at some point raises
     EvaluationError, with ``where`` the failing operand at the first such
     point.
+
+    An array value is always a new array of its own, never x, an argument
+    or the values of a Bound node; only a value of another shape (a
+    constant, or operands of mixed shapes) is broadcast to the common one.
     """
-    shape = np.broadcast_shapes(np.shape(x), *map(np.shape, args))
+    shape = np.shape(x)
+    if any(np.shape(a) != shape for a in args):
+        shape = np.broadcast_shapes(shape, *map(np.shape, args))
     with np.errstate(over="ignore", invalid="ignore"):
         out = _walk(e, np.asarray(x, dtype=float), args)
     if not shape:
         return float(out)
+    if np.shape(out) == shape:
+        return np.array(out, dtype=float)
     return np.array(np.broadcast_to(out, shape))
 
 
@@ -401,12 +405,26 @@ def _binop(op, a, b):
 
 
 def _function(fn, v):
-    """The named function over the argument's values, as the walk applies it."""
+    """The named function over the argument's values, as the walk applies it.
+
+    The math function is mapped over the elements as Python floats
+    (numpy's ufuncs do not always match math's results).  Only when an
+    element fails, or tan or sec meets a pole, are they taken again one by
+    one through ``_call``, which raises at the first failing element.
+    """
     if fn == "ln":
         _check(v <= 0, v, "ln of non-positive value {}")
     if fn == "sqrt":
         _check(v < 0, v, "sqrt of negative value {}")
-    return _per_element(functools.partial(_call, fn), v)
+    v = np.asarray(v, dtype=float)
+    points = v.ravel().tolist()
+    try:
+        values = list(map(_FUNCS[fn], points))
+    except (ArithmeticError, ValueError):
+        values = None
+    if values is None or (fn in ("tan", "sec") and 0.0 in map(math.cos, points)):
+        values = [_call(fn, p) for p in points]
+    return np.array(values, dtype=float).reshape(v.shape)
 
 
 def bindable(e):

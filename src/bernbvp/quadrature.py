@@ -110,10 +110,14 @@ def legendre_moments(g, nu, rule):
     g maps the rule's node array to float64 samples, one per node (the
     solver passes one array evaluation of the right-hand side).  Returns
     (moments, samples), the caller reusing the samples.  Cost: one
-    (nodes x (nu + 1)) matrix-vector product.  EvaluationError names the
-    first node where a sample is not finite.
+    (nodes x (nu + 1)) matrix-vector product.  The samples are g's own
+    array when it has one value per node, and a constant g is broadcast to
+    the nodes.  EvaluationError names the first node where a sample is not
+    finite.
     """
-    gvals = np.broadcast_to(np.asarray(g(rule.nodes), dtype=float), rule.nodes.shape)
+    gvals = np.asarray(g(rule.nodes), dtype=float)
+    if gvals.shape != rule.nodes.shape:
+        gvals = np.broadcast_to(gvals, rule.nodes.shape)
     bad = ~np.isfinite(gvals)
     if bad.any():
         x = rule.nodes[bad][0].item()

@@ -13,12 +13,13 @@ Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
 node array per iteration.  The x-only parts of an expression right-hand
 side, forcing terms such as exp(a*x), depend on the nodes alone, so solve
-evaluates them once per quadrature rule (``expressions.bind``) and each
-iteration only the parts that involve the iterate.  A derivative's values
-at the nodes are one product of its coefficients (forward differences of
-the iterate's) with the Bernstein basis matrix that the quadrature rule
-keeps per degree, so the iteration works on coefficient arrays and never
-builds a BernsteinPoly before the end.  The projection goes through the Legendre
+evaluates them once per quadrature rule that serves several degrees
+(``expressions.bind``) and each iteration only the parts that involve the
+iterate.  A derivative's values at the nodes are one product of its
+coefficients (forward differences of the iterate's) with the Bernstein
+basis matrix that the quadrature rule keeps per degree, so the iteration
+works on coefficient arrays and never builds a BernsteinPoly before the
+end.  The projection goes through the Legendre
 factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
 moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
@@ -245,10 +246,15 @@ def _iterate_core(problem, prev, n, rule, bound_rhs=None):
     return coeffs, math.sqrt(res2)
 
 
-def _default_rule(n, options=None):
+def _rule_args(n, options=None):
+    """(order, panels) of the quadrature rule for degree n."""
     order = options.quad_order if options and options.quad_order else max(n + 2, 20)
     panels = options.quad_panels if options else 2
-    return gauss_rule(order, panels)
+    return order, panels
+
+
+def _default_rule(n, options=None):
+    return gauss_rule(*_rule_args(n, options))
 
 
 def iterate(problem, previous, n, rule=None):
@@ -280,9 +286,11 @@ def solve(problem, options):
     n = m..N, iterates only when options.record_iterates is set.
 
     An expression rhs with x-only subtrees beyond a bare x is bound to
-    each quadrature rule's nodes once (``expressions.bind``), when the
-    rule changes, so each iteration evaluates only its y-dependent rest;
-    the iterates are the same bits as iterate() gives.
+    the nodes of each quadrature rule that serves more than one degree
+    (``expressions.bind``), at the first of them, so each iteration
+    evaluates only its y-dependent rest; a rule that serves one degree
+    evaluates the rhs unbound, which costs less than binding it.  The
+    iterates are the same bits as iterate() gives.
     """
     N = options.degree
     m = problem.m
@@ -301,8 +309,9 @@ def solve(problem, options):
     rule = bound_rhs = None
     for n in range(m, N + 1):
         previous_rule, rule = rule, _default_rule(n, options)
-        if binds and rule is not previous_rule:
-            bound_rhs = bind(problem.rhs, rule.nodes)
+        if rule is not previous_rule:
+            reused = n < N and _rule_args(n + 1, options) == _rule_args(n, options)
+            bound_rhs = bind(problem.rhs, rule.nodes) if binds and reused else None
         try:
             coeffs, res = _iterate_core(problem, coeffs, n, rule, bound_rhs)
         except (EvaluationError, SingularSystemError) as exc:

@@ -110,6 +110,16 @@ class TestSolve:
                         scale = np.abs(expect).max() + 1.0
                         assert np.abs(got - expect).max() <= 1e-11 * scale
 
+    def test_direct_system_solves_like_an_assembled_one(self):
+        # a system built directly forms its own cache key, and solves to
+        # the bits of the assembled matrix's copy with the same rhs
+        rng = np.random.default_rng(5)
+        for n, m, k in ((9, 3, 0), (9, 3, 3), (12, 2, 1), (30, 6, 2)):
+            assembled = assemble_matrix(n, m, k, m - k)
+            v = rng.uniform(-1, 1, assembled.size)
+            direct = BandedToeplitz(assembled.size, k, m - k, assembled.diagonals.tolist(), v)
+            assert solve(direct).tobytes() == solve(assembled.with_rhs(v)).tobytes()
+
     def test_residual_small(self):
         rng = np.random.default_rng(31)
         s = assemble_matrix(30, 4, 2, 2).with_rhs(rng.uniform(-1, 1, 27))

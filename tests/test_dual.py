@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from bernbvp import dual
 from bernbvp.dual import bernstein_gram_entry, dual_coefficients
 
 
@@ -151,6 +153,28 @@ class TestDualCoefficients:
             assert t.legendre.tolist() == want
             with pytest.raises(ValueError):
                 t.legendre[0, 0] = 0.0
+
+    def test_pascal_numerators_match_the_closed_form(self, monkeypatch):
+        # N[r, j] = sum_i (-1)^(i+j) C(j, i)^2 C(n-j, r-i), built cold (no
+        # table alive, so from degree 0) and elevated from whatever degree
+        # below is alive, in an order that skips up and down
+        def closed(n):
+            return tuple(tuple(sum((-1) ** (i + j) * comb(j, i) ** 2 * comb(n - j, r - i)
+                                   for i in range(min(j, r) + 1))
+                               for j in range(n + 1))
+                         for r in range(n + 1))
+
+        want = [closed(n) for n in range(61)]
+        build = dual._dual_table.__wrapped__
+        for n in range(61):
+            monkeypatch.setattr(dual, "_tables", weakref.WeakValueDictionary())
+            assert build(n).legendre_numerators == want[n], n
+        monkeypatch.setattr(dual, "_tables", weakref.WeakValueDictionary())
+        alive = []
+        for n in (5, 4, 30, 31, 60, 17, 59, 0, 1, 2, 45):
+            alive.append(build(n))
+            assert alive[-1].legendre_numerators == want[n], n
+        assert [t.legendre_numerators for t in map(dual_coefficients, range(61))] == want
 
     def test_symmetries(self):
         for n in (3, 8, 14, 20):

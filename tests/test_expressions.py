@@ -275,6 +275,39 @@ class TestEvaluate:
             evaluate(parse("x / y0"), np.array([0.5, 0.25, 0.125]), (np.array([1.0, 0.0, 0.0]),))
         assert err.value.where == 0.25
 
+    def test_array_values_are_owned_and_writable(self):
+        # the value is never x, an argument or a Bound node's values, so
+        # writing to it changes neither them nor a later evaluation
+        x, y0 = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)
+        inputs = x.copy(), y0.copy()
+        for e in (parse("x"), parse("y0"), bind(parse("exp(x)"), x), parse("2")):
+            got = evaluate(e, x, (y0,))
+            want = got.tolist()
+            assert got.flags.writeable and got.flags.owndata
+            got[:] = 7.0
+            assert evaluate(e, x, (y0,)).tolist() == want
+        assert (x.tolist(), y0.tolist()) == tuple(a.tolist() for a in inputs)
+
+    def test_array_failures_match_a_loop_over_points(self, monkeypatch):
+        # each case fails (or overflows) at a point in the middle and again
+        # later; the array raises what evaluating the points one by one
+        # raises first.  No double is a pole of tan, so cos is made to
+        # vanish at x = 0.75 and 0.875
+        cos = math.cos
+        monkeypatch.setattr(math, "cos", lambda v: 0.0 if v in (0.75, 0.875) else cos(v))
+        x = np.array([0.25, 0.5, 0.75, 0.125, 0.875])
+        y0 = np.array([1.0, -2.0, 1e200, -1e200, 3.0])
+        outcomes = {}
+        for source in ("exp(1000*x)", "tan(x)", "sec(x)", "(-8)^(4*x)", "y0^3"):
+            outcomes[source] = whole = _outcome(parse(source), x, (y0,))
+            assert whole == _pointwise(parse(source), x, (y0,))[0], source
+        assert outcomes["exp(1000*x)"] == ("exp(750.0): math range error", "750.0")
+        assert outcomes["tan(x)"] == ("tan at a pole", "0.75")
+        assert outcomes["sec(x)"] == ("sec at a pole", "0.75")
+        assert outcomes["(-8)^(4*x)"] == (
+            "negative base -8.0 with non-integer exponent 0.5", "-8.0")
+        assert np.frombuffer(outcomes["y0^3"]).tolist() == [1.0, -8.0, math.inf, -math.inf, 27.0]
+
     def test_power_over_arrays(self):
         # overflow keeps the sign of an odd power; an infinite or NaN
         # exponent is not an integer; the first failing point raises
@@ -314,18 +347,33 @@ def _outcome(e, x, args):
         return str(exc), repr(exc.where)
 
 
+def _pointwise(e, x, args):
+    """evaluate's outcome over x as a loop over its points gives it: the
+    values of all points as bytes, or the first error with its where; and
+    the outcome at each point."""
+    if np.ndim(x) == 0:
+        points = [_outcome(e, x, args)]
+    else:
+        points = [_outcome(e, xi, tuple(a[i].item() for a in args))
+                  for i, xi in enumerate(x.tolist())]
+    errors = [p for p in points if not isinstance(p, bytes)]
+    return (errors[0] if errors else b"".join(points)), points
+
+
 # trees over x, y0..y2, numbers, every operator and every function; half
-# the leaves are x, so most trees have x-only subtrees, and 0 and
-# negatives put domain failures among them
+# the leaves are x, so most trees have x-only subtrees, 0 and negatives put
+# domain failures among them, and 1000, 700 and -1e200 overflows (of exp,
+# and of odd and even powers)
 _trees = st.recursive(
     st.sampled_from([X(), X(), X(), Arg(0), Arg(1), Arg(2)])
-    | st.sampled_from([0.0, 1.0, 2.0, 0.5, -3.0, 1000.0]).map(Num),
+    | st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, -3.0, 1000.0]).map(Num),
     lambda inner: inner.map(Neg)
     | st.builds(BinOp, st.sampled_from("+-*/^"), inner, inner)
     | st.builds(Call, st.sampled_from(["sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs"]),
                 inner),
     max_leaves=12)
-_points = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -2.5, 1e-300, 700.0, math.pi / 2])
+_points = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -2.5, 1e-300, 700.0, -1e200,
+                          math.pi / 2])
 _nodes = st.lists(_points, min_size=1, max_size=6).map(np.array) | _points
 
 
@@ -335,10 +383,19 @@ class TestBind:
                                           max_size=3))
     def test_bound_tree_evaluates_to_the_same_bits_or_error(self, e, x, ys):
         # every draw binds at x and evaluates both trees there; the value
-        # or the first error in walk order, with its where, must not change
+        # or the first error in walk order, with its where, must not change.
+        # Both are what a loop over the points gives: its values, or, when
+        # it fails, the error of one of its points (the first operation in
+        # walk order that fails anywhere need not fail at the first point)
         size = np.size(x)
         args = tuple(np.array(y[:size]) if np.ndim(x) else y[0] for y in ys)
-        assert _outcome(bind(e, x), x, args) == _outcome(e, x, args)
+        whole = _outcome(e, x, args)
+        assert _outcome(bind(e, x), x, args) == whole
+        first, points = _pointwise(e, x, args)
+        if isinstance(whole, bytes):
+            assert whole == first
+        else:
+            assert not isinstance(first, bytes) and whole in points
 
     def test_walk_order_decides_the_error(self):
         # ln(x - 2) fails at every node, so it stays unbound and ln(y0),

@@ -103,12 +103,21 @@ class TestBoundRhs:
         assert calls == []
 
     def test_solve_binds_once_per_rule(self, monkeypatch):
-        # example 4 (m = 3) to N = 24: order 20 serves n = 3..18, then
-        # each degree has its own rule
+        # only a rule that serves a second degree is bound.  Example 4
+        # (m = 3) to N = 24 with the default rules: order 20 serves
+        # n = 3..18 and is bound once, at its 40 nodes; each degree from 19
+        # on has a rule of its own and evaluates the rhs unbound.  A fixed
+        # order serves every degree and is bound once.
         bind, calls = solver.bind, []
         monkeypatch.setattr(solver, "bind", lambda e, x: calls.append(x) or bind(e, x))
         solve(example(4).problem, SolveOptions(degree=24))
-        assert [x.size for x in calls] == [2 * order for order in range(20, 27)]
+        assert [x.size for x in calls] == [40]
+        calls.clear()
+        solve(example(4).problem, SolveOptions(degree=24, quad_order=30))
+        assert [x.size for x in calls] == [60]
+        calls.clear()
+        solve(example(4).problem, SolveOptions(degree=3))
+        assert calls == []
 
     @pytest.mark.parametrize("quad_order", [None, 30])
     def test_x_forcing_matches_a_chain_of_unbound_iterates(self, quad_order):
