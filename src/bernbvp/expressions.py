@@ -356,11 +356,21 @@ def evaluate(e, x, args=()):
     or the values of a Bound node; only a value of another shape (a
     constant, or operands of mixed shapes) is broadcast to the common one.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evaluate_in_errstate(e, x, args)
+
+
+def evaluate_in_errstate(e, x, args=()):
+    """``evaluate`` under numpy's error state as the caller set it.
+
+    An overflow or invalid operation warns unless the caller ignores it
+    (``np.errstate(over="ignore", invalid="ignore")``, as evaluate and the
+    solver's iteration do); the value is the same either way.
+    """
     shape = np.shape(x)
     if any(np.shape(a) != shape for a in args):
         shape = np.broadcast_shapes(shape, *map(np.shape, args))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _walk(e, np.asarray(x, dtype=float), args)
+    out = _walk(e, np.asarray(x, dtype=float), args)
     if not shape:
         return float(out)
     if np.shape(out) == shape:

@@ -11,7 +11,8 @@ Bernstein coefficients of the projection of g.  Beside the Vandermonde,
 each rule keeps one ``bernstein.basis_matrix`` per degree d, the values
 B_i^d(x_t) at its nodes, so a polynomial of degree d (a derivative of the
 solver's iterate) is evaluated at every node by one matrix-vector product
-with its coefficients.
+with its coefficients.  Both, and the solver's per-step records, are kept
+in one memo per rule (``QuadratureRule.memo``).
 """
 
 import functools
@@ -40,7 +41,7 @@ class QuadratureRule:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_bernstein_bases", {})
+        object.__setattr__(self, "_memo", {})
 
     def legendre_vander(self, nu):
         """Entries (2j + 1) w_t P_j(2 x_t - 1) for every node t and
@@ -61,18 +62,27 @@ class QuadratureRule:
 
     def bernstein_basis(self, d):
         """``basis_matrix(d, self.nodes)``: B_i^d(x_t) for every node t and
-        i = 0..d, as a read-only (nodes, d + 1) array.
+        i = 0..d, as a read-only (nodes, d + 1) array, kept (``memo``)."""
+        return self.memo(("bernstein", d), _read_only_basis, d, self.nodes)
 
-        Built on first use for each degree and kept, so later calls return
-        the same array.  Threads that build the same degree at once build
-        equal arrays, and all of them get the one that is kept.
+    def memo(self, key, build, *args):
+        """build(*args), built on the first call with this key and kept, so
+        later calls return the same object.
+
+        For values that depend on the rule and the key alone.  Threads that
+        build the same key at once build equal values, and all of them get
+        the one that is kept.
         """
-        table = self._bernstein_bases.get(d)
-        if table is None:
-            table = basis_matrix(d, self.nodes)
-            table.setflags(write=False)
-            table = self._bernstein_bases.setdefault(d, table)
-        return table
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, build(*args))
+        return value
+
+
+def _read_only_basis(d, nodes):
+    table = basis_matrix(d, nodes)
+    table.setflags(write=False)
+    return table
 
 
 def gauss_rule(order, panels=1):

@@ -28,11 +28,21 @@ boundary stencil terms are exact, rounded once, since their two parts
 cancel.  The band solve multiplies by the cached inverse of each matrix
 and takes one refinement step with an exact residual; the iterates a
 solve returns are ordinary float64 BernsteinPolys.
+
+What a step takes from the rule, the degree and the shape alone, the
+basis matrices and falling factorials of its derivatives and the
+constants of its outer coefficients, is one immutable record per (rule,
+n, k, l), built on first use and kept on the rule (``_Step``); the band
+system of each shape, with its inverse and the data of its exact rows, is
+kept by ``bandsolve.assemble_matrix``.  So a warm iteration derives no
+constant again: it looks up the record, the system and the dual table,
+and runs its layers under one ``np.errstate``.
 """
 
 import math
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -40,43 +50,52 @@ from . import bandsolve
 from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
-from .expressions import bind, bindable, evaluate as eval_expr, max_arg_index
+from .expressions import bind, bindable, evaluate, evaluate_in_errstate, max_arg_index
 from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
            "outer_coefficients", "seed", "iterate", "solve"]
 
 
-def _node_derivatives(p, orders, rule):
-    """Values at the rule's nodes of the derivatives of the given orders
-    (ascending) of the polynomial with Bernstein coefficients p, one array
-    per order.
+def _node_derivatives(p, terms):
+    """Values at a rule's nodes of derivatives of the polynomial with
+    Bernstein coefficients p, one array per entry of terms.
 
-    Derivative r has the coefficients n!/(n-r)! times the r-fold forward
-    differences of p, taken once, order after order, and its values are
-    one product with the rule's basis matrix of degree n - r.  A value
-    that overflows is inf or nan, with no warning; the caller checks the
-    values it uses.
+    terms holds (r, B, n!/(n-r)!) per derivative order r, ascending, where
+    n = p.size - 1 and B is the rule's basis matrix of degree n - r
+    (``_derivative_terms``).  Derivative r has the coefficients n!/(n-r)!
+    times the r-fold forward differences of p, taken once, order after
+    order, and its values are one product with B.  A value that overflows
+    is inf or nan, with a warning unless the caller ignores it
+    (``np.errstate``, as the iteration does); the caller checks the values
+    it uses.
     """
-    n = p.size - 1
     values, q = [], p
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in orders:
-            while q.size > n + 1 - r:
-                q = q[1:] - q[:-1]
-            values.append(rule.bernstein_basis(n - r) @ (falling_factorial(n, r) * q))
+    for r, basis, scale in terms:
+        while q.size > p.size - r:
+            q = q[1:] - q[:-1]
+        values.append(basis @ (scale * q))
     return values
+
+
+def _derivative_terms(rule, n, orders):
+    """The terms of ``_node_derivatives`` for a polynomial of degree n."""
+    return tuple((r, rule.bernstein_basis(n - r), falling_factorial(n, r)) for r in orders)
 
 
 # perfbench/tracing.py wraps these names: _eval_mp, the node evaluator
 # above, to time the derivative arguments (one call per iteration, inside
 # the moment kernel, which samples g) apart from the residual's m-th
 # derivative (one call per iteration, outside it), _moment_integrals_mp as
-# the moment layer and dual_coefficients as the per-degree lookup of the
-# Legendre factor.  The names stay because the tracer looks them up; the
-# "_mp" suffixes are historical: neither runs in mpmath any more.
+# the moment layer, eval_expr as the expression layer, and
+# dual_coefficients as the per-degree lookup of the Legendre factor.  The
+# iteration calls each through these names.  The "_mp" suffixes are
+# historical: neither runs in mpmath any more.  eval_expr is evaluate
+# without its own np.errstate, since the iteration sets one for all its
+# layers.
 _eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
+eval_expr = evaluate_in_errstate
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,7 @@ class BVProblem:
         """f at x, a float or an array of points, where args[r] holds the
         r-th derivative value(s)."""
         if not callable(self.rhs):
-            return eval_expr(self.rhs, x, args)
+            return evaluate(self.rhs, x, args)
         if np.ndim(x) == 0:
             return self.rhs(x, *args)
         points = zip(np.asarray(x).tolist(), *(np.asarray(a).tolist() for a in args))
@@ -174,16 +193,33 @@ def outer_coefficients(problem, n):
     k, l = problem.k, problem.l
     if n < max(k, l) - 1:
         raise ValueError(f"degree {n} too small for k={k}, l={l}")
-    left = np.zeros(k)
-    for i in range(k):
-        terms = [problem.left_values[i] / falling_factorial(n, i)]
-        terms += [-((-1.0) ** (i - h)) * comb(i, h) * left[h] for h in range(i)]
-        left[i] = math.fsum(terms)
-    right = np.zeros(l)
-    for j in range(l):
-        terms = [(-1.0) ** j * problem.right_values[j] / falling_factorial(n, j)]
-        terms += [-((-1.0) ** h) * comb(j, h) * right[j - h] for h in range(1, j + 1)]
-        right[j] = math.fsum(terms)
+    left, right = _outer(problem, _outer_terms(n, k, l))
+    return np.array(left, dtype=float), np.array(right, dtype=float)
+
+
+def _outer_terms(n, k, l):
+    """What the outer coefficients of degree n take from n, k and l alone:
+    per left index i, n!/(n-i)! and the signed binomials -(-1)^(i-h) C(i, h)
+    for h < i; per right index j, (-1)^j, n!/(n-j)! and -(-1)^h C(j, h) for
+    h = 1..j."""
+    left = tuple((falling_factorial(n, i),
+                  tuple(-((-1.0) ** (i - h)) * comb(i, h) for h in range(i)))
+                 for i in range(k))
+    right = tuple(((-1.0) ** j, falling_factorial(n, j),
+                   tuple(-((-1.0) ** h) * comb(j, h) for h in range(1, j + 1)))
+                  for j in range(l))
+    return left, right
+
+
+def _outer(problem, terms):
+    """outer_coefficients as two lists, from the terms of its degree."""
+    left_terms, right_terms = terms
+    left = []
+    for value, (scale, signed) in zip(problem.left_values, left_terms):
+        left.append(math.fsum([value / scale, *map(mul, signed, left)]))
+    right = []
+    for value, (sign, scale, signed) in zip(problem.right_values, right_terms):
+        right.append(math.fsum([sign * value / scale, *map(mul, signed, reversed(right))]))
     return left, right
 
 
@@ -200,42 +236,65 @@ def _full_coeffs(n, k, l, left, right, inner):
     p = np.empty(n + 1)
     p[:k] = left
     p[k:n - l + 1] = inner
-    for j in range(l):
-        p[n - j] = right[j]
+    p[n - l + 1:] = right[::-1]
     return p
 
 
-def _iterate_core(problem, prev, n, rule, bound_rhs=None):
+@dataclass(frozen=True)
+class _Step:
+    """What a step to degree n with shape (k, l) needs of the quadrature
+    rule, n, k and l alone: the ``_node_derivatives`` terms of the
+    derivative arguments (orders 0..m-1 of the degree n - 1 iterate) and
+    of the residual (order m of the new iterate), and the ``_outer_terms``.
+    One per rule and (n, k, l), kept on the rule (``QuadratureRule.memo``);
+    it holds references to the rule's basis matrices, not copies."""
+
+    derivs: tuple
+    residual: tuple
+    outer: tuple
+
+
+def _new_step(rule, n, k, l):
+    m = k + l
+    return _Step(derivs=_derivative_terms(rule, n - 1, range(m)),
+                 residual=_derivative_terms(rule, n, (m,)),
+                 outer=_outer_terms(n, k, l))
+
+
+def _iterate_core(problem, prev, n, rule, rhs):
     """One degree-raising step from the coefficients prev of the degree
     n - 1 iterate; returns (coefficients, L2 residual).
 
-    bound_rhs, when given, is problem.rhs bound to rule.nodes, and is
-    evaluated in its place.
+    rhs is problem.rhs, or an expression rhs bound to rule.nodes
+    (``expressions.bind``), which is evaluated in its place.  The layers
+    run under one np.errstate that ignores overflow and invalid
+    operations; each checks the values it hands on.
     """
     m, k, l = problem.m, problem.k, problem.l
-    left, right = outer_coefficients(problem, n)
+    step = rule.memo(("step", n, k, l), _new_step, rule, n, k, l)
+    left, right = _outer(problem, step.outer)
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        args = _eval_mp(prev, range(m), rule)
-        if bound_rhs is None:
+        args = _eval_mp(prev, step.derivs)
+        if callable(rhs):
             return problem.rhs_value(x, args)
-        return eval_expr(bound_rhs, x, args)
+        return eval_expr(rhs, x, args)
 
-    moments, gvals = _moment_integrals_mp(g, n - m, rule)
-    duals = dual_coefficients(n - m)
-    try:
-        v = bandsolve.assemble_rhs(n, m, k, l, duals, moments, (left, right))
-    except OverflowError as exc:
-        raise EvaluationError("system right-hand side overflows float64") from exc
-    system = bandsolve.assemble_matrix(n, m, k, l).with_rhs(v)
-    inner = bandsolve.solve(system)
-    if not np.isfinite(inner).all():
-        raise EvaluationError("band solve result is not finite in float64")
-    coeffs = _full_coeffs(n, k, l, left, right, inner)
-
-    # L2 residual of the new iterate against the frozen right-hand side
-    [deriv_m] = _eval_mp(coeffs, (m,), rule)
     with np.errstate(over="ignore", invalid="ignore"):
+        moments, gvals = _moment_integrals_mp(g, n - m, rule)
+        duals = dual_coefficients(n - m)
+        system = bandsolve.assemble_matrix(n, m, k, l)
+        try:
+            v = bandsolve.assemble_rhs(system, duals, moments, (left, right))
+        except OverflowError as exc:
+            raise EvaluationError("system right-hand side overflows float64") from exc
+        inner = bandsolve.solve(system, v)
+        if not np.isfinite(inner).all():
+            raise EvaluationError("band solve result is not finite in float64")
+        coeffs = _full_coeffs(n, k, l, left, right, inner)
+
+        # L2 residual of the new iterate against the frozen right-hand side
+        [deriv_m] = _eval_mp(coeffs, step.residual)
         terms = rule.weights * (deriv_m - gvals) ** 2
     try:
         res2 = math.fsum(terms.tolist())
@@ -273,7 +332,7 @@ def iterate(problem, previous, n, rule=None):
     if rule is None:
         rule = _default_rule(n)
     try:
-        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule)
+        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, problem.rhs)
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
     return BernsteinPoly(coeffs)
@@ -306,14 +365,14 @@ def solve(problem, options):
     iterates = [start] if options.record_iterates else None
     residuals = []
     binds = not callable(problem.rhs) and bindable(problem.rhs)
-    rule = bound_rhs = None
+    rule = rhs = None
     for n in range(m, N + 1):
         previous_rule, rule = rule, _default_rule(n, options)
         if rule is not previous_rule:
             reused = n < N and _rule_args(n + 1, options) == _rule_args(n, options)
-            bound_rhs = bind(problem.rhs, rule.nodes) if binds and reused else None
+            rhs = bind(problem.rhs, rule.nodes) if binds and reused else problem.rhs
         try:
-            coeffs, res = _iterate_core(problem, coeffs, n, rule, bound_rhs)
+            coeffs, res = _iterate_core(problem, coeffs, n, rule, rhs)
         except (EvaluationError, SingularSystemError) as exc:
             raise IterationError(n, exc) from exc
         residuals.append(res)

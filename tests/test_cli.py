@@ -248,7 +248,7 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("numerical failure: iteration n=2 failed: ")
 
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(bandsolve, "solve", lambda system: np.full(system.size, np.inf))
+        monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
         assert main(["solve", str(ex1_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(

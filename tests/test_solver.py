@@ -9,7 +9,7 @@ from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
 from bernbvp import bandsolve, solver
-from bernbvp.bandsolve import _band, assemble_matrix
+from bernbvp.bandsolve import assemble_matrix
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
 from bernbvp.errors import EvaluationError, IterationError
@@ -346,7 +346,7 @@ class TestSolve:
     def test_nonfinite_band_solve_fails_with_iteration_index(self, monkeypatch):
         # the iteration works on coefficient arrays, so nothing else checks
         # that the inner coefficients are finite
-        monkeypatch.setattr(bandsolve, "solve", lambda system: np.full(system.size, np.inf))
+        monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
         with pytest.raises(IterationError) as err:
             solve(parabola_problem(), SolveOptions(degree=4))
         assert err.value.n == 2
@@ -365,7 +365,7 @@ class TestSolve:
             iterate(p, BernsteinPoly(huge[:8]), 8)
         assert isinstance(err.value.cause, EvaluationError)
         assert "non-finite value" in str(err.value.cause)
-        monkeypatch.setattr(bandsolve, "solve", lambda system: huge[:system.size])
+        monkeypatch.setattr(bandsolve, "solve", lambda system, v: huge[:system.size])
         with pytest.raises(IterationError) as err:
             iterate(p, BernsteinPoly(np.zeros(8)), 8)
         assert isinstance(err.value.cause, EvaluationError)
@@ -443,16 +443,21 @@ class TestSolve:
             assert np.array_equal(got, expect)
 
     def test_memos_do_not_change_results(self):
-        # cold (caches cleared) and warm solves give the same bytes
-        problems = [example(i).problem for i in range(1, 6)]
-        opts = SolveOptions(degree=30)
-        _gauss_rule.cache_clear()
-        _dual_table.cache_clear()
-        _band.cache_clear()
-        assemble_matrix.cache_clear()
-        cold = [solve(p, opts) for p in problems]
-        warm = [solve(p, opts) for p in problems]
-        for a, b in zip(cold, warm):
+        # cold (caches cleared) and warm solves give the same bytes.
+        # Examples 2 (k = l = 2) and 3 (k = 4, l = 0) share m = 4 and, with
+        # a fixed quad_order, one rule: its steps must be kept per
+        # (n, k, l), so interleaved warm solves of the two match cold ones
+        runs = [(example(i).problem, SolveOptions(degree=30)) for i in range(1, 6)]
+        runs += [(example(i).problem, SolveOptions(degree=30, quad_order=40)) for i in (2, 3)]
+        cold = []
+        for problem, opts in runs:
+            _gauss_rule.cache_clear()
+            _dual_table.cache_clear()
+            assemble_matrix.cache_clear()
+            cold.append(solve(problem, opts))
+        assert gauss_rule(40, 2) is gauss_rule(40, 2)
+        warm = [solve(problem, opts) for problem, opts in runs + runs[::-1]]
+        for a, b in zip(cold + cold[::-1], warm):
             assert a.solution.coeffs.tobytes() == b.solution.coeffs.tobytes()
             assert a.residuals.tobytes() == b.residuals.tobytes()
 
@@ -473,7 +478,6 @@ class TestSolve:
         workers = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
-        _band.cache_clear()
         assemble_matrix.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
