@@ -16,15 +16,16 @@ errors (ln of a non-positive value, division by zero, ...) and function
 overflow raise EvaluationError instead of producing NaN or escaping as a
 raw math exception.
 
-Evaluating the same tree at the same points many times, with only the yk
-changing, can bind the points first: bind(e, x) evaluates every maximal
-subtree that contains x and no yk once and keeps its values in a Bound
-node, so later evaluations at x walk only the rest.  The results have the
-same bits, and the same errors, as evaluating e.
+Evaluation runs a compiled tree (compile): one closure per node, in which
+each maximal subtree that contains x and no yk keeps its values while the
+same read-only x comes again.  So evaluating one compiled tree at the same
+points many times, with only the yk changing, evaluates its x-only parts
+once, with the same bits and the same errors as evaluating them each time.
 """
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 
-__all__ = ["parse", "evaluate", "bind", "bindable", "to_source", "max_arg_index",
-           "Num", "X", "Arg", "Neg", "BinOp", "Call", "Bound"]
+__all__ = ["parse", "evaluate", "compile", "to_source", "max_arg_index",
+           "Num", "X", "Arg", "Neg", "BinOp", "Call"]
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,6 @@ class Call:
     arg: object
 
 
-@dataclass(frozen=True, eq=False)
-class Bound:
-    """Values of an x-only subtree at the points bind was given (see bind)."""
-
-    values: object
-
-
 _FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sec": lambda v: 1.0 / math.cos(v),
@@ -108,7 +102,7 @@ def _tokenize(source):
 
 # Deepest syntax tree that parse accepts, and deepest nesting of
 # parentheses (and, separately, of minus signs and ^) in its source.
-# Evaluation, binding, to_source and max_arg_index recurse once per tree
+# Compiling, evaluation, to_source and max_arg_index recurse once per tree
 # level and the parser at most five times per nesting level, so this keeps
 # them all far below Python's recursion limit.  Every accepted tree's to_source
 # nests no deeper than the tree, so it parses back.
@@ -341,20 +335,21 @@ def _check(bad, values, message):
 def evaluate(e, x, args=()):
     """Evaluate e at x with derivative arguments args = (y0, y1, ...).
 
-    x and every argument are floats or numpy arrays that broadcast
-    together; the value has their common shape, so it is a float when all
-    of them are floats, and a constant e still fills the whole shape.  One
-    walk of the tree serves every point: + - * / and negation are numpy
-    operations, the functions and ^ run per element through math and
-    Python's pow, so each element carries the same IEEE operations as a
-    walk over floats.  Domain checks run over the whole array: the first
-    operation in walk order that fails at some point raises
-    EvaluationError, with ``where`` the failing operand at the first such
-    point.
+    e is a tree or ``compile(tree)``; a tree is compiled first.  x and
+    every argument are floats or numpy arrays that broadcast together; the
+    value has their common shape, so it is a float when all of them are
+    floats, and a constant e still fills the whole shape.  One walk of the
+    tree serves every point: + - * / and negation are numpy operations,
+    the functions and ^ run per element through math and Python's pow, so
+    each element carries the same IEEE operations as a walk over floats.
+    Domain checks run over the whole array: the first operation in walk
+    order that fails at some point raises EvaluationError, with ``where``
+    the failing operand at the first such point.
 
     An array value is always a new array of its own, never x, an argument
-    or the values of a Bound node; only a value of another shape (a
-    constant, or operands of mixed shapes) is broadcast to the common one.
+    or a value that a compiled tree keeps; only a value of another shape
+    (a constant, or operands of mixed shapes) is broadcast to the common
+    one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return evaluate_in_errstate(e, x, args)
@@ -370,7 +365,7 @@ def evaluate_in_errstate(e, x, args=()):
     shape = np.shape(x)
     if any(np.shape(a) != shape for a in args):
         shape = np.broadcast_shapes(shape, *map(np.shape, args))
-    out = _walk(e, np.asarray(x, dtype=float), args)
+    out = (e if callable(e) else compile(e))(np.asarray(x, dtype=float), args)
     if not shape:
         return float(out)
     if np.shape(out) == shape:
@@ -378,40 +373,89 @@ def evaluate_in_errstate(e, x, args=()):
     return np.array(np.broadcast_to(out, shape))
 
 
-def _walk(e, x, args):
+def compile(e):
+    """e as a function of (x, args) that evaluate takes in its place.
+
+    One bottom-up pass turns each node into a closure that applies the
+    node's operation to its children's values, so a call walks the tree
+    in the same order, with the same operations and the same errors, as
+    the tree's definition.  Each maximal subtree that contains x and no
+    yk, other than a bare x, keeps its value for the last x it was given
+    and returns it while the same x comes again: the same array object,
+    and only while it is read-only (as a quadrature rule's nodes are),
+    since a writable x may have changed in place.  (An x made writable,
+    changed and made read-only again between two calls would not be
+    seen.)  A subtree whose evaluation fails keeps nothing and fails
+    again at its own place in the walk.  So evaluating one compiled tree
+    at one rule's nodes, with only the yk changing, evaluates its x-only
+    parts once.
+    """
+    f, has_x, has_y = _compile(e)
+    return _keep(e, f, has_x, has_y)
+
+
+def _compile(e):
+    """(function of (x, args), contains x, contains a yk) for e; below e,
+    each maximal x-only subtree keeps its value (``_keep``), e itself
+    does not."""
     if isinstance(e, Num):
-        return e.value
+        value = e.value
+        return (lambda x, args: value), False, False
     if isinstance(e, X):
-        return x
+        return (lambda x, args: x), True, False
     if isinstance(e, Arg):
-        if e.index >= len(args):
-            raise EvaluationError(
-                f"missing argument y{e.index} (got {len(args)} arguments)"
-            )
-        return np.asarray(args[e.index], dtype=float)
-    if isinstance(e, Bound):
-        return e.values
-    if isinstance(e, Neg):
-        return -_walk(e.operand, x, args)
+        return _arg(e.index), False, True
     if isinstance(e, BinOp):
-        return _binop(e.op, _walk(e.left, x, args), _walk(e.right, x, args))
+        a, ax, ay = _compile(e.left)
+        b, bx, by = _compile(e.right)
+        if ay or by:  # an x-only operand is a maximal x-only subtree
+            a, b = _keep(e.left, a, ax, ay), _keep(e.right, b, bx, by)
+        op = _BINOPS[e.op]
+        return (lambda x, args: op(a(x, args), b(x, args))), ax or bx, ay or by
+    # the operand of a unary node is x-only exactly when the node is
+    if isinstance(e, Neg):
+        f, has_x, has_y = _compile(e.operand)
+        return (lambda x, args: -f(x, args)), has_x, has_y
     if isinstance(e, Call):
-        return _function(e.fn, _walk(e.arg, x, args))
+        f, has_x, has_y = _compile(e.arg)
+        fn = e.fn
+        return (lambda x, args: _function(fn, f(x, args))), has_x, has_y
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _binop(op, a, b):
-    """a op b over the operands' values, as the walk applies it."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        _check(b == 0, a, "division by zero")
-        return a / b
-    return _power(a, b)
+def _keep(node, f, has_x, has_y):
+    """f, or, if node is an x-only subtree other than a bare x, f keeping
+    its value for the last read-only array x it was given."""
+    if has_y or not has_x or isinstance(node, X):
+        return f
+    kept = None, None
+
+    def keep(x, args):
+        nonlocal kept
+        last, value = kept
+        if x is last and not x.flags.writeable:
+            return value
+        value = f(x, args)
+        if isinstance(x, np.ndarray) and not x.flags.writeable:
+            kept = x, value
+        return value
+    return keep
+
+
+def _arg(index):
+    def arg(x, args):
+        if index >= len(args):
+            raise EvaluationError(f"missing argument y{index} (got {len(args)} arguments)")
+        return np.asarray(args[index], dtype=float)
+    return arg
+
+
+def _divide(a, b):
+    _check(b == 0, a, "division by zero")
+    return a / b
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
 
 
 def _function(fn, v):
@@ -435,98 +479,3 @@ def _function(fn, v):
     if values is None or (fn in ("tan", "sec") and 0.0 in map(math.cos, points)):
         values = [_call(fn, p) for p in points]
     return np.array(values, dtype=float).reshape(v.shape)
-
-
-def bindable(e):
-    """Whether e has a subtree other than a bare x that contains x and no
-    yk: whether bind(e, x) can take work out of later evaluations."""
-    return _scan(e)[2]
-
-
-def _scan(e):
-    """(contains x, contains a yk, has a bindable subtree) for e."""
-    if isinstance(e, X):
-        return True, False, False
-    if isinstance(e, Arg):
-        return False, True, False
-    if isinstance(e, Num):
-        return False, False, False
-    if isinstance(e, BinOp):
-        lx, ly, lfound = _scan(e.left)
-        rx, ry, rfound = _scan(e.right)
-        has_x, has_y, found = lx or rx, ly or ry, lfound or rfound
-    elif isinstance(e, Neg):
-        has_x, has_y, found = _scan(e.operand)
-    elif isinstance(e, Call):
-        has_x, has_y, found = _scan(e.arg)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    return has_x, has_y, found or (has_x and not has_y)
-
-
-def bind(e, x):
-    """e with every maximal subtree that contains x and no yk replaced by
-    a Bound node holding that subtree's values at x.
-
-    Only evaluate(bind(e, x), x, args), at the same x, is meaningful; its
-    value has the same bits as evaluate(e, x, args), and it raises the
-    same EvaluationError, because a subtree whose evaluation fails stays
-    unbound and fails again at its own place in the walk.  One bottom-up
-    walk applies each operator once, to its children's values, under the
-    same floating-point error state as evaluate.  A bare x stays as it is:
-    walking it costs nothing.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        node, values, has_x = _bind(e, np.asarray(x, dtype=float))
-    return _bound(node, values, has_x)
-
-
-def _bind(e, x):
-    """(tree, values, contains x) for e at x.
-
-    values is e's value when e contains no yk and evaluates without error,
-    and tree is then e itself; otherwise values is None and tree is e with
-    its maximal x-only subtrees bound.
-    """
-    if isinstance(e, Num):
-        return e, e.value, False
-    if isinstance(e, X):
-        return e, x, True
-    if isinstance(e, Arg):
-        return e, None, False
-    if isinstance(e, BinOp):
-        left, a, ax = _bind(e.left, x)
-        right, b, bx = _bind(e.right, x)
-        if a is not None and b is not None:
-            try:
-                return e, _binop(e.op, a, b), ax or bx
-            except EvaluationError:
-                pass
-        left, right = _bound(left, a, ax), _bound(right, b, bx)
-        if left is not e.left or right is not e.right:
-            e = BinOp(e.op, left, right)
-        return e, None, ax or bx
-    if isinstance(e, Neg):
-        operand, v, has_x = _bind(e.operand, x)
-        if v is not None:
-            return e, -v, has_x
-        return (e if operand is e.operand else Neg(operand)), None, has_x
-    if isinstance(e, Call):
-        arg, v, has_x = _bind(e.arg, x)
-        if v is not None:
-            try:
-                return e, _function(e.fn, v), has_x
-            except EvaluationError:
-                pass
-        arg = _bound(arg, v, has_x)
-        return (e if arg is e.arg else Call(e.fn, arg)), None, has_x
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _bound(node, values, has_x):
-    """node, or a Bound node for it if it is an x-only subtree beyond x."""
-    if values is None or not has_x or isinstance(node, X):
-        return node
-    if isinstance(values, np.ndarray):
-        values.setflags(write=False)
-    return Bound(values)

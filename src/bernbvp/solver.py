@@ -12,10 +12,11 @@ basis moments and one banded Toeplitz solve.
 Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
 node array per iteration.  The x-only parts of an expression right-hand
-side, forcing terms such as exp(a*x), depend on the nodes alone, so solve
-evaluates them once per quadrature rule that serves several degrees
-(``expressions.bind``) and each iteration only the parts that involve the
-iterate.  A derivative's values at the nodes are one product of its
+side, forcing terms such as exp(a*x), depend on the nodes alone: solve
+compiles the right-hand side once (``expressions.compile``), and the
+compiled tree keeps their values per rule, so they are evaluated once per
+quadrature rule and each iteration evaluates only the parts that involve
+the iterate.  A derivative's values at the nodes are one product of its
 coefficients (forward differences of the iterate's) with the Bernstein
 basis matrix that the quadrature rule keeps per degree, so the iteration
 works on coefficient arrays and never builds a BernsteinPoly before the
@@ -50,7 +51,7 @@ from . import bandsolve
 from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
-from .expressions import bind, bindable, evaluate, evaluate_in_errstate, max_arg_index
+from .expressions import compile, evaluate, evaluate_in_errstate, max_arg_index
 from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
@@ -92,7 +93,7 @@ def _derivative_terms(rule, n, orders):
 # iteration calls each through these names.  The "_mp" suffixes are
 # historical: neither runs in mpmath any more.  eval_expr is evaluate
 # without its own np.errstate, since the iteration sets one for all its
-# layers.
+# layers; the iteration hands it the compiled right-hand side.
 _eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
 eval_expr = evaluate_in_errstate
@@ -265,10 +266,9 @@ def _iterate_core(problem, prev, n, rule, rhs):
     """One degree-raising step from the coefficients prev of the degree
     n - 1 iterate; returns (coefficients, L2 residual).
 
-    rhs is problem.rhs, or an expression rhs bound to rule.nodes
-    (``expressions.bind``), which is evaluated in its place.  The layers
-    run under one np.errstate that ignores overflow and invalid
-    operations; each checks the values it hands on.
+    rhs is the compiled expression rhs (``_compiled_rhs``), or None for a
+    callable one.  The layers run under one np.errstate that ignores
+    overflow and invalid operations; each checks the values it hands on.
     """
     m, k, l = problem.m, problem.k, problem.l
     step = rule.memo(("step", n, k, l), _new_step, rule, n, k, l)
@@ -276,7 +276,7 @@ def _iterate_core(problem, prev, n, rule, rhs):
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
         args = _eval_mp(prev, step.derivs)
-        if callable(rhs):
+        if rhs is None:
             return problem.rhs_value(x, args)
         return eval_expr(rhs, x, args)
 
@@ -305,15 +305,16 @@ def _iterate_core(problem, prev, n, rule, rhs):
     return coeffs, math.sqrt(res2)
 
 
-def _rule_args(n, options=None):
-    """(order, panels) of the quadrature rule for degree n."""
-    order = options.quad_order if options and options.quad_order else max(n + 2, 20)
-    panels = options.quad_panels if options else 2
-    return order, panels
-
-
 def _default_rule(n, options=None):
-    return gauss_rule(*_rule_args(n, options))
+    """The quadrature rule for degree n."""
+    order = options.quad_order if options and options.quad_order else max(n + 2, 20)
+    return gauss_rule(order, options.quad_panels if options else 2)
+
+
+def _compiled_rhs(problem):
+    """problem.rhs compiled (``expressions.compile``), or None if it is a
+    callable."""
+    return None if callable(problem.rhs) else compile(problem.rhs)
 
 
 def iterate(problem, previous, n, rule=None):
@@ -321,7 +322,8 @@ def iterate(problem, previous, n, rule=None):
 
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
-    ``previous``.  Numerical failures carry the iteration index.
+    ``previous``.  Numerical failures carry the iteration index.  An
+    expression rhs is compiled per call.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -332,7 +334,7 @@ def iterate(problem, previous, n, rule=None):
     if rule is None:
         rule = _default_rule(n)
     try:
-        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, problem.rhs)
+        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
     return BernsteinPoly(coeffs)
@@ -344,12 +346,11 @@ def solve(problem, options):
     Deterministic for fixed inputs; residuals are recorded for every
     n = m..N, iterates only when options.record_iterates is set.
 
-    An expression rhs with x-only subtrees beyond a bare x is bound to
-    the nodes of each quadrature rule that serves more than one degree
-    (``expressions.bind``), at the first of them, so each iteration
-    evaluates only its y-dependent rest; a rule that serves one degree
-    evaluates the rhs unbound, which costs less than binding it.  The
-    iterates are the same bits as iterate() gives.
+    An expression rhs is compiled once (``expressions.compile``) and
+    serves every iteration, so its x-only parts are evaluated once per
+    quadrature rule and each iteration evaluates only the rest.  Nothing
+    is kept across calls.  The iterates are the same bits as iterate()
+    gives.
     """
     N = options.degree
     m = problem.m
@@ -364,15 +365,10 @@ def solve(problem, options):
     coeffs = start.coeffs
     iterates = [start] if options.record_iterates else None
     residuals = []
-    binds = not callable(problem.rhs) and bindable(problem.rhs)
-    rule = rhs = None
+    rhs = _compiled_rhs(problem)
     for n in range(m, N + 1):
-        previous_rule, rule = rule, _default_rule(n, options)
-        if rule is not previous_rule:
-            reused = n < N and _rule_args(n + 1, options) == _rule_args(n, options)
-            rhs = bind(problem.rhs, rule.nodes) if binds and reused else problem.rhs
         try:
-            coeffs, res = _iterate_core(problem, coeffs, n, rule, rhs)
+            coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
         except (EvaluationError, SingularSystemError) as exc:
             raise IterationError(n, exc) from exc
         residuals.append(res)

@@ -247,6 +247,19 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: iteration n=2 failed: ")
 
+    def test_ill_conditioned_stencil_exits_3(self, tmp_path, capsys):
+        # the band guard on a real stencil: within the degree cap, the
+        # one-sided order-10 stencil passes the condition-number limit
+        # (bandsolve._MAX_CONDITION) before n = 60
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"order": 10, "left": [1.0] + [0.0] * 9, "rhs": "y0"}))
+        assert main(["solve", str(spec), "--degree", "60",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "singular system" in err and "condition number" in err
+        assert not (tmp_path / "o").exists()
+
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
         assert main(["solve", str(ex1_spec), "--degree", "4",

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernbvp import expressions
 from bernbvp.errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 from bernbvp.expressions import (
     MAX_DEPTH,
     Arg,
     BinOp,
-    Bound,
     Call,
     Neg,
     Num,
     X,
-    bind,
-    bindable,
+    compile,
     evaluate,
     max_arg_index,
     parse,
@@ -88,6 +87,12 @@ def shunting_yard_eval(source):
     return out[0]
 
 
+def _read_only(x):
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
+
+
 class TestParse:
     def test_nonlinear_first_order_square(self):
         assert parse("y1^2 + 1") == BinOp("+", BinOp("^", Arg(1), Num(2.0)), Num(1.0))
@@ -140,27 +145,32 @@ class TestParse:
 
     def test_deepest_accepted_trees_walk(self):
         # MAX_DEPTH parentheses and trees of MAX_DEPTH levels parse;
-        # evaluation, binding, to_source and max_arg_index walk the trees
+        # compiling, evaluation (twice at one read-only x, so kept values
+        # serve the second), to_source and max_arg_index walk the trees
         # from deep in a call stack, and to_source parses back
         d = MAX_DEPTH
+        x = _read_only([0.5, 0.5])
         trees = [parse("(" * d + "x" + ")" * d),
                  parse("-" * (d - 1) + "x"),
                  parse("^".join(["1"] * d)),
                  parse("+".join(["y0"] * d)),
                  parse("sin(" * (d - 1) + "x" + ")" * (d - 1))]
 
+        def compiled(e):
+            f = compile(e)
+            return [evaluate(f, x, (np.ones(2),)).tolist() for _ in range(2)]
+
         def from_depth(frames):
             if frames:
                 return from_depth(frames - 1)
-            return [(evaluate(e, 0.5, (1.0,)), max_arg_index(e), to_source(e),
-                     evaluate(bind(e, 0.5), 0.5, (1.0,)), bindable(e)) for e in trees]
+            return [(evaluate(e, 0.5, (1.0,)), max_arg_index(e), to_source(e), compiled(e))
+                    for e in trees]
 
         walked = from_depth(sys.getrecursionlimit() - 300)
         assert [w[0] for w in walked[:4]] == [0.5, 0.5 * (-1) ** (d - 1), 1.0, float(d)]
         assert [w[1] for w in walked] == [-1, -1, -1, 0, -1]
         assert [parse(w[2]) for w in walked] == trees
-        assert [w[3] for w in walked] == [w[0] for w in walked]
-        assert [w[4] for w in walked] == [False, True, False, False, True]
+        assert [w[3] for w in walked] == [[[w[0]] * 2] * 2 for w in walked]
 
 
 class TestPrecedence:
@@ -276,11 +286,13 @@ class TestEvaluate:
         assert err.value.where == 0.25
 
     def test_array_values_are_owned_and_writable(self):
-        # the value is never x, an argument or a Bound node's values, so
-        # writing to it changes neither them nor a later evaluation
-        x, y0 = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)
+        # the value is never x, an argument or a value a compiled tree
+        # keeps, so writing to it changes neither them nor a later
+        # evaluation; x is read-only, so the compiled trees keep exp(x)
+        x, y0 = _read_only(np.linspace(0.0, 1.0, 5)), np.linspace(-1.0, 1.0, 5)
         inputs = x.copy(), y0.copy()
-        for e in (parse("x"), parse("y0"), bind(parse("exp(x)"), x), parse("2")):
+        for e in (parse("x"), parse("y0"), compile(parse("exp(x)")),
+                  compile(parse("exp(x) + y0")), parse("2")):
             got = evaluate(e, x, (y0,))
             want = got.tolist()
             assert got.flags.writeable and got.flags.owndata
@@ -377,61 +389,79 @@ _points = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -2.5, 1e-300, 700.0,
 _nodes = st.lists(_points, min_size=1, max_size=6).map(np.array) | _points
 
 
-class TestBind:
+class TestCompile:
     @settings(max_examples=400, deadline=None)
-    @given(e=_trees, x=_nodes, ys=st.lists(st.lists(_points, min_size=6, max_size=6),
-                                          max_size=3))
-    def test_bound_tree_evaluates_to_the_same_bits_or_error(self, e, x, ys):
-        # every draw binds at x and evaluates both trees there; the value
-        # or the first error in walk order, with its where, must not change.
-        # Both are what a loop over the points gives: its values, or, when
-        # it fails, the error of one of its points (the first operation in
-        # walk order that fails anywhere need not fail at the first point)
-        size = np.size(x)
-        args = tuple(np.array(y[:size]) if np.ndim(x) else y[0] for y in ys)
-        whole = _outcome(e, x, args)
-        assert _outcome(bind(e, x), x, args) == whole
-        first, points = _pointwise(e, x, args)
-        if isinstance(whole, bytes):
-            assert whole == first
-        else:
-            assert not isinstance(first, bytes) and whole in points
+    @given(e=_trees, x=_nodes,
+           argsets=st.lists(st.lists(st.lists(_points, min_size=6, max_size=6), max_size=3),
+                            min_size=1, max_size=4))
+    def test_compiled_tree_evaluates_to_the_same_bits_or_error(self, e, x, argsets):
+        # one compiled tree, evaluated at one read-only x (a 0-d array for
+        # a single point) with each argument set in turn, keeps its x-only
+        # values from the first evaluation that succeeds there; each time,
+        # the value or the first error in walk order, with its where, must
+        # be what a freshly compiled tree gives, and that is what a loop
+        # over the points gives: its values, or, when it fails, the error
+        # of one of its points (the first operation in walk order that
+        # fails anywhere need not fail at the first point)
+        x = _read_only(x)
+        compiled = compile(e)
+        for ys in argsets:
+            args = tuple(np.array(y[:x.size]) if x.ndim else y[0] for y in ys)
+            whole = _outcome(compiled, x, args)
+            assert whole == _outcome(e, x, args)
+            first, points = _pointwise(e, x, args)
+            if isinstance(whole, bytes):
+                assert whole == first
+            else:
+                assert not isinstance(first, bytes) and whole in points
 
     def test_walk_order_decides_the_error(self):
-        # ln(x - 2) fails at every node, so it stays unbound and ln(y0),
-        # first in walk order, still raises first when y0 <= 0
+        # ln(x - 2) fails at every node, so it keeps nothing, and ln(y0),
+        # first in walk order, still raises first when y0 <= 0, however
+        # often the compiled tree is evaluated
         e = parse("ln(y0) + ln(x - 2)")
-        x = np.array([0.25, 0.5])
-        b = bind(e, x)
-        assert isinstance(b.right.arg, Bound)
+        x = _read_only([0.25, 0.5])
+        compiled = compile(e)
         for y0, message, where in ((np.array([1.0, -0.5]), "ln of non-positive value -0.5", -0.5),
                                    (np.array([1.0, 2.0]), "ln of non-positive value -1.75", -1.75)):
-            for tree in (e, b):
+            for tree in (e, compiled, compiled):
                 with pytest.raises(EvaluationError) as err:
                     evaluate(tree, x, (y0,))
                 assert (str(err.value), err.value.where) == (message, where)
 
-    def test_binds_maximal_x_only_subtrees(self):
-        x = np.array([0.0, 0.5, 1.0])
-        e = parse("4*x*y1 + (x + 2)^2*y0 + x*y0 + 2*3")
-        b = bind(e, x)
-        # ((((4*x)*y1 + ((x+2)^2)*y0) + x*y0) + 2*3)
-        assert isinstance(b.left.left.left.left, Bound)
-        assert b.left.left.left.left.values.tolist() == [0.0, 2.0, 4.0]
-        assert isinstance(b.left.left.right.left, Bound)
-        assert not b.left.left.right.left.values.flags.writeable
-        assert b.left.right is e.left.right  # a bare x stays as it is
-        assert b.right is e.right  # so does a constant
-        whole = bind(parse("sin(x) + 1"), x)
-        assert isinstance(whole, Bound)
-        assert evaluate(whole, x).tolist() == evaluate(parse("sin(x) + 1"), x).tolist()
-        assert bind(parse("x"), x) == X()
-        y_only = parse("y1^2 + 1")
-        assert bind(y_only, x) is y_only
+    def test_keeps_maximal_x_only_subtrees(self, monkeypatch):
+        # each function call over the points is recorded: a subtree with x
+        # and no yk runs once per read-only x, a subtree with a yk every
+        # time, and a new x runs the x-only subtrees again
+        calls, function = [], expressions._function
+        monkeypatch.setattr(expressions, "_function",
+                            lambda fn, v: calls.append(fn) or function(fn, v))
+        x, other = _read_only([0.0, 0.5, 1.0]), _read_only([0.25, 0.75, 1.0])
+        ys = np.array([1.0, 2.0, 3.0])
+        for source, first, again in (
+                ("sin(cos(x))*y0 + exp(y0) + sqrt(x + 2)^2*y1", ["cos", "sin", "exp", "sqrt"],
+                 ["exp"]),
+                ("sin(x) + 1", ["sin"], []),
+                ("sin(y0 + x)", ["sin"], ["sin"])):
+            compiled = compile(parse(source))
+            for at, want in ((x, first), (x, again), (other, first), (other, again)):
+                calls.clear()
+                got = evaluate(compiled, at, (ys, ys))
+                assert calls == want, source
+                assert got.tolist() == evaluate(parse(source), at, (ys, ys)).tolist()
 
-    def test_bindable(self):
-        for source, want in (("y1^2 + 1", False), ("-2*y2 - y0", False), ("y3^2 / y2", False),
-                             ("x*y0", False), ("x", False), ("2*3 + y0", False),
-                             ("4*x*y1 + 2*y0", True), ("-(x + 2)^2 * y0", True),
-                             ("-x", True), ("y0 + sin(x)", True), ("ln(x - 2) + y0", True)):
-            assert bindable(parse(source)) is want, source
+    def test_a_changed_x_gives_new_values(self):
+        # values are kept only for a read-only x: a writable x, or a
+        # read-only one made writable, may change in place between calls
+        e = parse("exp(x)*y0 + sin(x)")
+        compiled = compile(e)
+        x, y0 = np.array([0.0, 0.5]), np.array([1.0, 2.0])
+        for read_only_first in (False, True):
+            x[:] = [0.0, 0.5]
+            x.setflags(write=not read_only_first)
+            evaluate(compiled, x, (y0,))
+            x.setflags(write=True)
+            x[:] = [1.0, 2.0]
+            assert evaluate(compiled, x, (y0,)).tolist() == evaluate(e, x, (y0,)).tolist()
+            assert evaluate(compiled, x, (y0,)).tolist() == [
+                math.exp(1.0) + math.sin(1.0), 2 * math.exp(2.0) + math.sin(2.0)]

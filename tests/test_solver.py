@@ -8,7 +8,7 @@ import pytest
 from helpers import manufactured_polynomial, monomial_bernstein_coeffs
 from mpmath import mp
 
-from bernbvp import bandsolve, solver
+from bernbvp import bandsolve, expressions, solver
 from bernbvp.bandsolve import assemble_matrix
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, evaluate
 from bernbvp.dual import _dual_table
@@ -96,28 +96,36 @@ class TestBoundRhs:
         "0.3*y0 - 0.2*y1 + 0.1*y0^2 + 0.5*exp(0.7*x) - 2*sin(1.3*x + 0.4)"
         " + (x + 2)^2 - 0.1*(cos(x) - x^2)^2"))
 
-    def test_solve_never_binds_without_x_only_subtrees(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(solver, "bind", lambda e, x: calls.append(x) or e)
-        solve(example(1).problem, SolveOptions(degree=24))
+    def test_solve_compiles_the_rhs_once_per_call(self, monkeypatch):
+        # solve compiles an expression rhs once and keeps nothing across
+        # calls; iterate compiles per call; a callable is not compiled
+        compile, calls = solver.compile, []
+        monkeypatch.setattr(solver, "compile", lambda e: calls.append(e) or compile(e))
+        problem = example(4).problem
+        for _ in range(2):
+            solve(problem, SolveOptions(degree=24))
+        assert calls == [problem.rhs] * 2
+        calls.clear()
+        iterate(problem, iterate(problem, seed(problem), 3), 4)
+        assert calls == [problem.rhs] * 2
+        calls.clear()
+        solve(BVProblem((0.0,), (0.0,), lambda x, y0, y1: x + y0), SolveOptions(degree=4))
         assert calls == []
 
-    def test_solve_binds_once_per_rule(self, monkeypatch):
-        # only a rule that serves a second degree is bound.  Example 4
-        # (m = 3) to N = 24 with the default rules: order 20 serves
-        # n = 3..18 and is bound once, at its 40 nodes; each degree from 19
-        # on has a rule of its own and evaluates the rhs unbound.  A fixed
-        # order serves every degree and is bound once.
-        bind, calls = solver.bind, []
-        monkeypatch.setattr(solver, "bind", lambda e, x: calls.append(x) or bind(e, x))
-        solve(example(4).problem, SolveOptions(degree=24))
-        assert [x.size for x in calls] == [40]
-        calls.clear()
-        solve(example(4).problem, SolveOptions(degree=24, quad_order=30))
-        assert [x.size for x in calls] == [60]
-        calls.clear()
-        solve(example(4).problem, SolveOptions(degree=3))
-        assert calls == []
+    def test_solve_evaluates_x_only_parts_once_per_rule(self, monkeypatch):
+        # exp(0.7*x) is the rhs's one exp, so its calls count the x-only
+        # work.  To N = 26 with the default rules, order 20 serves
+        # n = 2..18 and each degree from 19 on has a rule of its own: one
+        # call per distinct rule, at its 40, 42, ..., 56 nodes.  A fixed
+        # order serves every degree: one call
+        function, sizes = expressions._function, []
+        monkeypatch.setattr(expressions, "_function", lambda fn, v: (
+            fn == "exp" and sizes.append(np.size(v))) or function(fn, v))
+        solve(self.FORCED, SolveOptions(degree=26))
+        assert sizes == list(range(40, 57, 2))
+        sizes.clear()
+        solve(self.FORCED, SolveOptions(degree=26, quad_order=30))
+        assert sizes == [60]
 
     @pytest.mark.parametrize("quad_order", [None, 30])
     def test_x_forcing_matches_a_chain_of_unbound_iterates(self, quad_order):
