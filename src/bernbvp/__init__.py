@@ -3,7 +3,7 @@ problems on [0, 1]."""
 
 from .bernstein import BernsteinPoly, derivative, endpoint_derivative
 from .bernstein import evaluate as evaluate_poly
-from .dual import DualCoeffTable, bernstein_gram_entry, dual_coefficients
+from .dual import DualCoeffTable, dual_coefficients
 from .errors import (
     EvaluationError,
     ExpressionSyntaxError,
@@ -18,7 +18,7 @@ from .solver import BVProblem, SolveOptions, SolveReport, iterate, seed, solve
 
 __all__ = [
     "BernsteinPoly", "derivative", "endpoint_derivative", "evaluate_poly",
-    "DualCoeffTable", "bernstein_gram_entry", "dual_coefficients",
+    "DualCoeffTable", "dual_coefficients",
     "EvaluationError", "ExpressionSyntaxError", "IterationError",
     "SingularSystemError", "UnknownIdentifierError",
     "parse_expression",

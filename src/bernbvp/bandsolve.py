@@ -1,27 +1,27 @@
-"""Banded Toeplitz systems for the inner Bernstein coefficients.
+"""The stencil systems of the inner Bernstein coefficients.
 
-The matrix couples each row of the m-th forward-difference stencil to the
-unknown inner coefficients: entry (i, j) is nonzero only for -k <= j-i <= l
-and depends on j-i alone.  Every shape is solved the same way: a
-BandedToeplitz forms its dense matrix and inverse once, when it is built,
-and a solve is one product with the inverse followed by one refinement
-step.  The step computes the residual v - G p exactly (every entry of G, p
-and v is a float64, so a dyadic rational), rounds it once and adds the
-correction that the same inverse gives.  For the stencil matrices, whose
-diagonals are small integers, p is split into a few parts whose products
-with G are exact, and ``math.fsum`` rounds each row of v minus those
-products once.
+At degree n and order m = k + l, the m-th forward-difference stencil
+couples the inner coefficients: entry (i, j) of the matrix G is
+(-1)^(l-d) C(m, d+k) for d = j - i in -k..l, and zero outside that band.
+``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
+LRU of 1024 entries, the one cache of this module: its dense matrix and
+inverse, formed once, and the scale, stencil and row denominators that
+assemble_rhs needs.  A solve to degree N uses N - m + 1 shapes; an
+examples-n40 pass uses 190, about 1.5 MB together.
+
+A solve is one product with the inverse followed by one refinement step.
+The step computes the residual v - G p exactly (every entry of p and v is
+a float64, so a dyadic rational), rounds it once and adds the correction
+that the same inverse gives.  The stencil's entries sum to 2^m in
+magnitude, so for m <= 26 p is split into a few parts whose products with
+G are exact, and ``math.fsum`` rounds each row of v minus those products
+once; higher orders, and p or v too large for the split's grids, take an
+exact integer route instead.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
 also carry the boundary stencil terms: those cancel digits, so they are
 computed exactly and rounded once.
-
-``assemble_matrix`` keeps one system per shape (n, m, k, l), in an LRU of
-1024 entries, the one cache of this module: its matrix and inverse, and
-the scale, stencil and row denominators that assemble_rhs needs.  A solve
-to degree N uses N - m + 1 shapes; an examples-n40 pass uses 190, about
-1.5 MB together.
 """
 
 import functools
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 
-__all__ = ["BandedToeplitz", "assemble_matrix", "assemble_rhs", "solve"]
+__all__ = ["StencilSystem", "assemble_matrix", "assemble_rhs", "solve"]
 
 # A matrix whose infinity-norm condition number |G| |G^-1| reaches this is
 # treated as singular: its inverse leaves too few digits for the refinement
@@ -44,69 +44,27 @@ _MAX_CONDITION = 1e13
 
 
 @dataclass(frozen=True, eq=False)
-class BandedToeplitz:
-    """Matrix G with constant diagonals, ready to solve G p = v.
+class StencilSystem:
+    """The system G p = v of one shape (n, m, k, l), from ``assemble_matrix``.
 
-    ``diagonals[d + lower_bw]`` is the matrix value on offset d = j - i for
-    d in -lower_bw..upper_bw; entries outside that band are zero.  What a
-    solve needs of G alone is formed once, when the system is built:
-    ``dense``, the matrix (read-only); ``inverse``, its inverse (read-only,
-    None if G is singular); ``condition``, |G|_inf |G^-1|_inf (infinite if
-    singular); and ``bits``, the b with sum |d| <= 2^b <= 2^26 for integer
-    diagonals, which sizes the residual split, else None.
+    ``size`` = n - m + 1 unknowns; ``lower_bw`` = k and ``upper_bw`` = l,
+    the band's extent below and above the diagonal; ``diagonals``, the
+    float values on offsets -k..l; ``dense``, the matrix, and ``inverse``,
+    its inverse (both read-only; None if inverting fails); ``condition``,
+    |G|_inf |G^-1|_inf (infinite without an inverse).  For assemble_rhs:
+    ``scale`` = n!/(n-m)! as a float, ``stencil``, the m-th difference
+    (-1)^(m-h) C(m, h) for h = 0..m as integers, and ``exact_rows``, the
+    pairs (i, C(n-m, i) n!/(n-m)!) for the k + l rows i of v with stencil
+    terms.
     """
 
     size: int
     lower_bw: int
     upper_bw: int
     diagonals: np.ndarray
-
-    def __post_init__(self):
-        diags = np.asarray(self.diagonals, dtype=float)
-        if self.size < 1:
-            raise ValueError("system must have size >= 1")
-        if diags.size != self.lower_bw + self.upper_bw + 1:
-            raise ValueError("diagonals must hold lower_bw + upper_bw + 1 values")
-        if not np.isfinite(diags).all():
-            raise ValueError("diagonals must be finite")
-        diags.setflags(write=False)
-        object.__setattr__(self, "diagonals", diags)
-        offset = np.arange(self.size) - np.arange(self.size)[:, None]  # j - i
-        band = (offset >= -self.lower_bw) & (offset <= self.upper_bw)
-        dense = np.where(band, diags[np.clip(offset + self.lower_bw, 0, diags.size - 1)], 0.0)
-        dense.setflags(write=False)
-        try:
-            inverse = np.linalg.inv(dense)
-        except np.linalg.LinAlgError:
-            inverse, condition = None, math.inf
-        else:
-            inverse.setflags(write=False)
-            with np.errstate(over="ignore", invalid="ignore"):
-                condition = np.abs(dense).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
-        values = diags.tolist()
-        total = sum(map(abs, values))
-        small = total <= 2**26 and all(d.is_integer() for d in values)
-        bits = max(int(total) - 1, 0).bit_length() if small else None
-        for name, value in (("dense", dense), ("inverse", inverse),
-                            ("condition", condition), ("bits", bits)):
-            object.__setattr__(self, name, value)
-
-    def entry(self, i, j):
-        """Matrix entry (i, j); zero outside the band."""
-        d = j - i
-        if -self.lower_bw <= d <= self.upper_bw:
-            return float(self.diagonals[d + self.lower_bw])
-        return 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class StencilSystem(BandedToeplitz):
-    """The system of ``assemble_matrix``, with what ``assemble_rhs`` needs
-    of its shape: ``scale`` = n!/(n-m)! as a float, ``stencil``, the m-th
-    difference (-1)^(m-h) C(m, h) for h = 0..m as integers, and
-    ``exact_rows``, the pairs (i, C(n-m, i) n!/(n-m)!) for the k + l rows
-    i of v with stencil terms."""
-
+    dense: np.ndarray
+    inverse: np.ndarray
+    condition: float
     scale: float
     stencil: tuple
     exact_rows: tuple
@@ -130,7 +88,20 @@ def assemble_matrix(n, m, k, l):
     scale = factorial(n) // factorial(nu)
     stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
     rows = tuple((i, comb(nu, i) * scale) for i in range(nu + 1) if i < k or i > nu - l)
-    return StencilSystem(nu + 1, k, l, [float(c) for c in stencil], float(scale),
+    diags = np.array(stencil, dtype=float)
+    diags.setflags(write=False)
+    offset = np.arange(nu + 1) - np.arange(nu + 1)[:, None]  # j - i
+    dense = np.where((offset >= -k) & (offset <= l), diags[np.clip(offset + k, 0, m)], 0.0)
+    dense.setflags(write=False)
+    try:
+        inverse = np.linalg.inv(dense)
+    except np.linalg.LinAlgError:
+        inverse, condition = None, math.inf
+    else:
+        inverse.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            condition = np.abs(dense).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
+    return StencilSystem(nu + 1, k, l, diags, dense, inverse, condition, float(scale),
                          stencil, rows)
 
 
@@ -192,7 +163,7 @@ def _dyadic(values):
 
 
 def solve(system, rhs):
-    """Solve G p = rhs for the BandedToeplitz G = ``system``, with its
+    """Solve G p = rhs for the StencilSystem G = ``system``, with its
     inverse and one refinement step.
 
     A solve applies the inverse twice, to rhs and to the exactly computed
@@ -232,13 +203,14 @@ def _banded_lu(system, rhs):
 def _residual(system, v, p):
     """v - G p, exact on the float64 entries, rounded once per entry.
 
-    When the diagonals are integers with sum |d| <= 2^b <= 2^26 (2^m for
-    the stencils), -p splits into parts whose products with G are exact
-    (``_split``), and ``math.fsum`` rounds each v_i plus those products
-    once.  Other diagonals, and p or v too large for the grids, take the
-    integer route (``_integer_residual``): both round the same exact values.
+    The stencil's entries sum to 2^m in magnitude, so for m <= 26 -p splits
+    into parts whose products with G are exact (``_split``), and
+    ``math.fsum`` rounds each v_i plus those products once.  Higher orders,
+    and p or v too large for the grids, take the integer route
+    (``_integer_residual``): both round the same exact values.
     """
-    parts = None if system.bits is None else _split(-p, system.bits)
+    m = system.lower_bw + system.upper_bw
+    parts = _split(-p, m) if m <= 26 else None
     vals = v.tolist()
     if parts is None or max(map(abs, vals)) > 2.0**1000:
         return _integer_residual(system, v, p)

@@ -16,19 +16,9 @@ exactly that: ``DualCoeffTable.legendre`` holds M rounded to float64 and
 ``legendre_numerators`` the integers N[r, j] = C(n,r) M[r, j], for the
 few rows it combines exactly.  |M| stays below about 2^n, while the c_ij
 grow like 4^n (about 8.8e10 at n = 18), so C itself rounded to float64
-loses its duality property beyond n ~ 14 and is never formed by the
-solver.
-
-The table itself, ``table`` as exact ``fractions.Fraction``s and
-``as_array()`` as their float64 roundings, is that product formed exactly
-from the integers N,
-
-    c_iq = sum_j (2j + 1) N[i, j] N[q, j] / (C(n,i) C(n,q)),
-
-on first access only: about n^3 / 2 multiplications of O(n)-digit
-integers, as the table is symmetric and only the entries with q >= i are
-formed.  The solver never forms it; the tests check it against the exact
-inverse of the Bernstein Gram matrix.
+loses its duality property beyond n ~ 14.  The solver never forms C; the
+tests form it exactly from N and check it against the exact inverse of
+the Bernstein Gram matrix.
 
 Tables are memoized per degree, so each degree is built once per process.
 The integers N of a new degree are elevated, by Pascal's rule
@@ -41,17 +31,17 @@ import functools
 import operator
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-__all__ = ["DualCoeffTable", "dual_coefficients", "bernstein_gram_entry"]
+__all__ = ["DualCoeffTable", "dual_coefficients"]
 
 
 @dataclass(frozen=True)
 class DualCoeffTable:
-    """Connection coefficients c_ij for the dual basis of degree n.
+    """The Legendre factor M of the dual basis's connection coefficients
+    C = M diag(2j + 1) M^T at degree n.
 
     ``legendre_numerators[r][j] / C(n, r)`` is the Legendre-to-Bernstein
     entry M[r, j] exactly, and ``legendre`` the float64 matrix of those
@@ -62,33 +52,12 @@ class DualCoeffTable:
     legendre_numerators: tuple = field(repr=False)
     legendre: np.ndarray = field(repr=False, compare=False)
 
-    @functools.cached_property
-    def table(self):
-        """``table[i][j]`` is c_ij as an exact ``fractions.Fraction``.
-
-        The table is symmetric: the entries with q >= i are formed and
-        mirrored, so each entry below the diagonal is the same object as
-        its transpose.
-        """
-        n, rows = self.degree, self.legendre_numerators
-        weighted = [[(2 * j + 1) * a for j, a in enumerate(row)] for row in rows]
-        upper = [[Fraction(sum(map(operator.mul, wi, rows[q])), comb(n, i) * comb(n, q))
-                  for q in range(i, n + 1)]
-                 for i, wi in enumerate(weighted)]
-        return tuple(tuple(upper[q][i - q] for q in range(i)) + tuple(upper[i])
-                     for i in range(n + 1))
-
-    def as_array(self):
-        """The table, each entry correctly rounded to float64."""
-        return np.array([[float(c) for c in row] for row in self.table])
-
 
 def dual_coefficients(n):
     """Connection-coefficient table of the dual Bernstein basis of degree n.
 
     n must be an integer (``operator.index``; TypeError otherwise).
-    Memoized: equal degrees return the same immutable table, with its
-    Legendre factor built and the table entries built on first access.
+    Memoized: equal degrees return the same immutable table.
     """
     return _dual_table(operator.index(n))
 
@@ -123,13 +92,3 @@ def _dual_table(n):
     _tables[n] = table
     return table
 
-
-def bernstein_gram_entry(n, i, j):
-    """Exact L2 inner product <B_i^n, B_j^n> on [0, 1].
-
-    Closed form C(n,i) C(n,j) / ((2n+1) C(2n, i+j)); the single float
-    division is the only rounding.
-    """
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"indices ({i}, {j}) out of range for degree {n}")
-    return comb(n, i) * comb(n, j) / ((2 * n + 1) * comb(2 * n, i + j))

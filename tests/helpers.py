@@ -1,6 +1,8 @@
 """Shared test oracles and reference data."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -143,48 +145,6 @@ def _power_reference(base, exponent):
         return sign * math.inf
 
 
-def band_is_singular(system):
-    """Whether the matrix of a BandedToeplitz with integer diagonals has
-    determinant exactly 0.
-
-    A determinant that does not vanish modulo the prime 2^61 - 1 is not 0.
-    The rest are decided modulo the prime 2^521 - 1: the Hadamard bound
-    |det| <= prod_i |row_i|_2 stays below it for the bands the tests use,
-    so there the determinant vanishes exactly when it vanishes modulo the
-    prime."""
-    diags = [int(d) for d in system.diagonals.tolist()]
-    assert diags == system.diagonals.tolist(), "diagonals must be integers"
-    big = 2**521 - 1
-    assert sum(d * d for d in diags) ** system.size < big**2, "Hadamard bound above 2^521 - 1"
-    return _det_vanishes_mod(system, diags, 2**61 - 1) and _det_vanishes_mod(system, diags, big)
-
-
-def _det_vanishes_mod(system, diags, P):
-    """Gaussian elimination with row exchanges over the integers modulo
-    the prime P; True when the determinant is 0 modulo P."""
-    s, k, l = system.size, system.lower_bw, system.upper_bw
-    rows = []
-    for i in range(s):
-        row = [0] * s
-        for j in range(max(i - k, 0), min(i + l, s - 1) + 1):
-            row[j] = diags[j - i + k] % P
-        rows.append(row)
-    for col in range(s):
-        band = range(col, min(col + k, s - 1) + 1)
-        piv = next((r for r in band if rows[r][col]), None)
-        if piv is None:
-            return True
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col]
-        hi = min(col + k + l + 1, s)  # row exchanges widen the upper band to k + l
-        inverse = pow(pivot[col], -1, P)
-        for r in band[1:]:
-            f = rows[r][col] * inverse % P
-            if f:
-                rows[r][col:hi] = [(x - f * y) % P for x, y in zip(rows[r][col:hi], pivot[col:hi])]
-    return False
-
-
 def exact_route_iterate(problem, previous, n, rule):
     """Coefficients of the degree-n iterate by the exact route that the
     float64 Legendre projection replaced: exact Bernstein moments, the
@@ -264,7 +224,7 @@ def assemble_rhs_reference(n, m, k, l, duals, moments, outer):
     mden = math.lcm(*(x.denominator for x in mvals))
     mnum = [x.numerator * (mden // x.denominator) for x in mvals]
     v = np.empty(nu + 1)
-    for i, row in enumerate(duals.table):
+    for i, row in enumerate(dual_table(duals.degree)):
         den = math.lcm(*(c.denominator for c in row))
         dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
         acc = Fraction(dot * math.factorial(nu), den * mden * math.factorial(n))
@@ -275,8 +235,47 @@ def assemble_rhs_reference(n, m, k, l, duals, moments, outer):
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def dual_table(n):
+    """The connection coefficients c_iq of the dual basis of degree n as
+    exact ``fractions.Fraction``s, ``dual_table(n)[i][q]``: the product
+    M diag(2j + 1) M^T of ``dual.py`` formed exactly from the integer
+    numerators N of ``dual_coefficients(n)``,
+
+        c_iq = sum_j (2j + 1) N[i, j] N[q, j] / (C(n,i) C(n,q)).
+
+    The table is symmetric: the entries with q >= i are formed and
+    mirrored.  Memoized per degree."""
+    from bernbvp.dual import dual_coefficients
+
+    rows = dual_coefficients(n).legendre_numerators
+    weighted = [[(2 * j + 1) * a for j, a in enumerate(row)] for row in rows]
+    upper = [[Fraction(sum(map(operator.mul, wi, rows[q])), math.comb(n, i) * math.comb(n, q))
+              for q in range(i, n + 1)]
+             for i, wi in enumerate(weighted)]
+    return tuple(tuple(upper[q][i - q] for q in range(i)) + tuple(upper[i])
+                 for i in range(n + 1))
+
+
+def dual_table_array(n):
+    """``dual_table(n)``, each entry correctly rounded to float64."""
+    return np.array([[float(c) for c in row] for row in dual_table(n)])
+
+
+def bernstein_gram_entry(n, i, j):
+    """Exact L2 inner product <B_i^n, B_j^n> on [0, 1].
+
+    Closed form C(n,i) C(n,j) / ((2n+1) C(2n, i+j)); the single float
+    division is the only rounding.
+    """
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"indices ({i}, {j}) out of range for degree {n}")
+    return math.comb(n, i) * math.comb(n, j) / ((2 * n + 1) * math.comb(2 * n, i + j))
+
+
 def dense_from_banded(system):
-    """Dense matrix of a BandedToeplitz, built entry by entry."""
+    """Dense matrix of a StencilSystem, built entry by entry from its
+    diagonals."""
     s = system.size
     a = np.zeros((s, s))
     for i in range(s):

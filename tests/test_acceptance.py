@@ -8,14 +8,14 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import record_criterion
-from helpers import (BENCHMARK_MAX_ERRORS, PRECISION_FLOOR, dense_from_banded,
-                     manufactured_polynomial, monomial_bernstein_coeffs)
+from helpers import (BENCHMARK_MAX_ERRORS, PRECISION_FLOOR, bernstein_gram_entry,
+                     dense_from_banded, dual_table, manufactured_polynomial,
+                     monomial_bernstein_coeffs)
 
 from bernbvp.bandsolve import assemble_matrix, solve as band_solve
 from bernbvp.bernstein import (BernsteinPoly, basis_matrix, derivative, endpoint_derivative,
                                evaluate)
 from bernbvp.cli import main as cli_main
-from bernbvp.dual import bernstein_gram_entry, dual_coefficients
 from bernbvp.errors import IterationError
 from bernbvp.expressions import parse
 from bernbvp.problems import error_curve, max_error
@@ -79,7 +79,7 @@ def test_criterion_3_duality():
 
     worst = 0.0
     for n in range(0, 21):
-        t = dual_coefficients(n)
+        t = dual_table(n)
         gram = [
             [Fraction(comb(n, i) * comb(n, j), (2 * n + 1) * comb(2 * n, i + j))
              for j in range(n + 1)]
@@ -91,7 +91,7 @@ def test_criterion_3_duality():
                     acc = mpf(0)
                     for q in range(n + 1):
                         g = gram[q][j]
-                        acc += t.table[i][q] * mpf(g.numerator) / g.denominator
+                        acc += t[i][q] * mpf(g.numerator) / g.denominator
                     err = abs(float(acc - (1 if i == j else 0)))
                     worst = max(worst, err)
     assert worst < 1e-9

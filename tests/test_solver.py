@@ -398,6 +398,35 @@ class TestSolve:
         w = solve(ex.problem, SolveOptions(degree=60)).solution
         assert max_error(error_curve(w, ex.reference, 200)) <= 1e-11
 
+    @staticmethod
+    def roots_of_unity_problem(m):
+        # y^(m) = y with y(0) = 1 and y'(0) = ... = y^(m-1)(0) = 0, solved
+        # by (1/m) sum exp(w x) over the m-th roots of unity w
+        return BVProblem((1.0,) + (0.0,) * (m - 1), (), parse("y0"))
+
+    @pytest.mark.parametrize("m,degree", [(30, 36), (55, 59)])
+    def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
+        # above m = 26 the split residual does not apply, so every
+        # refinement step takes the integer route: with it the max error
+        # is 2.2e-16 and 5.6e-16 here, against about 1e-9 unrefined
+        calls = []
+        integer_route = bandsolve._integer_residual
+        monkeypatch.setattr(bandsolve, "_integer_residual",
+                            lambda *a: calls.append(1) or integer_route(*a))
+        w = solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree)).solution
+        x = np.arange(201) / 200
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        exact = (np.exp(np.outer(x, roots)).sum(axis=1) / m).real
+        assert np.abs(evaluate(w, x) - exact).max() <= 1e-13
+        assert len(calls) == degree - m + 1
+
+    @pytest.mark.parametrize("m,degree", [(30, 37), (55, 60)])
+    def test_high_order_one_degree_higher_is_singular(self, m, degree):
+        # one degree above the last good one, the one-sided stencil passes
+        # the condition-number limit (2.9e13 and 2.1e13)
+        with pytest.raises(IterationError, match="singular system"):
+            solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree))
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_manufactured_polynomials_at_degree_30(self, m):
         # The rhs p^(m)(x) ignores y, so w_30 does not depend on w_29: one
