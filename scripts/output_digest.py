@@ -5,6 +5,9 @@ The outputs:
 
 - the five built-in examples solved to N = 20, 40 and 60: coefficients and
   residuals as float64 bytes;
+- y^(m) = y with y(0) = 1 and every other condition 0 at x = 0, solved at
+  (m, N) = (30, 36) and (55, 59), likewise: orders above 26, whose
+  refinement residual takes the band solver's exact integer route;
 - ``bernbvp solve`` on the 16 manufactured specs of each of the benchmark
   seeds 1-3 (``perfbench/specgen.py``), at the degree the specs-mixed
   workload uses: the coefficient files;
@@ -54,6 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_DEGREES = (20, 40, 60)
 SPEC_SEEDS = (1, 2, 3)
 CURVE_DEGREES = (20, 60)
+INTEGER_ROUTE = ((30, 36), (55, 59))
 
 
 def _sha(data):
@@ -77,7 +81,7 @@ def outputs(tmp):
     a list of floats, NaN for an empty table cell."""
     import numpy as np
 
-    from bernbvp import SolveOptions, example, solve
+    from bernbvp import BVProblem, SolveOptions, example, parse_expression, solve
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import specgen
@@ -95,6 +99,11 @@ def outputs(tmp):
             report = solve(example(ex_id).problem, SolveOptions(degree=n))
             data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
             yield f"example{ex_id}-n{n}", data, on_grid(report.solution.coeffs)
+    for m, n in INTEGER_ROUTE:
+        problem = BVProblem((1.0,) + (0.0,) * (m - 1), (), parse_expression("y0"))
+        report = solve(problem, SolveOptions(degree=n))
+        data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
+        yield f"integer-route-m{m}-n{n}", data, on_grid(report.solution.coeffs)
     for seed in SPEC_SEEDS:
         specs = specgen.generate(seed)
         paths = specgen.write_specs(specs, os.path.join(tmp, f"seed{seed}"))

@@ -4,10 +4,13 @@ At degree n and order m = k + l, the m-th forward-difference stencil
 couples the inner coefficients: entry (i, j) of the matrix G is
 (-1)^(l-d) C(m, d+k) for d = j - i in -k..l, and zero outside that band.
 ``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
-LRU of 1024 entries, the one cache of this module: its dense matrix and
-inverse, formed once, and the scale, stencil and row denominators that
-assemble_rhs needs.  A solve to degree N uses N - m + 1 shapes; an
-examples-n40 pass uses 190, about 1.5 MB together.
+LRU of 1024 entries, the one cache of this module: the stencil as exact
+integers, the one encoding of the band that the exact rows of v and the
+exact residual both use; the dense matrix and its inverse, formed once
+from it in float64 (its binomials are exact there up to m = 56); and the
+scale and row denominators that assemble_rhs needs.  A solve to degree N
+uses N - m + 1 shapes; an examples-n40 pass uses 190, about 1.5 MB
+together.
 
 A solve is one product with the inverse followed by one refinement step.
 The step computes the residual v - G p exactly (every entry of p and v is
@@ -48,25 +51,23 @@ class StencilSystem:
     """The system G p = v of one shape (n, m, k, l), from ``assemble_matrix``.
 
     ``size`` = n - m + 1 unknowns; ``lower_bw`` = k and ``upper_bw`` = l,
-    the band's extent below and above the diagonal; ``diagonals``, the
-    float values on offsets -k..l; ``dense``, the matrix, and ``inverse``,
-    its inverse (both read-only; None if inverting fails); ``condition``,
+    the band's extent below and above the diagonal; ``stencil``, the m-th
+    difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
+    entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
+    inverse (both read-only; None if inverting fails); ``condition``,
     |G|_inf |G^-1|_inf (infinite without an inverse).  For assemble_rhs:
-    ``scale`` = n!/(n-m)! as a float, ``stencil``, the m-th difference
-    (-1)^(m-h) C(m, h) for h = 0..m as integers, and ``exact_rows``, the
-    pairs (i, C(n-m, i) n!/(n-m)!) for the k + l rows i of v with stencil
-    terms.
+    ``scale`` = n!/(n-m)! as a float and ``exact_rows``, the pairs
+    (i, C(n-m, i) n!/(n-m)!) for the k + l rows i of v with stencil terms.
     """
 
     size: int
     lower_bw: int
     upper_bw: int
-    diagonals: np.ndarray
+    stencil: tuple
     dense: np.ndarray
     inverse: np.ndarray
     condition: float
     scale: float
-    stencil: tuple
     exact_rows: tuple
 
 
@@ -88,10 +89,9 @@ def assemble_matrix(n, m, k, l):
     scale = factorial(n) // factorial(nu)
     stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
     rows = tuple((i, comb(nu, i) * scale) for i in range(nu + 1) if i < k or i > nu - l)
-    diags = np.array(stencil, dtype=float)
-    diags.setflags(write=False)
     offset = np.arange(nu + 1) - np.arange(nu + 1)[:, None]  # j - i
-    dense = np.where((offset >= -k) & (offset <= l), diags[np.clip(offset + k, 0, m)], 0.0)
+    dense = np.where((offset >= -k) & (offset <= l),
+                     np.array(stencil, dtype=float)[np.clip(offset + k, 0, m)], 0.0)
     dense.setflags(write=False)
     try:
         inverse = np.linalg.inv(dense)
@@ -101,8 +101,7 @@ def assemble_matrix(n, m, k, l):
         inverse.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             condition = np.abs(dense).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
-    return StencilSystem(nu + 1, k, l, diags, dense, inverse, condition, float(scale),
-                         stencil, rows)
+    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, condition, float(scale), rows)
 
 
 def assemble_rhs(system, duals, legendre_moments, outer):
@@ -224,7 +223,7 @@ def _split(p, bits):
     floating-point summation part I", SIAM J. Sci. Comput. 31, 2008): for
     sigma = 2^e >= 2^bits max|rest|, (sigma + rest) - sigma holds multiples
     of 2^(e-53) of size at most 2^(e-bits) and leaves at most 2^(e-53) for
-    the next row.  Its products with integer diagonals of sum |d| <= 2^bits,
+    the next row.  Its products with integer stencils of sum |d| <= 2^bits,
     and all their partial sums, are multiples of 2^(e-53) of size at most
     2^e, so exact in any order of summation, with fused multiply-adds or not.
     """
@@ -240,17 +239,16 @@ def _split(p, bits):
 
 
 def _integer_residual(system, v, p):
-    """v - G p as exact integers over a common power of two, each entry
-    rounded once by the true division."""
+    """v - G p as exact integers over a common power of two, with G's
+    integer stencil, each entry rounded once by the true division."""
     k, l = system.lower_bw, system.upper_bw
-    dnum, ds = _dyadic(system.diagonals)
     pnum, ps = _dyadic(p)
     vnum, vs = _dyadic(v)
-    e = max(vs, ds + ps)
-    sv, sp, den = e - vs, e - ds - ps, 1 << e
+    e = max(vs, ps)
+    sv, sp, den = e - vs, e - ps, 1 << e
     pnum = [0] * k + pnum + [0] * l  # row i meets pnum[i:i + k + l + 1]
     w = k + l + 1
-    return [((x << sv) - (sum(map(mul, dnum, pnum[i:i + w])) << sp)) / den
+    return [((x << sv) - (sum(map(mul, system.stencil, pnum[i:i + w])) << sp)) / den
             for i, x in enumerate(vnum)]
 
 

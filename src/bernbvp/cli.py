@@ -36,6 +36,8 @@ MAX_DEGREE = 60
 # largest Gauss rule the commands build: leggauss takes order^2 memory, and
 # every iteration evaluates the basis at order * panels nodes
 MAX_QUAD_ORDER, MAX_QUAD_NODES = 256, 1024
+# largest error-curve grid M: error_curve builds (M + 1) x (N + 1) arrays
+MAX_GRID = 10_000
 
 
 class SpecError(ValueError):
@@ -226,8 +228,8 @@ def cmd_table(args):
 def cmd_error_curve(args):
     if (args.example is None) == (args.spec is None):
         raise SpecError("exactly one of --example or --spec is required")
-    if args.grid < 1:
-        raise SpecError("grid M must be >= 1")
+    if not 1 <= args.grid <= MAX_GRID:
+        raise SpecError(f"grid M must be 1..{MAX_GRID}, got {args.grid}")
     if args.example is not None:
         if args.example not in _EXAMPLE_IDS:
             raise SpecError(f"example id must be 1..5, got {args.example}")

@@ -21,15 +21,15 @@ tests form it exactly from N and check it against the exact inverse of
 the Bernstein Gram matrix.
 
 Tables are memoized per degree, so each degree is built once per process.
-The integers N of a new degree are elevated, by Pascal's rule
-N_n[r, j] = N_(n-1)[r-1, j] + N_(n-1)[r, j] (j < n) plus the column of
-P_n, from the highest degree below it whose table is still alive: one
-degree of integer additions when the solver raises the degree by one.
+The integers N of degree n are elevated from those of degree n - 1 by
+Pascal's rule, N_n[r, j] = N_(n-1)[r-1, j] + N_(n-1)[r, j] (j < n), plus
+the column of P_n: one degree of integer additions when the solver raises
+the degree by one.  A cold table of degree n builds every degree below it
+first.
 """
 
 import functools
 import operator
-import weakref
 from dataclasses import dataclass, field
 from math import comb
 
@@ -62,33 +62,21 @@ def dual_coefficients(n):
     return _dual_table(operator.index(n))
 
 
-# every table alive, by degree: a new degree is elevated from the highest
-# one below it
-_tables = weakref.WeakValueDictionary()
-
-
 # one entry per degree n - m, with room for every degree the CLI's range
 # (n <= 60) reaches
 @functools.lru_cache(maxsize=128)
 def _dual_table(n):
     if n < 0:
         raise ValueError("degree must be non-negative")
-    rows, d = ((1,),), 0
-    for below in range(n - 1, 0, -1):
-        table = _tables.get(below)
-        if table is not None:
-            rows, d = table.legendre_numerators, below
-            break
-    # elevate to degree d by Pascal's rule, N_d[r, j] = N_(d-1)[r-1, j] +
-    # N_(d-1)[r, j] for j < d, and append the column of P_d, (-1)^(r+d) C(d, r)^2
-    for d in range(d + 1, n + 1):
-        padded = ((0,) * d, *rows, (0,) * d)
-        rows = tuple((*map(operator.add, a, b), (-1) ** (r + d) * comb(d, r) ** 2)
+    if n == 0:
+        rows = ((1,),)
+    else:
+        # N_n[r, j] = N_(n-1)[r-1, j] + N_(n-1)[r, j] for j < n, then the
+        # column of P_n, (-1)^(r+n) C(n, r)^2
+        padded = ((0,) * n, *_dual_table(n - 1).legendre_numerators, (0,) * n)
+        rows = tuple((*map(operator.add, a, b), (-1) ** (r + n) * comb(n, r) ** 2)
                      for r, (a, b) in enumerate(zip(padded, padded[1:])))
     binomials = [comb(n, r) for r in range(n + 1)]
     legendre = np.array([[a / c for a in row] for c, row in zip(binomials, rows)])
     legendre.setflags(write=False)
-    table = DualCoeffTable(degree=n, legendre_numerators=rows, legendre=legendre)
-    _tables[n] = table
-    return table
-
+    return DualCoeffTable(degree=n, legendre_numerators=rows, legendre=legendre)

@@ -11,8 +11,8 @@ Bernstein coefficients of the projection of g.  Beside the Vandermonde,
 each rule keeps one ``bernstein.basis_matrix`` per degree d, the values
 B_i^d(x_t) at its nodes, so a polynomial of degree d (a derivative of the
 solver's iterate) is evaluated at every node by one matrix-vector product
-with its coefficients.  Both, and the solver's per-step records, are kept
-in one memo per rule (``QuadratureRule.memo``).
+with its coefficients.  The matrices, and the solver's derivative terms
+built on them, are kept in one memo per rule (``QuadratureRule.memo``).
 """
 
 import functools

@@ -30,16 +30,18 @@ cancel.  The band solve multiplies by the cached inverse of each matrix
 and takes one refinement step with an exact residual; the iterates a
 solve returns are ordinary float64 BernsteinPolys.
 
-What a step takes from the rule, the degree and the shape alone, the
-basis matrices and falling factorials of its derivatives and the
-constants of its outer coefficients, is one immutable record per (rule,
-n, k, l), built on first use and kept on the rule (``_Step``); the band
-system of each shape, with its inverse and the data of its exact rows, is
-kept by ``bandsolve.assemble_matrix``.  So a warm iteration derives no
-constant again: it looks up the record, the system and the dual table,
-and runs its layers under one ``np.errstate``.
+Each constant of a step is kept once, under what it depends on: the
+basis matrices and falling factorials of the derivatives on the rule
+(``QuadratureRule.memo``), by the degree of the polynomial and the
+orders; the constants of the outer coefficients by (n, k, l)
+(``_outer_terms``); the band system of each shape, with its inverse and
+the data of its exact rows, by ``bandsolve.assemble_matrix``; and the
+dual table by its degree.  So a warm iteration derives no constant again,
+whatever the degree of the iterate it starts from, and runs its layers
+under one ``np.errstate``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -198,6 +200,8 @@ def outer_coefficients(problem, n):
     return np.array(left, dtype=float), np.array(right, dtype=float)
 
 
+# one entry per shape (n, k, l), like bandsolve.assemble_matrix
+@functools.lru_cache(maxsize=1024)
 def _outer_terms(n, k, l):
     """What the outer coefficients of degree n take from n, k and l alone:
     per left index i, n!/(n-i)! and the signed binomials -(-1)^(i-h) C(i, h)
@@ -241,41 +245,23 @@ def _full_coeffs(n, k, l, left, right, inner):
     return p
 
 
-@dataclass(frozen=True)
-class _Step:
-    """What a step to degree n with shape (k, l) needs of the quadrature
-    rule, n, k and l alone: the ``_node_derivatives`` terms of the
-    derivative arguments (orders 0..m-1 of the degree n - 1 iterate) and
-    of the residual (order m of the new iterate), and the ``_outer_terms``.
-    One per rule and (n, k, l), kept on the rule (``QuadratureRule.memo``);
-    it holds references to the rule's basis matrices, not copies."""
-
-    derivs: tuple
-    residual: tuple
-    outer: tuple
-
-
-def _new_step(rule, n, k, l):
-    m = k + l
-    return _Step(derivs=_derivative_terms(rule, n - 1, range(m)),
-                 residual=_derivative_terms(rule, n, (m,)),
-                 outer=_outer_terms(n, k, l))
-
-
 def _iterate_core(problem, prev, n, rule, rhs):
-    """One degree-raising step from the coefficients prev of the degree
-    n - 1 iterate; returns (coefficients, L2 residual).
+    """One step to degree n from the coefficients prev of the previous
+    iterate, which may have any degree; returns (coefficients, L2
+    residual).
 
     rhs is the compiled expression rhs (``_compiled_rhs``), or None for a
     callable one.  The layers run under one np.errstate that ignores
     overflow and invalid operations; each checks the values it hands on.
     """
     m, k, l = problem.m, problem.k, problem.l
-    step = rule.memo(("step", n, k, l), _new_step, rule, n, k, l)
-    left, right = _outer(problem, step.outer)
+    left, right = _outer(problem, _outer_terms(n, k, l))
+    d = prev.size - 1
+    derivs = rule.memo(("derivs", d, m), _derivative_terms, rule, d, range(m))
+    residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        args = _eval_mp(prev, step.derivs)
+        args = _eval_mp(prev, derivs)
         if rhs is None:
             return problem.rhs_value(x, args)
         return eval_expr(rhs, x, args)
@@ -294,7 +280,7 @@ def _iterate_core(problem, prev, n, rule, rhs):
         coeffs = _full_coeffs(n, k, l, left, right, inner)
 
         # L2 residual of the new iterate against the frozen right-hand side
-        [deriv_m] = _eval_mp(coeffs, step.residual)
+        [deriv_m] = _eval_mp(coeffs, residual)
         terms = rule.weights * (deriv_m - gvals) ** 2
     try:
         res2 = math.fsum(terms.tolist())

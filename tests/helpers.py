@@ -275,14 +275,14 @@ def bernstein_gram_entry(n, i, j):
 
 def dense_from_banded(system):
     """Dense matrix of a StencilSystem, built entry by entry from its
-    diagonals."""
+    stencil."""
     s = system.size
     a = np.zeros((s, s))
     for i in range(s):
         for j in range(s):
             d = j - i
             if -system.lower_bw <= d <= system.upper_bw:
-                a[i, j] = system.diagonals[d + system.lower_bw]
+                a[i, j] = system.stencil[d + system.lower_bw]
     return a
 
 

@@ -423,6 +423,18 @@ class TestErrorCurveCommand:
         assert main(["error-curve", "--example", "1", "--degree", "3",
                      "--grid", "0", "--out", str(tmp_path / "c.csv")]) == 2
 
+    def test_grid_above_the_cap_exits_2(self, tmp_path, capsys):
+        # error_curve builds (M + 1) x (N + 1) arrays: M is capped at
+        # MAX_GRID before anything is solved
+        out = tmp_path / "c.csv"
+        assert main(["error-curve", "--example", "1", "--degree", "3",
+                     "--grid", "10001", "--out", str(out)]) == 2
+        assert "1..10000" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["error-curve", "--example", "1", "--degree", "3",
+                     "--grid", "10000", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 10002
+
     def test_spec_without_exact_exits_2(self, tmp_path):
         spec = tmp_path / "s.json"
         spec.write_text('{"order": 1, "left": [0.0], "rhs": "x"}')

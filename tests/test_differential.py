@@ -264,7 +264,7 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
     def check(system, v, p, falls_back):
         before = len(fallbacks)
         got = bandsolve._residual(system, v, p)
-        assert bits(got) == bits(integer_route(system, v, p)), (system.diagonals, p)
+        assert bits(got) == bits(integer_route(system, v, p)), (system.stencil, p)
         assert len(fallbacks) - before == falls_back
 
     for k in range(m + 1):
@@ -293,7 +293,7 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_band_solve_singular_exactly_or_small_residual(m):
+def test_band_solve_raises_only_near_the_condition_limit_else_small_residual(m):
     # the solver's matrices at sizes 1..61: a stencil may raise
     # SingularSystemError only when its condition number nears the 1e13
     # limit (none does up to m = 8), and every one that solves meets

@@ -1,4 +1,3 @@
-import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
@@ -151,10 +150,10 @@ class TestDualCoefficients:
             with pytest.raises(ValueError):
                 t.legendre[0, 0] = 0.0
 
-    def test_pascal_numerators_match_the_closed_form(self, monkeypatch):
+    def test_pascal_numerators_match_the_closed_form(self):
         # N[r, j] = sum_i (-1)^(i+j) C(j, i)^2 C(n-j, r-i), built cold (no
-        # table alive, so from degree 0) and elevated from whatever degree
-        # below is alive, in an order that skips up and down
+        # table cached, so up from degree 0) and elevated from the degree
+        # below, in an order that skips up and down
         def closed(n):
             return tuple(tuple(sum((-1) ** (i + j) * comb(j, i) ** 2 * comb(n - j, r - i)
                                    for i in range(min(j, r) + 1))
@@ -162,15 +161,12 @@ class TestDualCoefficients:
                          for r in range(n + 1))
 
         want = [closed(n) for n in range(61)]
-        build = dual._dual_table.__wrapped__
         for n in range(61):
-            monkeypatch.setattr(dual, "_tables", weakref.WeakValueDictionary())
-            assert build(n).legendre_numerators == want[n], n
-        monkeypatch.setattr(dual, "_tables", weakref.WeakValueDictionary())
-        alive = []
+            dual._dual_table.cache_clear()
+            assert dual_coefficients(n).legendre_numerators == want[n], n
+        dual._dual_table.cache_clear()
         for n in (5, 4, 30, 31, 60, 17, 59, 0, 1, 2, 45):
-            alive.append(build(n))
-            assert alive[-1].legendre_numerators == want[n], n
+            assert dual_coefficients(n).legendre_numerators == want[n], n
         assert [t.legendre_numerators for t in map(dual_coefficients, range(61))] == want
 
     def test_symmetries(self):
