@@ -35,7 +35,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import EvaluationError, SingularSystemError
 
 __all__ = ["StencilSystem", "assemble_matrix", "assemble_rhs", "solve"]
 
@@ -123,9 +123,9 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     Every row is one float64 product with the rows of M, except the rows
     with stencil terms, whose two parts cancel: each of those is computed
     exactly, from M's integer numerators, the moments and the stencil
-    terms as dyadic rationals, and rounded once.  OverflowError if an
-    entry of v is not finite.  An overflow in the float product warns
-    unless the caller ignores it (``np.errstate``), as the solver does.
+    terms as dyadic rationals, and rounded once.  EvaluationError if a
+    moment or entry of v is not finite; an overflow in the float product
+    warns unless the caller ignores it (``np.errstate``), as the solver does.
     """
     nu, k, l = system.size - 1, system.lower_bw, system.upper_bw
     if duals.degree != nu:
@@ -137,7 +137,7 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     if len(left) != k or len(right) != l:
         raise ValueError("outer coefficient blocks must have lengths k and l")
     if not np.isfinite(values).all():
-        raise OverflowError("moments are not finite")
+        raise EvaluationError("moments are not finite")
     v = (duals.legendre @ values) / system.scale
     # degree-n coefficients with the inner ones zero: the stencil terms on
     # the outer ones move to the right-hand side
@@ -148,9 +148,12 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     for i, den in system.exact_rows:
         dot = sum(map(mul, numerators[i], lnum))
         corr = sum(map(mul, stencil, fnum[i:i + w]))
-        v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
+        try:
+            v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
+        except OverflowError:  # the row's value is beyond float64
+            v[i] = math.inf
     if not np.isfinite(v).all():
-        raise OverflowError("system right-hand side overflows float64")
+        raise EvaluationError("system right-hand side overflows float64")
     return v
 
 

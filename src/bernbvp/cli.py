@@ -12,8 +12,9 @@ Problem specs are JSON documents:
     {"order": 2, "left": [0.0], "right": [0.0], "rhs": "y1^2 + 1",
      "exact": "optional expression in x", "quadrature": {"order": 30, "panels": 2}}
 
-Exit codes: 0 success, 2 usage/spec error, 3 numerical failure (the message
-names the failing iteration).
+Exit codes: 0 success, 2 usage/spec error (an unreadable input or an
+unwritable --out too), 3 numerical failure (the message names the failing
+iteration).
 """
 
 import argparse
@@ -22,7 +23,7 @@ import json
 import sys
 
 from .bernstein import BernsteinPoly, evaluate as eval_poly
-from .errors import EvaluationError, ExpressionSyntaxError, IterationError, SingularSystemError
+from .errors import EvaluationError, ExpressionSyntaxError, IterationError
 from .expressions import evaluate as eval_expr, max_arg_index, parse as parse_expr
 from .problems import ReferenceSolution, error_curve, example, max_error
 from .solver import BVProblem, SolveOptions, solve
@@ -81,10 +82,6 @@ def load_problem_spec(path):
             f"len(right)={len(right)} != order {order}"
         )
     rhs = _parse_source(rhs_source, "rhs")
-    if max_arg_index(rhs) >= order:
-        raise SpecError(
-            f"rhs references y{max_arg_index(rhs)} but order is {order}"
-        )
     reference = None
     if doc.get("exact") is not None:
         exact = _parse_source(doc["exact"], "exact")
@@ -164,10 +161,14 @@ def _coefficient_document(report, options):
 
 
 def _emit(text, out, what):
-    """Write text to the --out path and say so, or to stdout without it."""
+    """Write text to the --out path and say so, or to stdout without it.
+    SpecError if the path cannot be written."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {what} to {out}: {exc}") from exc
         print(f"{what} written to {out}")
     else:
         sys.stdout.write(text)
@@ -178,15 +179,12 @@ def cmd_solve(args):
     problem, reference, quad = load_problem_spec(args.spec)
     options = _make_options(args, quad, problem.m)
     report = solve(problem, options)
-    with open(args.out, "w") as fh:
-        fh.write(_coefficient_document(report, options))
     print(f"degree {report.solution.degree}, "
           f"final residual {_fmt(report.residuals[-1])}")
     if reference is not None:
         err = max_error(error_curve(report.solution, reference, 200))
         print(f"max error E_{report.solution.degree} = {_fmt(err)}")
-    print(f"coefficients written to {args.out}")
-    return 0
+    return _emit(_coefficient_document(report, options), args.out, "coefficients")
 
 
 def _parse_example_list(text):
@@ -260,6 +258,8 @@ def cmd_eval(args):
         raise SpecError(f"cannot read coefficient file: {exc}") from exc
     if not isinstance(doc, dict) or type(doc.get("degree")) is not int:
         raise SpecError("coefficient file must be an object with an integer degree")
+    if doc["degree"] > MAX_DEGREE:
+        raise SpecError(f"degree {doc['degree']} is above the maximum {MAX_DEGREE}")
     coeffs = doc.get("coefficients")
     if not isinstance(coeffs, list) or len(coeffs) != doc["degree"] + 1:
         raise SpecError("coefficient count does not match degree")
@@ -328,7 +328,7 @@ def main(argv=None):
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IterationError, EvaluationError, SingularSystemError) as exc:
+    except (IterationError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

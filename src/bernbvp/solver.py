@@ -11,7 +11,8 @@ basis moments and one banded Toeplitz solve.
 
 Derivatives of the previous iterate, the right-hand side at the quadrature
 nodes and the L2 residual are float64, each one evaluation over the whole
-node array per iteration.  The x-only parts of an expression right-hand
+node array per iteration, an expression and a callable right-hand side
+alike (``_compiled_rhs``).  The x-only parts of an expression right-hand
 side, forcing terms such as exp(a*x), depend on the nodes alone: solve
 compiles the right-hand side once (``expressions.compile``), and the
 compiled tree keeps their values per rule, so they are evaluated once per
@@ -37,8 +38,8 @@ orders; the constants of the outer coefficients by (n, k, l)
 (``_outer_terms``); the band system of each shape, with its inverse and
 the data of its exact rows, by ``bandsolve.assemble_matrix``; and the
 dual table by its degree.  So a warm iteration derives no constant again,
-whatever the degree of the iterate it starts from, and runs its layers
-under one ``np.errstate``.
+whatever the degree of the iterate it starts from, runs its layers under
+one ``np.errstate``, and leaves as one IterationError on a numerical failure.
 """
 
 import functools
@@ -95,7 +96,7 @@ def _derivative_terms(rule, n, orders):
 # iteration calls each through these names.  The "_mp" suffixes are
 # historical: neither runs in mpmath any more.  eval_expr is evaluate
 # without its own np.errstate, since the iteration sets one for all its
-# layers; the iteration hands it the compiled right-hand side.
+# layers; every right-hand side goes through it, from ``_compiled_rhs``.
 _eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
 eval_expr = evaluate_in_errstate
@@ -125,7 +126,7 @@ class BVProblem:
             raise ValueError("need at least one boundary condition (m >= 1)")
         if not all(np.isfinite(v) for v in left + right):
             raise ValueError("boundary values must be finite")
-        idx = max_arg_index(self.rhs) if not callable(self.rhs) else -1
+        idx = max_arg_index(self.rhs)  # -1 for a callable, which names no yk
         if idx >= self.m:
             raise ValueError(
                 f"rhs references y{idx} but the equation order is {self.m}"
@@ -145,13 +146,8 @@ class BVProblem:
 
     def rhs_value(self, x, args):
         """f at x, a float or an array of points, where args[r] holds the
-        r-th derivative value(s)."""
-        if not callable(self.rhs):
-            return evaluate(self.rhs, x, args)
-        if np.ndim(x) == 0:
-            return self.rhs(x, *args)
-        points = zip(np.asarray(x).tolist(), *(np.asarray(a).tolist() for a in args))
-        return np.array([float(self.rhs(*point)) for point in points])
+        r-th derivative value(s), as the iteration evaluates it."""
+        return evaluate(_compiled_rhs(self), x, args)
 
 
 @dataclass(frozen=True)
@@ -250,9 +246,11 @@ def _iterate_core(problem, prev, n, rule, rhs):
     iterate, which may have any degree; returns (coefficients, L2
     residual).
 
-    rhs is the compiled expression rhs (``_compiled_rhs``), or None for a
-    callable one.  The layers run under one np.errstate that ignores
+    rhs is the right-hand side from ``_compiled_rhs``, an expression or a
+    callable alike.  The layers run under one np.errstate that ignores
     overflow and invalid operations; each checks the values it hands on.
+    Every numerical failure (EvaluationError, SingularSystemError) leaves
+    here as the cause of an IterationError(n, cause).
     """
     m, k, l = problem.m, problem.k, problem.l
     left, right = _outer(problem, _outer_terms(n, k, l))
@@ -261,33 +259,29 @@ def _iterate_core(problem, prev, n, rule, rhs):
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        args = _eval_mp(prev, derivs)
-        if rhs is None:
-            return problem.rhs_value(x, args)
-        return eval_expr(rhs, x, args)
+        return eval_expr(rhs, x, _eval_mp(prev, derivs))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments, gvals = _moment_integrals_mp(g, n - m, rule)
-        duals = dual_coefficients(n - m)
-        system = bandsolve.assemble_matrix(n, m, k, l)
-        try:
-            v = bandsolve.assemble_rhs(system, duals, moments, (left, right))
-        except OverflowError as exc:
-            raise EvaluationError("system right-hand side overflows float64") from exc
-        inner = bandsolve.solve(system, v)
-        if not np.isfinite(inner).all():
-            raise EvaluationError("band solve result is not finite in float64")
-        coeffs = _full_coeffs(n, k, l, left, right, inner)
-
-        # L2 residual of the new iterate against the frozen right-hand side
-        [deriv_m] = _eval_mp(coeffs, residual)
-        terms = rule.weights * (deriv_m - gvals) ** 2
     try:
-        res2 = math.fsum(terms.tolist())
-    except OverflowError:
-        res2 = math.inf
-    if not math.isfinite(res2):
-        raise EvaluationError("L2 residual is not finite in float64")
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments, gvals = _moment_integrals_mp(g, n - m, rule)
+            system = bandsolve.assemble_matrix(n, m, k, l)
+            v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments, (left, right))
+            inner = bandsolve.solve(system, v)
+            if not np.isfinite(inner).all():
+                raise EvaluationError("band solve result is not finite in float64")
+            coeffs = _full_coeffs(n, k, l, left, right, inner)
+
+            # L2 residual of the new iterate against the frozen right-hand side
+            [deriv_m] = _eval_mp(coeffs, residual)
+            terms = rule.weights * (deriv_m - gvals) ** 2
+        try:
+            res2 = math.fsum(terms.tolist())
+        except OverflowError:
+            res2 = math.inf
+        if not math.isfinite(res2):
+            raise EvaluationError("L2 residual is not finite in float64")
+    except (EvaluationError, SingularSystemError) as exc:
+        raise IterationError(n, exc) from exc
     return coeffs, math.sqrt(res2)
 
 
@@ -298,9 +292,18 @@ def _default_rule(n, options=None):
 
 
 def _compiled_rhs(problem):
-    """problem.rhs compiled (``expressions.compile``), or None if it is a
-    callable."""
-    return None if callable(problem.rhs) else compile(problem.rhs)
+    """problem.rhs as a function of (x, args) that ``expressions.evaluate``
+    takes in place of a tree: an expression compiled (``compile``), or a
+    callable f called once per point of x, in order, with floats, its
+    results converted with float() and given x's shape."""
+    f = problem.rhs
+    if not callable(f):
+        return compile(f)
+
+    def pointwise(x, args):  # x is an array; each argument has a value per point
+        points = zip(x.ravel().tolist(), *(np.ravel(a).tolist() for a in args), strict=True)
+        return np.array([float(f(*point)) for point in points]).reshape(x.shape)
+    return pointwise
 
 
 def iterate(problem, previous, n, rule=None):
@@ -319,10 +322,7 @@ def iterate(problem, previous, n, rule=None):
         )
     if rule is None:
         rule = _default_rule(n)
-    try:
-        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
-    except (EvaluationError, SingularSystemError) as exc:
-        raise IterationError(n, exc) from exc
+    coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
     return BernsteinPoly(coeffs)
 
 
@@ -353,10 +353,7 @@ def solve(problem, options):
     residuals = []
     rhs = _compiled_rhs(problem)
     for n in range(m, N + 1):
-        try:
-            coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
-        except (EvaluationError, SingularSystemError) as exc:
-            raise IterationError(n, exc) from exc
+        coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
         residuals.append(res)
         if iterates is not None:
             iterates.append(BernsteinPoly(coeffs))

@@ -4,7 +4,7 @@ from helpers import dense_from_banded
 
 from bernbvp.bandsolve import assemble_matrix, assemble_rhs, solve
 from bernbvp.dual import dual_coefficients
-from bernbvp.errors import SingularSystemError
+from bernbvp.errors import EvaluationError, SingularSystemError
 from bernbvp.quadrature import gauss_rule, legendre_moments
 
 
@@ -195,6 +195,21 @@ class TestAssembleRhs:
             assemble_rhs(assemble_matrix(5, 2, 1, 1), duals, good, ([0.0], [0.0]))
         with pytest.raises(ValueError):
             assemble_rhs(assemble_matrix(4, 2, 1, 1), duals, good, ([0.0, 1.0], [0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_moments_raise_evaluation_error(self, bad):
+        moments = [0.0, bad, 0.0]
+        with pytest.raises(EvaluationError, match="moments are not finite"):
+            assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), moments,
+                         ([0.0], [0.0]))
+
+    def test_exact_row_beyond_float64_raises_evaluation_error(self):
+        # the stencil terms of boundary values near the float64 limit: the
+        # exact row's one rounding overflows, which is an evaluation failure
+        # like any other non-finite entry of v
+        with pytest.raises(EvaluationError, match="overflows float64"):
+            assemble_rhs(assemble_matrix(8, 4, 2, 2), dual_coefficients(4), np.zeros(5),
+                         ([1e308, -1e308], [1e308, -1e308]))
 
     def test_legendre_moments_of_a_polynomial(self):
         # g = x^2 lies in the degree-3 space, so M times its Legendre

@@ -64,6 +64,23 @@ def test_parser_kept_after_a_usage_error_behaves_as_a_fresh_one(capsys):
     assert runs == [_fresh_process(bad), _fresh_process(good)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "SPEC", "--degree", "4"],
+    ["table", "--examples", "1", "--max-degree", "4"],
+    ["error-curve", "--example", "1", "--degree", "3"],
+], ids=["solve", "table", "error-curve"])
+def test_unwritable_out_exits_2(ex1_spec, tmp_path, capsys, argv):
+    # every --out goes through one writer, which reports the path it
+    # cannot write as a usage error, after no "written to" line
+    out = tmp_path / "missing" / "f"
+    argv = [str(ex1_spec) if a == "SPEC" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: cannot write ") and str(out) in err
+    assert "written to" not in printed
+    assert not out.exists()
+
+
 class TestSolveCommand:
     def test_solve_writes_coefficients(self, ex1_spec, tmp_path, capsys):
         out = tmp_path / "coeffs.json"
@@ -96,6 +113,13 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"order": 1, "left": [0.0], "rhs": "x^(1"}')
         assert main(["solve", str(bad), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+
+    def test_rhs_beyond_the_order_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"order": 2, "left": [0.0], "right": [0.0], "rhs": "y2"}')
+        assert main(["solve", str(bad), "--degree", "4", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: rhs references y2 but the equation order is 2\n")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--degree", "3",
@@ -283,6 +307,19 @@ class TestEvalCommand:
         for x in (0.0, 0.1, 0.5, 0.7, 1.0):
             assert main(["eval", "--coeffs", str(coeffs), "--at", repr(x)]) == 0
             assert capsys.readouterr().out == f"{evaluate(poly, x):.17g}\n"
+
+    @pytest.mark.parametrize("degree,code", [(60, 0), (61, 2), (1100, 2)])
+    def test_degree_above_the_cap_exits_2(self, tmp_path, capsys, degree, code):
+        # every command caps degrees at cli.MAX_DEGREE; at 1100 the
+        # binomials of the evaluation would not fit a float
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps({"degree": degree, "coefficients": [1.0] * (degree + 1)}))
+        assert main(["eval", "--coeffs", str(coeffs), "--at", "0.5"]) == code
+        printed, err = capsys.readouterr()
+        if code == 0:
+            assert float(printed) == pytest.approx(1.0, abs=1e-14)
+        else:
+            assert err == f"error: degree {degree} is above the maximum 60\n"
 
     def test_out_of_range_exits_2(self, tmp_path):
         coeffs = tmp_path / "c.json"

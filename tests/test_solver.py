@@ -82,6 +82,24 @@ class TestRightHandSides:
         assert got.solution.coeffs.tobytes() == want.solution.coeffs.tobytes()
         assert got.residuals.tobytes() == want.residuals.tobytes()
 
+    def test_callable_goes_through_the_expression_hook_once_per_iteration(self, monkeypatch):
+        # every right-hand side takes the one evaluator of the step
+        eval_expr, calls = solver.eval_expr, []
+        monkeypatch.setattr(solver, "eval_expr",
+                            lambda *a: calls.append(1) or eval_expr(*a))
+        report = solve(BVProblem((0.0,), (0.0,), lambda x, y0, y1: y1 ** 2 + 1),
+                       SolveOptions(degree=9))
+        assert len(calls) == len(report.residuals) == 8
+
+    def test_rhs_value_of_a_callable_at_a_point_is_a_float(self):
+        # converted with float(), as at the nodes: an mpf result too
+        def f(x, y0, y1):
+            return mp.mpf(x) * y0 - mp.exp(y1)
+
+        value = BVProblem((0.0,), (0.0,), f).rhs_value(0.3, (0.5, -1.25))
+        assert type(value) is float
+        assert value == float(f(0.3, 0.5, -1.25))
+
     def test_constant_rhs_solves(self):
         # y'' = 6 with y(0) = y(1) = 0: y = 3x^2 - 3x, exact from degree 2
         report = solve(BVProblem((0.0,), (0.0,), parse("6")), SolveOptions(degree=5))
@@ -332,6 +350,17 @@ class TestSolve:
             with pytest.raises(IterationError) as err:
                 iterate(p, w5, 6)
             assert err.value.n == 6
+
+    def test_a_failing_step_raises_iteration_error_with_its_degree(self):
+        # the step itself is the one failure exit: y0 vanishes identically
+        # on the all-zero seed, so y2 / y0 divides by zero at the nodes
+        problem = BVProblem((0.0, 0.0), (0.0,), parse("y2 / y0"))
+        with pytest.raises(IterationError) as err:
+            solver._iterate_core(problem, seed(problem).coeffs, 5, solver._default_rule(5),
+                                 solver._compiled_rhs(problem))
+        assert err.value.n == 5
+        assert isinstance(err.value.cause, EvaluationError)
+        assert err.value.__cause__ is err.value.cause
 
     def test_overflowing_system_rhs_fails_with_iteration_index(self):
         # g stays finite, but its dual-basis combination v exceeds float64
