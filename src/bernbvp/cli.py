@@ -206,8 +206,7 @@ def cmd_table(args):
     for ex_id in ids:
         ex = example(ex_id)
         m = ex.problem.m
-        options = SolveOptions(degree=hi, record_iterates=True)
-        report = solve(ex.problem, options)
+        report = solve(ex.problem, SolveOptions(degree=hi))
         cells = {}
         for n in range(max(lo, m), hi + 1):
             w = report.iterates[n - (m - 1)]

@@ -259,7 +259,7 @@ def to_source(e):
 
 
 def max_arg_index(e):
-    """Largest yk index appearing in e, or -1 if none."""
+    """Largest yk index appearing in e, or -1 if none; TypeError for a non-node."""
     if isinstance(e, Arg):
         return e.index
     if isinstance(e, Neg):
@@ -268,7 +268,9 @@ def max_arg_index(e):
         return max(max_arg_index(e.left), max_arg_index(e.right))
     if isinstance(e, Call):
         return max_arg_index(e.arg)
-    return -1
+    if isinstance(e, (Num, X)):
+        return -1
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _power(base, exponent):

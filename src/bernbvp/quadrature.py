@@ -117,17 +117,13 @@ def legendre_moments(g, nu, rule):
     """Legendre moments L_j = (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1) for
     j = 0..nu, in float64.
 
-    g maps the rule's node array to float64 samples, one per node (the
-    solver passes one array evaluation of the right-hand side).  Returns
-    (moments, samples), the caller reusing the samples.  Cost: one
-    (nodes x (nu + 1)) matrix-vector product.  The samples are g's own
-    array when it has one value per node, and a constant g is broadcast to
-    the nodes.  EvaluationError names the first node where a sample is not
-    finite.
+    g maps the rule's node array to float64 samples, one per node, a
+    constant f too (the solver passes one array evaluation of the
+    right-hand side).  Returns (moments, samples), the caller reusing the
+    samples.  Cost: one (nodes x (nu + 1)) matrix-vector product.
+    EvaluationError names the first node where a sample is not finite.
     """
     gvals = np.asarray(g(rule.nodes), dtype=float)
-    if gvals.shape != rule.nodes.shape:
-        gvals = np.broadcast_to(gvals, rule.nodes.shape)
     bad = ~np.isfinite(gvals)
     if bad.any():
         x = rule.nodes[bad][0].item()

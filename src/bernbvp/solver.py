@@ -28,8 +28,8 @@ Legendre Vandermonde, and the float rows of M combine them into the
 system right-hand side v.  Only the k + l rows of v that subtract the
 boundary stencil terms are exact, rounded once, since their two parts
 cancel.  The band solve multiplies by the cached inverse of each matrix
-and takes one refinement step with an exact residual; the iterates a
-solve returns are ordinary float64 BernsteinPolys.
+and takes one refinement step with an exact residual; a report turns the
+kept coefficient arrays into float64 BernsteinPolys when first read.
 
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
@@ -107,10 +107,9 @@ class BVProblem:
     """Problem data: y^(m) = f(x, y, ..., y^(m-1)) on [0, 1] with
     y^(i)(0) = left_values[i] and y^(j)(1) = right_values[j].
 
-    ``rhs`` is either a parsed expression over x, y0..y(m-1) or a callable
-    f(x, y0, ..., y(m-1)).  An expression is evaluated over all the nodes
-    at once; a callable is called once per node with floats, and its
-    result is converted with float(), so returning an mpf is fine.
+    ``rhs`` is a parsed expression over x, y0..y(m-1), evaluated over all
+    the nodes at once, or a callable f(x, y0, ..., y(m-1)), called once per
+    node with floats (``_compiled_rhs``); anything else raises TypeError.
     """
 
     left_values: tuple
@@ -126,7 +125,7 @@ class BVProblem:
             raise ValueError("need at least one boundary condition (m >= 1)")
         if not all(np.isfinite(v) for v in left + right):
             raise ValueError("boundary values must be finite")
-        idx = max_arg_index(self.rhs)  # -1 for a callable, which names no yk
+        idx = -1 if callable(self.rhs) else max_arg_index(self.rhs)  # TypeError for a non-node
         if idx >= self.m:
             raise ValueError(
                 f"rhs references y{idx} but the equation order is {self.m}"
@@ -155,27 +154,34 @@ class SolveOptions:
     """Target degree and quadrature overrides.
 
     quad_order None means the per-iteration default max(n + 2, 20);
-    record_iterates keeps every iterate w_(m-1)..w_N in the report.
+    ``quadrature.gauss_rule`` checks both quadrature fields.
     """
 
     degree: int
     quad_order: int = None
     quad_panels: int = 2
-    record_iterates: bool = False
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Final polynomial, per-iteration L2 residuals, optional iterates."""
+    """Final polynomial, per-iteration L2 residuals, and the read-only coefficients
+    of w_(m-1)..w_(N-1), which ``iterates`` turns into polynomials when first read."""
 
     solution: BernsteinPoly
     residuals: np.ndarray
-    iterates: tuple = None
+    previous: tuple = ()
 
     def __post_init__(self):
         arr = np.asarray(self.residuals, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "residuals", arr)
+        for coeffs in self.previous:
+            coeffs.setflags(write=False)
+
+    @functools.cached_property
+    def iterates(self):
+        """w_(m-1)..w_N, built once; the last is ``solution`` itself."""
+        return (*map(BernsteinPoly, self.previous), self.solution)
 
 
 def outer_coefficients(problem, n):
@@ -285,29 +291,37 @@ def _iterate_core(problem, prev, n, rule, rhs):
     return coeffs, math.sqrt(res2)
 
 
-def _default_rule(n, options=None):
-    """The quadrature rule for degree n."""
-    order = options.quad_order if options and options.quad_order else max(n + 2, 20)
-    return gauss_rule(order, options.quad_panels if options else 2)
+def _default_rule(n, options):
+    """The quadrature rule for degree n under options (``SolveOptions``)."""
+    order = max(n + 2, 20) if options.quad_order is None else options.quad_order
+    return gauss_rule(order, options.quad_panels)
 
 
 def _compiled_rhs(problem):
     """problem.rhs as a function of (x, args) that ``expressions.evaluate``
     takes in place of a tree: an expression compiled (``compile``), or a
     callable f called once per point of x, in order, with floats, its
-    results converted with float() and given x's shape."""
+    results converted with float() and given x's shape; an ArithmeticError
+    or ValueError there is an EvaluationError at that point."""
     f = problem.rhs
     if not callable(f):
         return compile(f)
 
     def pointwise(x, args):  # x is an array; each argument has a value per point
         points = zip(x.ravel().tolist(), *(np.ravel(a).tolist() for a in args), strict=True)
-        return np.array([float(f(*point)) for point in points]).reshape(x.shape)
+        values = []
+        try:
+            for point in points:
+                values.append(float(f(*point)))
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError(f"f at x={point[0]}: {exc!r}", where=point[0]) from exc
+        return np.array(values).reshape(x.shape)
     return pointwise
 
 
 def iterate(problem, previous, n, rule=None):
-    """Compute the degree-n iterate from the degree-(n-1) one.
+    """One step to degree n from ``previous``, an iterate of any degree
+    from m - 1 up, so a sweep at a fixed degree or a jump in degree too.
 
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
@@ -316,12 +330,10 @@ def iterate(problem, previous, n, rule=None):
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
-    if previous.degree != n - 1:
-        raise ValueError(
-            f"previous iterate must have degree {n - 1}, got {previous.degree}"
-        )
+    if previous.degree < problem.m - 1:
+        raise ValueError(f"previous iterate has degree {previous.degree} < m - 1")
     if rule is None:
-        rule = _default_rule(n)
+        rule = _default_rule(n, SolveOptions(degree=n))
     coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
     return BernsteinPoly(coeffs)
 
@@ -329,8 +341,8 @@ def iterate(problem, previous, n, rule=None):
 def solve(problem, options):
     """Run the iteration from the seed up to degree options.degree.
 
-    Deterministic for fixed inputs; residuals are recorded for every
-    n = m..N, iterates only when options.record_iterates is set.
+    Deterministic for fixed inputs; the report holds the residual of every
+    n = m..N and every iterate from the seed on, kept as coefficients.
 
     An expression rhs is compiled once (``expressions.compile``) and
     serves every iteration, so its x-only parts are evaluated once per
@@ -342,23 +354,12 @@ def solve(problem, options):
     m = problem.m
     if N < m:
         raise ValueError(f"target degree {N} below equation order {m}")
-    if options.quad_order is not None and options.quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
-    if options.quad_panels < 1:
-        raise ValueError("quad_panels must be >= 1")
 
-    start = seed(problem)
-    coeffs = start.coeffs
-    iterates = [start] if options.record_iterates else None
-    residuals = []
+    coeffs = seed(problem).coeffs
+    previous, residuals = [], []
     rhs = _compiled_rhs(problem)
     for n in range(m, N + 1):
+        previous.append(coeffs)
         coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
         residuals.append(res)
-        if iterates is not None:
-            iterates.append(BernsteinPoly(coeffs))
-    return SolveReport(
-        solution=iterates[-1] if iterates else BernsteinPoly(coeffs),
-        residuals=np.array(residuals),
-        iterates=tuple(iterates) if iterates is not None else None,
-    )
+    return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))

@@ -23,9 +23,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def benchmark_sweep():
-    """One solve to degree 20 per built-in example, iterates recorded."""
+    """One solve to degree 20 per built-in example."""
     out = {}
     for ex_id in range(1, 6):
         ex = example(ex_id)
-        out[ex_id] = (ex, solve(ex.problem, SolveOptions(degree=20, record_iterates=True)))
+        out[ex_id] = (ex, solve(ex.problem, SolveOptions(degree=20)))
     return out

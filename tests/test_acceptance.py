@@ -199,7 +199,7 @@ def test_criterion_5_boundary_exactness(benchmark_sweep):
         problem = BVProblem(tuple(rng.uniform(-2, 2, k)),
                             tuple(rng.uniform(-2, 2, m - k)),
                             parse(" + ".join(terms)))
-        report = solve(problem, SolveOptions(degree=m + 4, record_iterates=True))
+        report = solve(problem, SolveOptions(degree=m + 4))
         check(problem, report)
         count += 1
     record_criterion(f"criterion 5: boundary exactness on {count} problems, "
@@ -208,7 +208,7 @@ def test_criterion_5_boundary_exactness(benchmark_sweep):
 
 def test_criterion_6_manufactured_cubic():
     problem = BVProblem((0.0,), (0.0,), parse("6*x"))
-    report = solve(problem, SolveOptions(degree=20, record_iterates=True))
+    report = solve(problem, SolveOptions(degree=20))
     worst = 0.0
     for w in report.iterates:
         if w.degree < 3:

@@ -53,6 +53,10 @@ class TestBVProblem:
         with pytest.raises(ValueError):
             BVProblem((0.0,), (0.0,), parse("y2"))
 
+    def test_rejects_an_rhs_that_is_neither_expression_nor_callable(self):
+        with pytest.raises(TypeError):
+            BVProblem((0.0,), (0.0,), "y1^2 + 1")
+
 
 class TestRightHandSides:
     def test_callable_gets_floats_one_node_at_a_time(self):
@@ -90,6 +94,26 @@ class TestRightHandSides:
         report = solve(BVProblem((0.0,), (0.0,), lambda x, y0, y1: y1 ** 2 + 1),
                        SolveOptions(degree=9))
         assert len(calls) == len(report.residuals) == 8
+
+    @pytest.mark.parametrize("left,fn,n,kind", [
+        ((0.0, 0.0), lambda x, y0, y1, y2: y2 / y0, 3, ZeroDivisionError),
+        ((0.0,), lambda x, y0, y1: math.exp(1000 * (x + 1)), 2, OverflowError),
+        ((0.0,), lambda x, y0, y1: math.log(y0 - 1), 2, ValueError),
+    ])
+    def test_a_failing_callable_leaves_through_the_step(self, left, fn, n, kind):
+        # the callable's own error becomes an EvaluationError at the first
+        # node, where it fails, and the step's IterationError
+        with pytest.raises(IterationError) as err:
+            solve(BVProblem(left, (0.0,), fn), SolveOptions(degree=5))
+        assert err.value.n == n
+        cause = err.value.cause
+        assert isinstance(cause, EvaluationError)
+        assert isinstance(cause.__cause__, kind)
+        assert cause.where == gauss_rule(20, 2).nodes[0]
+
+    def test_a_callable_with_the_wrong_arity_still_raises_type_error(self):
+        with pytest.raises(TypeError):
+            solve(BVProblem((0.0,), (0.0,), lambda x, y0: y0), SolveOptions(degree=3))
 
     def test_rhs_value_of_a_callable_at_a_point_is_a_float(self):
         # converted with float(), as at the nodes: an mpf result too
@@ -148,8 +172,7 @@ class TestBoundRhs:
     @pytest.mark.parametrize("quad_order", [None, 30])
     def test_x_forcing_matches_a_chain_of_unbound_iterates(self, quad_order):
         p = self.FORCED
-        report = solve(p, SolveOptions(degree=26, quad_order=quad_order,
-                                       record_iterates=True))
+        report = solve(p, SolveOptions(degree=26, quad_order=quad_order))
         w = seed(p)
         for n, got in zip(range(p.m, 27), report.iterates[1:]):
             rule = gauss_rule(quad_order, 2) if quad_order else None
@@ -258,7 +281,7 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(p, seed(p), 1)
         with pytest.raises(ValueError):
-            iterate(p, seed(p), 3)  # previous has degree 1, not 2
+            iterate(p, BernsteinPoly([0.0]), 3)  # degree 0 < m - 1 = 1
 
     def test_hand_built_rule_iterates(self):
         # any QuadratureRule works, not only gauss_rule() output: two-point
@@ -293,19 +316,33 @@ class TestSolve:
             assert evaluate(r.solution, x) == pytest.approx(x, abs=1e-12)
 
     def test_iterates_recorded_from_seed(self):
-        r = solve(parabola_problem(), SolveOptions(degree=5, record_iterates=True))
+        r = solve(parabola_problem(), SolveOptions(degree=5))
         assert len(r.iterates) == 5  # seed w_1 plus w_2..w_5
         assert r.iterates[0].degree == 1
         assert r.iterates[-1] is r.solution
 
-    def test_iterates_not_recorded_by_default(self):
-        r = solve(parabola_problem(), SolveOptions(degree=4))
-        assert r.iterates is None
+    def test_iterates_are_built_once_from_read_only_arrays(self):
+        # N - m + 2 iterates with no option set; a second access returns
+        # the same tuple, and the stored coefficient arrays cannot change
+        r = solve(example(3).problem, SolveOptions(degree=12))
+        iterates = r.iterates
+        assert len(iterates) == 12 - 4 + 2
+        assert iterates[-1] is r.solution
+        assert r.iterates is iterates
+        for coeffs, w in zip(r.previous, iterates):
+            assert coeffs.tobytes() == w.coeffs.tobytes()
+            with pytest.raises(ValueError):
+                coeffs[0] = 1.0
+
+    @pytest.mark.parametrize("override", [{"quad_order": 0}, {"quad_panels": 0}])
+    def test_quadrature_below_one_rejected(self, override):
+        with pytest.raises(ValueError):
+            solve(parabola_problem(), SolveOptions(degree=4, **override))
 
     def test_manufactured_cubic_exact(self):
         # y = x^3 - x with y'' = 6x and zero boundary values
         p = BVProblem((0.0,), (0.0,), parse("6*x"))
-        r = solve(p, SolveOptions(degree=8, record_iterates=True))
+        r = solve(p, SolveOptions(degree=8))
         for w in r.iterates[2:]:  # n >= 3
             expect = monomial_bernstein_coeffs([0.0, -1.0, 0.0, 1.0], w.degree)
             assert np.abs(w.coeffs - expect).max() < 1e-10
@@ -356,8 +393,7 @@ class TestSolve:
         # on the all-zero seed, so y2 / y0 divides by zero at the nodes
         problem = BVProblem((0.0, 0.0), (0.0,), parse("y2 / y0"))
         with pytest.raises(IterationError) as err:
-            solver._iterate_core(problem, seed(problem).coeffs, 5, solver._default_rule(5),
-                                 solver._compiled_rhs(problem))
+            iterate(problem, seed(problem), 5)
         assert err.value.n == 5
         assert isinstance(err.value.cause, EvaluationError)
         assert err.value.__cause__ is err.value.cause
@@ -567,22 +603,20 @@ class TestSolve:
         # from 2.2e-7 to 2.0e-12 (a solve to N = 14 reads 1.2e-13)
         ex = example(3)
         problem = ex.problem
-        coeffs = solve(problem, SolveOptions(degree=8)).solution.coeffs
-        rule, rhs = solver._default_rule(8), solver._compiled_rhs(problem)
+        w = solve(problem, SolveOptions(degree=8)).solution
         for _ in range(6):
-            coeffs, _ = solver._iterate_core(problem, coeffs, 8, rule, rhs)
-        assert coeffs.size == 9
-        assert max_error(error_curve(BernsteinPoly(coeffs), ex.reference, 200)) <= 1e-11
+            w = iterate(problem, w, 8)
+        assert w.degree == 8
+        assert max_error(error_curve(w, ex.reference, 200)) <= 1e-11
 
     def test_one_step_from_the_seed_to_a_higher_degree(self):
         # from the degree-3 seed of example 3 straight to degree 8: the
         # new iterate meets the boundary data as criterion 5 asks
         problem = example(3).problem
-        coeffs, _ = solver._iterate_core(problem, seed(problem).coeffs, 8,
-                                         solver._default_rule(8), solver._compiled_rhs(problem))
-        assert coeffs.size == 9
+        w = iterate(problem, seed(problem), 8)
+        assert w.degree == 8
         for i, want in enumerate(problem.left_values):
-            got = endpoint_derivative(BernsteinPoly(coeffs), i, "left")
+            got = endpoint_derivative(w, i, "left")
             assert abs(got - want) <= 1e-11 * (1 + abs(want)), i
 
     def test_first_order_initial_value(self):
@@ -605,7 +639,7 @@ class TestSolve:
 
         rng = np.random.default_rng(5)
         prob = random_linear_problem(rng, 2, 1)
-        r = solve(prob, SolveOptions(degree=4, record_iterates=True))
+        r = solve(prob, SolveOptions(degree=4))
         w_prev, w_cur = r.iterates[-2], r.iterates[-1]
         assert (w_prev.degree, w_cur.degree) == (3, 4)
         expect = inner_by_normal_equations(prob, w_prev, 4)
