@@ -18,13 +18,17 @@ a float64, so a dyadic rational), rounds it once and adds the correction
 that the same inverse gives.  The stencil's entries sum to 2^m in
 magnitude, so for m <= 26 p is split into a few parts whose products with
 G are exact, and ``math.fsum`` rounds each row of v minus those products
-once; higher orders, and p or v too large for the split's grids, take an
-exact integer route instead.
+once; higher orders, p too large for the split's grids, and v so near
+the float64 limit that fsum overflows, take an exact integer route
+instead.  The product with the inverse is checked once for finiteness; a
+non-finite one is returned unrefined, for the caller to find.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
 also carry the boundary stencil terms: those cancel digits, so they are
-computed exactly and rounded once.
+computed exactly and rounded once.  The exact conversion of the moments
+and of the outer coefficients is their one check: a value that is not
+finite raises EvaluationError there.
 """
 
 import functools
@@ -123,9 +127,13 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     Every row is one float64 product with the rows of M, except the rows
     with stencil terms, whose two parts cancel: each of those is computed
     exactly, from M's integer numerators, the moments and the stencil
-    terms as dyadic rationals, and rounded once.  EvaluationError if a
-    moment or entry of v is not finite; an overflow in the float product
-    warns unless the caller ignores it (``np.errstate``), as the solver does.
+    terms as dyadic rationals, and rounded once.  The exact conversion is
+    the one check of the moments and of the outer coefficients: a value
+    that is not finite raises EvaluationError ("moments are not finite",
+    before the float product, or "outer coefficients are not finite");
+    then an entry of v beyond float64 raises EvaluationError too.  An
+    overflow in the float product warns unless the caller ignores it
+    (``np.errstate``), as the solver does.
     """
     nu, k, l = system.size - 1, system.lower_bw, system.upper_bw
     if duals.degree != nu:
@@ -136,14 +144,18 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     left, right = outer
     if len(left) != k or len(right) != l:
         raise ValueError("outer coefficient blocks must have lengths k and l")
-    if not np.isfinite(values).all():
-        raise EvaluationError("moments are not finite")
-    v = (duals.legendre @ values) / system.scale
+    try:
+        lnum, ls = _dyadic(values.tolist())
+    except (OverflowError, ValueError):  # the ratio of an inf or a nan
+        raise EvaluationError("moments are not finite") from None
     # degree-n coefficients with the inner ones zero: the stencil terms on
     # the outer ones move to the right-hand side
-    onum, fs = _dyadic([*left, *right[::-1]])
+    try:
+        onum, fs = _dyadic([*left, *right[::-1]])
+    except (OverflowError, ValueError):
+        raise EvaluationError("outer coefficients are not finite") from None
+    v = (duals.legendre @ values) / system.scale
     fnum = onum[:k] + [0] * (nu + 1) + onum[k:]
-    lnum, ls = _dyadic(values)
     numerators, stencil, w = duals.legendre_numerators, system.stencil, k + l + 1
     for i, den in system.exact_rows:
         dot = sum(map(mul, numerators[i], lnum))
@@ -158,8 +170,10 @@ def assemble_rhs(system, duals, legendre_moments, outer):
 
 
 def _dyadic(values):
-    """Integers N_t and s >= 0 with N_t / 2^s == values[t], for finite floats."""
-    ratios = [x.as_integer_ratio() for x in np.asarray(values, dtype=float).tolist()]
+    """Integers N_t and s >= 0 with N_t / 2^s == values[t], for a
+    non-empty sequence of floats; OverflowError for an infinite one and
+    ValueError for a nan, from ``float.as_integer_ratio``."""
+    ratios = [x.as_integer_ratio() for x in values]
     s = max(d.bit_length() for _, d in ratios) - 1
     return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
 
@@ -175,7 +189,8 @@ def solve(system, rhs):
     least 1e13.  For right-hand sides of bounded solutions the residual
     |G p - rhs|_inf is well within 1e-10 * (1 + |rhs|_inf) for every split
     k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
-    A non-finite rhs gives a non-finite p, returned unrefined.
+    A non-finite rhs, or a product with the inverse that overflows, gives
+    a non-finite p, returned unrefined.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.size,):
@@ -196,7 +211,8 @@ def _banded_lu(system, rhs):
             f"singular system: {system.size} x {system.size} matrix of band "
             f"({system.lower_bw}, {system.upper_bw}), condition number {system.condition:.1e}")
     p = system.inverse @ rhs
-    # every entry of p takes every entry of rhs, so a non-finite rhs shows in p
+    # p's one check: every entry of p takes every entry of rhs, so a
+    # non-finite rhs shows in p too; _split would not end on it
     if not np.isfinite(p).all():
         return p
     return p + system.inverse @ _residual(system, rhs, p)
@@ -205,45 +221,54 @@ def _banded_lu(system, rhs):
 def _residual(system, v, p):
     """v - G p, exact on the float64 entries, rounded once per entry.
 
-    The stencil's entries sum to 2^m in magnitude, so for m <= 26 -p splits
-    into parts whose products with G are exact (``_split``), and
-    ``math.fsum`` rounds each v_i plus those products once.  Higher orders,
-    and p or v too large for the grids, take the integer route
-    (``_integer_residual``): both round the same exact values.
+    The stencil's entries sum to 2^m in magnitude, so for m <= 26 p splits
+    into vectors that sum to -p and whose products with G are exact
+    (``_split``), and ``math.fsum`` rounds each v_i plus those products
+    once.  Higher orders, p too large for the grids, and v so near the
+    float64 limit that a partial sum of fsum overflows take the integer
+    route (``_integer_residual``): both round the same exact values.
     """
     m = system.lower_bw + system.upper_bw
-    parts = _split(-p, m) if m <= 26 else None
+    parts = _split(p, m) if m <= 26 else None
     vals = v.tolist()
-    if parts is None or max(map(abs, vals)) > 2.0**1000:
-        return _integer_residual(system, v, p)
-    return list(map(math.fsum, zip(vals, *(parts @ system.dense.T).tolist())))
+    if parts is not None:
+        products = [(system.dense @ part).tolist() for part in parts]
+        try:
+            return list(map(math.fsum, zip(vals, *products)))
+        except OverflowError:
+            pass
+    return _integer_residual(system, vals, p.tolist())
 
 
 def _split(p, bits):
-    """Rows that sum to p exactly, or None if p is beyond 2^(1000 - bits).
+    """Vectors that sum to -p exactly, or None if p is beyond
+    2^(1000 - bits).
 
-    Each row is the ExtractVector step of Rump, Ogita and Oishi ("Accurate
-    floating-point summation part I", SIAM J. Sci. Comput. 31, 2008): for
-    sigma = 2^e >= 2^bits max|rest|, (sigma + rest) - sigma holds multiples
-    of 2^(e-53) of size at most 2^(e-bits) and leaves at most 2^(e-53) for
-    the next row.  Its products with integer stencils of sum |d| <= 2^bits,
-    and all their partial sums, are multiples of 2^(e-53) of size at most
-    2^e, so exact in any order of summation, with fused multiply-adds or not.
+    Each vector is the ExtractVector step of Rump, Ogita and Oishi
+    ("Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008) on -p, taken from p without negating it: sigma - rest rounds as
+    sigma + (-rest) does.  For sigma = 2^e >= 2^bits max|rest|,
+    (sigma - rest) - sigma holds multiples of 2^(e-53) of size at most
+    2^(e-bits) and leaves at most 2^(e-53) for the next vector.  Its
+    products with integer stencils of sum |d| <= 2^bits, and all their
+    partial sums, are multiples of 2^(e-53) of size at most 2^e, so exact
+    in any order of summation, with fused multiply-adds or not.
     """
     sigma = math.ldexp(1.0, math.frexp(np.abs(p).max())[1] + bits)
     if sigma > 2.0**1000:
         return None
     parts, rest = [], p
     while np.count_nonzero(rest):
-        parts.append((sigma + rest) - sigma)
-        rest = rest - parts[-1]
+        parts.append((sigma - rest) - sigma)
+        rest = rest + parts[-1]
         sigma *= 2.0 ** (bits - 53)
-    return np.array(parts).reshape(-1, p.size)
+    return parts
 
 
 def _integer_residual(system, v, p):
     """v - G p as exact integers over a common power of two, with G's
-    integer stencil, each entry rounded once by the true division."""
+    integer stencil, each entry rounded once by the true division; v and p
+    are sequences of finite floats."""
     k, l = system.lower_bw, system.upper_bw
     pnum, ps = _dyadic(p)
     vnum, vs = _dyadic(v)

@@ -345,28 +345,20 @@ def evaluate(e, x, args=()):
     each element carries the same IEEE operations as a walk over floats.
     Domain checks run over the whole array: the first operation in walk
     order that fails at some point raises EvaluationError, with ``where``
-    the failing operand at the first such point.
+    the failing operand at the first such point.  The walk runs under an
+    np.errstate that ignores overflow and invalid operations, so an
+    overflowing value is inf and warns nothing.
 
     An array value is always a new array of its own, never x, an argument
     or a value that a compiled tree keeps; only a value of another shape
     (a constant, or operands of mixed shapes) is broadcast to the common
     one.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return evaluate_in_errstate(e, x, args)
-
-
-def evaluate_in_errstate(e, x, args=()):
-    """``evaluate`` under numpy's error state as the caller set it.
-
-    An overflow or invalid operation warns unless the caller ignores it
-    (``np.errstate(over="ignore", invalid="ignore")``, as evaluate and the
-    solver's iteration do); the value is the same either way.
-    """
     shape = np.shape(x)
     if any(np.shape(a) != shape for a in args):
         shape = np.broadcast_shapes(shape, *map(np.shape, args))
-    out = (e if callable(e) else compile(e))(np.asarray(x, dtype=float), args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (e if callable(e) else compile(e))(np.asarray(x, dtype=float), args)
     if not shape:
         return float(out)
     if np.shape(out) == shape:

@@ -120,13 +120,16 @@ def legendre_moments(g, nu, rule):
     g maps the rule's node array to float64 samples, one per node, a
     constant f too (the solver passes one array evaluation of the
     right-hand side).  Returns (moments, samples), the caller reusing the
-    samples.  Cost: one (nodes x (nu + 1)) matrix-vector product.
+    samples.  Cost: one (nodes x (nu + 1)) matrix-vector product.  The
+    samples are checked once, by one ``isfinite(...).all()``:
     EvaluationError names the first node where a sample is not finite.
+    The moments themselves are not checked here; a product that
+    overflows is inf or nan, for the caller to find
+    (``bandsolve.assemble_rhs`` does, by their exact conversion).
     """
     gvals = np.asarray(g(rule.nodes), dtype=float)
-    bad = ~np.isfinite(gvals)
-    if bad.any():
-        x = rule.nodes[bad][0].item()
+    if not np.isfinite(gvals).all():
+        x = rule.nodes[~np.isfinite(gvals)][0].item()
         raise EvaluationError(
             f"right-hand side returned non-finite value at x={x}", where=x
         )

@@ -38,8 +38,14 @@ orders; the constants of the outer coefficients by (n, k, l)
 (``_outer_terms``); the band system of each shape, with its inverse and
 the data of its exact rows, by ``bandsolve.assemble_matrix``; and the
 dual table by its degree.  So a warm iteration derives no constant again,
-whatever the degree of the iterate it starts from, runs its layers under
-one ``np.errstate``, and leaves as one IterationError on a numerical failure.
+whatever the degree of the iterate it starts from.
+
+solve and iterate enter one ``np.errstate`` per call, which ignores
+overflow and invalid operations for every step; each step checks every
+value it makes once, in the layer that makes it (``_iterate_core``), and
+leaves as one IterationError on a numerical failure.  Boundary data whose
+outer coefficients leave float64 fail the same way, at the seed's degree
+m - 1 or at the step's.
 """
 
 import functools
@@ -54,7 +60,7 @@ from . import bandsolve
 from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
-from .expressions import compile, evaluate, evaluate_in_errstate, max_arg_index
+from .expressions import compile, evaluate, max_arg_index
 from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
@@ -65,26 +71,38 @@ def _node_derivatives(p, terms):
     """Values at a rule's nodes of derivatives of the polynomial with
     Bernstein coefficients p, one array per entry of terms.
 
-    terms holds (r, B, n!/(n-r)!) per derivative order r, ascending, where
-    n = p.size - 1 and B is the rule's basis matrix of degree n - r
-    (``_derivative_terms``).  Derivative r has the coefficients n!/(n-r)!
-    times the r-fold forward differences of p, taken once, order after
-    order, and its values are one product with B.  A value that overflows
-    is inf or nan, with a warning unless the caller ignores it
-    (``np.errstate``, as the iteration does); the caller checks the values
-    it uses.
+    terms holds (steps, B, n!/(n-r)!) per derivative order r, ascending,
+    where n = p.size - 1, B is the rule's basis matrix of degree n - r and
+    steps is the range of forward differences that lead from the previous
+    order to r (``_derivative_terms``).  Derivative r has the coefficients
+    n!/(n-r)! times the r-fold forward differences of p, taken once, order
+    after order, and its values are one product with B.  A value that
+    overflows is inf or nan, with a warning unless the caller ignores it
+    (``np.errstate``, as solve and iterate do); the caller checks the
+    values it uses.
     """
-    values, q = [], p
-    for r, basis, scale in terms:
-        while q.size > p.size - r:
-            q = q[1:] - q[:-1]
-        values.append(basis @ (scale * q))
+    values = []
+    for steps, basis, scale in terms:
+        for _ in steps:
+            p = p[1:] - p[:-1]
+        values.append(basis @ (scale * p))
     return values
 
 
 def _derivative_terms(rule, n, orders):
     """The terms of ``_node_derivatives`` for a polynomial of degree n."""
-    return tuple((r, rule.bernstein_basis(n - r), falling_factorial(n, r)) for r in orders)
+    return tuple((range(r - q), rule.bernstein_basis(n - r), falling_factorial(n, r))
+                 for q, r in zip((0, *orders), orders))
+
+
+def _rhs_at_nodes(rhs, x, args):
+    """The compiled right-hand side rhs (``_compiled_rhs``) at the node
+    array x, with args the derivative values there: its value array as it
+    comes, which the caller must not write to, or a constant broadcast to
+    x's shape.  Unlike ``expressions.evaluate`` it checks no shapes and
+    copies nothing, and it runs under the caller's np.errstate."""
+    values = rhs(x, args)
+    return values if np.ndim(values) else np.full(x.shape, values)
 
 
 # perfbench/tracing.py wraps these names: _eval_mp, the node evaluator
@@ -94,12 +112,12 @@ def _derivative_terms(rule, n, orders):
 # the moment layer, eval_expr as the expression layer, and
 # dual_coefficients as the per-degree lookup of the Legendre factor.  The
 # iteration calls each through these names.  The "_mp" suffixes are
-# historical: neither runs in mpmath any more.  eval_expr is evaluate
-# without its own np.errstate, since the iteration sets one for all its
-# layers; every right-hand side goes through it, from ``_compiled_rhs``.
+# historical: neither runs in mpmath any more.  eval_expr is the step's
+# own evaluator of the right-hand side, ``_rhs_at_nodes``; every
+# right-hand side goes through it, from ``_compiled_rhs``.
 _eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
-eval_expr = evaluate_in_errstate
+eval_expr = _rhs_at_nodes
 
 
 @dataclass(frozen=True)
@@ -219,24 +237,39 @@ def _outer_terms(n, k, l):
 
 
 def _outer(problem, terms):
-    """outer_coefficients as two lists, from the terms of its degree."""
+    """outer_coefficients as two lists, from the terms of its degree.
+
+    Each coefficient is checked once, here: EvaluationError if one is not
+    finite in float64, as for boundary data near the float64 limit.
+    """
     left_terms, right_terms = terms
-    left = []
-    for value, (scale, signed) in zip(problem.left_values, left_terms):
-        left.append(math.fsum([value / scale, *map(mul, signed, left)]))
-    right = []
-    for value, (sign, scale, signed) in zip(problem.right_values, right_terms):
-        right.append(math.fsum([sign * value / scale, *map(mul, signed, reversed(right))]))
+    left, right = [], []
+    try:
+        for value, (scale, signed) in zip(problem.left_values, left_terms):
+            left.append(math.fsum([value / scale, *map(mul, signed, left)]))
+        for value, (sign, scale, signed) in zip(problem.right_values, right_terms):
+            right.append(math.fsum([sign * value / scale, *map(mul, signed, reversed(right))]))
+        finite = all(map(math.isfinite, left)) and all(map(math.isfinite, right))
+    except (OverflowError, ValueError):  # fsum overflows, or meets inf - inf
+        finite = False
+    if not finite:
+        raise EvaluationError("outer coefficients are not finite in float64")
     return left, right
 
 
 def seed(problem):
     """The degree m-1 starting polynomial; it satisfies all boundary
-    conditions and involves no least-squares step."""
-    m = problem.m
-    left, right = outer_coefficients(problem, m - 1)
-    return BernsteinPoly(_full_coeffs(m - 1, problem.k, problem.l,
-                                      left, right, np.empty(0)))
+    conditions and involves no least-squares step.
+
+    Boundary data whose coefficients are not finite in float64 fail as
+    IterationError(m - 1, cause), the degree of the seed.
+    """
+    m, k, l = problem.m, problem.k, problem.l
+    try:
+        left, right = _outer(problem, _outer_terms(m - 1, k, l))
+    except EvaluationError as exc:
+        raise IterationError(m - 1, exc) from exc
+    return BernsteinPoly(_full_coeffs(m - 1, k, l, left, right, ()))
 
 
 def _full_coeffs(n, k, l, left, right, inner):
@@ -253,13 +286,18 @@ def _iterate_core(problem, prev, n, rule, rhs):
     residual).
 
     rhs is the right-hand side from ``_compiled_rhs``, an expression or a
-    callable alike.  The layers run under one np.errstate that ignores
-    overflow and invalid operations; each checks the values it hands on.
-    Every numerical failure (EvaluationError, SingularSystemError) leaves
-    here as the cause of an IterationError(n, cause).
+    callable alike.  The step runs under the caller's np.errstate, which
+    solve and iterate enter once per call, ignoring overflow and invalid
+    operations.  Each value is checked once, by the layer that makes it:
+    the outer coefficients (``_outer``), the samples of the right-hand
+    side (``legendre_moments``), the moments by their exact conversion and
+    v (``bandsolve.assemble_rhs``), the band solve's first product
+    (``bandsolve.solve``), and here its refined result and the L2
+    residual.  Every numerical failure (EvaluationError,
+    SingularSystemError) leaves here as the cause of an
+    IterationError(n, cause).
     """
     m, k, l = problem.m, problem.k, problem.l
-    left, right = _outer(problem, _outer_terms(n, k, l))
     d = prev.size - 1
     derivs = rule.memo(("derivs", d, m), _derivative_terms, rule, d, range(m))
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
@@ -268,20 +306,19 @@ def _iterate_core(problem, prev, n, rule, rhs):
         return eval_expr(rhs, x, _eval_mp(prev, derivs))
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            moments, gvals = _moment_integrals_mp(g, n - m, rule)
-            system = bandsolve.assemble_matrix(n, m, k, l)
-            v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments, (left, right))
-            inner = bandsolve.solve(system, v)
-            if not np.isfinite(inner).all():
-                raise EvaluationError("band solve result is not finite in float64")
-            coeffs = _full_coeffs(n, k, l, left, right, inner)
+        left, right = _outer(problem, _outer_terms(n, k, l))
+        moments, gvals = _moment_integrals_mp(g, n - m, rule)
+        system = bandsolve.assemble_matrix(n, m, k, l)
+        v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments, (left, right))
+        inner = bandsolve.solve(system, v)
+        if not np.isfinite(inner).all():
+            raise EvaluationError("band solve result is not finite in float64")
+        coeffs = _full_coeffs(n, k, l, left, right, inner)
 
-            # L2 residual of the new iterate against the frozen right-hand side
-            [deriv_m] = _eval_mp(coeffs, residual)
-            terms = rule.weights * (deriv_m - gvals) ** 2
+        # L2 residual of the new iterate against the frozen right-hand side
+        [deriv_m] = _eval_mp(coeffs, residual)
         try:
-            res2 = math.fsum(terms.tolist())
+            res2 = math.fsum((rule.weights * (deriv_m - gvals) ** 2).tolist())
         except OverflowError:
             res2 = math.inf
         if not math.isfinite(res2):
@@ -300,15 +337,19 @@ def _default_rule(n, options):
 def _compiled_rhs(problem):
     """problem.rhs as a function of (x, args) that ``expressions.evaluate``
     takes in place of a tree: an expression compiled (``compile``), or a
-    callable f called once per point of x, in order, with floats, its
-    results converted with float() and given x's shape; an ArithmeticError
-    or ValueError there is an EvaluationError at that point."""
+    callable f called once per point, in order, with floats, its results
+    converted with float() and given the common shape of x and the
+    arguments (broadcast only when their shapes differ); an
+    ArithmeticError or ValueError there is an EvaluationError at that
+    point."""
     f = problem.rhs
     if not callable(f):
         return compile(f)
 
     def pointwise(x, args):  # x is an array; each argument has a value per point
-        points = zip(x.ravel().tolist(), *(np.ravel(a).tolist() for a in args), strict=True)
+        if any(np.shape(a) != x.shape for a in args):
+            x, *args = np.broadcast_arrays(x, *args)
+        points = zip(x.ravel().tolist(), *(np.ravel(a).tolist() for a in args))
         values = []
         try:
             for point in points:
@@ -325,8 +366,8 @@ def iterate(problem, previous, n, rule=None):
 
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
-    ``previous``.  Numerical failures carry the iteration index.  An
-    expression rhs is compiled per call.
+    ``previous``.  Numerical failures carry the iteration index, and warn
+    nothing.  An expression rhs is compiled per call.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -334,7 +375,8 @@ def iterate(problem, previous, n, rule=None):
         raise ValueError(f"previous iterate has degree {previous.degree} < m - 1")
     if rule is None:
         rule = _default_rule(n, SolveOptions(degree=n))
-    coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
     return BernsteinPoly(coeffs)
 
 
@@ -346,9 +388,11 @@ def solve(problem, options):
 
     An expression rhs is compiled once (``expressions.compile``) and
     serves every iteration, so its x-only parts are evaluated once per
-    quadrature rule and each iteration evaluates only the rest.  Nothing
-    is kept across calls.  The iterates are the same bits as iterate()
-    gives.
+    quadrature rule and each iteration evaluates only the rest.  The
+    iterations run under one np.errstate, entered once per call, and a
+    numerical failure leaves as IterationError(n, cause), the seed's as
+    n = m - 1 (``seed``).  Nothing is kept across calls.  The iterates are
+    the same bits as iterate() gives.
     """
     N = options.degree
     m = problem.m
@@ -358,8 +402,9 @@ def solve(problem, options):
     coeffs = seed(problem).coeffs
     previous, residuals = [], []
     rhs = _compiled_rhs(problem)
-    for n in range(m, N + 1):
-        previous.append(coeffs)
-        coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
-        residuals.append(res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(m, N + 1):
+            previous.append(coeffs)
+            coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
+            residuals.append(res)
     return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))

@@ -140,6 +140,16 @@ class TestSolve:
         np_res = dense_from_banded(s) @ np.linalg.solve(dense_from_banded(s), rhs) - rhs
         assert np.abs(res).max() <= max(10 * np.abs(np_res).max(), 1e-8)
 
+    @pytest.mark.parametrize("shape,sign", [((40, 4, 4, 0), -1.0), ((8, 2, 1, 1), 1.0)])
+    def test_product_beyond_float64_is_returned_unrefined(self, shape, sign):
+        # a finite rhs whose product with the inverse overflows: that first
+        # product is checked once and returned as it is, not split for the
+        # refinement step; the solver's check of the result then fails
+        system = assemble_matrix(*shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = solve(system, 1.7e308 * sign ** np.arange(system.size))
+        assert p.shape == (system.size,) and not np.isfinite(p).all()
+
     def test_ill_conditioned_system_raises(self):
         # the one-sided order-10 stencil at n = 50: its condition number,
         # about 1.1e13, is beyond what the solve accepts
@@ -202,6 +212,13 @@ class TestAssembleRhs:
         with pytest.raises(EvaluationError, match="moments are not finite"):
             assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), moments,
                          ([0.0], [0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_outer_coefficients_raise_evaluation_error(self, bad):
+        # their exact conversion is their check, before any float product
+        with pytest.raises(EvaluationError, match="outer coefficients are not finite"):
+            assemble_rhs(assemble_matrix(8, 4, 2, 2), dual_coefficients(4), np.zeros(5),
+                         ([1.0, bad], [0.0, 0.0]))
 
     def test_exact_row_beyond_float64_raises_evaluation_error(self):
         # the stencil terms of boundary values near the float64 limit: the

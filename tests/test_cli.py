@@ -284,6 +284,24 @@ class TestSolveCommand:
         assert "singular system" in err and "condition number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec,n", [
+        # the seed (degree 2) is finite; the outer coefficients of degree 3
+        # are not
+        ({"order": 3, "left": [1.7e308, -1.7e308, 1.7e308], "rhs": "y0"}, 3),
+        # the seed's own outer coefficients (degree 3) meet inf - inf
+        ({"order": 4, "left": [1e308, 1e308, 0, 0], "rhs": "y0"}, 3),
+    ])
+    def test_huge_finite_boundary_data_exit_3(self, tmp_path, capsys, spec, n):
+        # boundary values within float64 whose outer coefficients are not
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", str(path), "--degree", "8",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: iteration n={n} failed: "
+            "outer coefficients are not finite in float64\n")
+        assert not (tmp_path / "o").exists()
+
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
         assert main(["solve", str(ex1_spec), "--degree", "4",
@@ -544,18 +562,22 @@ _quadrature = st.dictionaries(st.sampled_from(["order", "panels"]),
 @st.composite
 def _specs(draw):
     """A well-formed spec of order 1..3, then up to three keys replaced by
-    hostile values."""
+    hostile values, huge finite boundary values among them."""
     m = draw(st.integers(1, 3))
     k = draw(st.integers(0, m))
     small = st.floats(-2, 2)
+    # finite, but the outer coefficients they pin may not be
+    huge = st.floats(1e300, 1.7e308) | st.floats(-1.7e308, -1e300)
     spec = {"order": m, "left": draw(st.lists(small, min_size=k, max_size=k)),
             "right": draw(st.lists(small, min_size=m - k, max_size=m - k)),
             "rhs": draw(_expressions)}
     if draw(st.booleans()):
         spec["exact"] = draw(_expressions)
     hostile = {"order": st.integers(-1, 4) | _json_values,
-               "left": st.lists(_numbers, max_size=3) | _json_values,
-               "right": st.lists(_numbers, max_size=3) | _json_values,
+               "left": (st.lists(_numbers, max_size=3) | _json_values
+                        | st.lists(huge, min_size=k, max_size=k)),
+               "right": (st.lists(_numbers, max_size=3) | _json_values
+                         | st.lists(huge, min_size=m - k, max_size=m - k)),
                "rhs": _expressions | _json_values, "exact": _expressions | _json_values,
                "quadrature": _quadrature | _json_values, "unknown": _json_values}
     for key in draw(st.lists(st.sampled_from(sorted(hostile)), max_size=3, unique=True)):

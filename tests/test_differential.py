@@ -279,6 +279,11 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
                          rng.integers(-968, 993, size))
             p[rng.random(size) < 0.2] = rng.choice((0.0, -0.0))
             check(matrix, v, p, 0)
+            # v up to the float64 limit takes the split too: fsum sums it
+            # exactly unless a partial sum overflows
+            near_limit = v.copy()
+            near_limit[rng.integers(size)] = 1.7e308 * rng.choice((-1, 1))
+            check(matrix, near_limit, p, 0)
             for extreme, falls_back in ((2.0**1010, 1), (-(2.0**1005), 1),
                                         (2.0**-1000, 0), (5e-324, 0)):
                 q = p.copy()

@@ -124,6 +124,22 @@ class TestRightHandSides:
         assert type(value) is float
         assert value == float(f(0.3, 0.5, -1.25))
 
+    def test_rhs_value_of_a_callable_broadcasts_like_an_expression(self):
+        # x and the arguments of differing shapes broadcast together, as
+        # for an expression, and f is called once per point of the result
+        calls = []
+
+        def f(x, y0, y1):
+            calls.append((x, y0, y1))
+            return y1 ** 2 + 1
+
+        got = BVProblem((0.0,), (0.0,), f).rhs_value(np.array([0.1, 0.2]), (1.0, 2.0))
+        want = expressions.evaluate(parse("y1^2 + 1"), np.array([0.1, 0.2]), (1.0, 2.0))
+        assert got.tolist() == want.tolist() == [5.0, 5.0]
+        assert calls == [(0.1, 1.0, 2.0), (0.2, 1.0, 2.0)]
+        got = BVProblem((0.0,), (0.0,), f).rhs_value(0.5, (np.array([[1.0], [3.0]]), [2.0, 0.0]))
+        assert got.tolist() == [[5.0, 1.0], [5.0, 1.0]]
+
     def test_constant_rhs_solves(self):
         # y'' = 6 with y(0) = y(1) = 0: y = 3x^2 - 3x, exact from degree 2
         report = solve(BVProblem((0.0,), (0.0,), parse("6")), SolveOptions(degree=5))
@@ -247,6 +263,20 @@ class TestOuterCoefficients:
 class TestSeed:
     def test_line(self):
         assert seed(line_problem()).coeffs.tolist() == [0.0, 1.0]
+
+    def test_huge_boundary_data_fail_as_the_seed_iteration(self):
+        # finite boundary values whose degree-3 coefficients meet inf - inf
+        # in the recurrence: the seed is iterate m - 1, and its failure is
+        # a numerical one at that degree, from seed and from solve alike
+        p = BVProblem((1e308, 1e308, 0.0, 0.0), (), parse("y0"))
+        with pytest.raises(EvaluationError, match="outer coefficients are not finite"):
+            outer_coefficients(p, 3)
+        for run in (lambda: seed(p), lambda: solve(p, SolveOptions(degree=8))):
+            with pytest.raises(IterationError) as err:
+                run()
+            assert err.value.n == 3
+            assert isinstance(err.value.cause, EvaluationError)
+            assert str(err.value.cause) == "outer coefficients are not finite in float64"
 
     def test_taylor_cubic(self):
         p = BVProblem((2.0, -1.0, 3.0, 1.0), (), parse("y3^2 / y2"))
@@ -398,6 +428,27 @@ class TestSolve:
         assert isinstance(err.value.cause, EvaluationError)
         assert err.value.__cause__ is err.value.cause
 
+    def test_outer_coefficients_beyond_float64_fail_with_iteration_index(self):
+        # the seed (degree 2) is finite, but at degree 3 the recurrence
+        # overflows: the step fails as a numerical failure of degree 3
+        p = BVProblem((1.7e308, -1.7e308, 1.7e308), (), parse("y0"))
+        assert np.isfinite(seed(p).coeffs).all()
+        with pytest.raises(IterationError) as err:
+            solve(p, SolveOptions(degree=8))
+        assert err.value.n == 3
+        assert isinstance(err.value.cause, EvaluationError)
+        assert str(err.value.cause) == "outer coefficients are not finite in float64"
+
+    def test_overflowing_moments_fail_with_iteration_index(self):
+        # every sample is finite, but 3 sum_t w_t g(x_t) P_1(2 x_t - 1) is
+        # about 1.5 * 1.7e308: the moments' exact conversion catches it
+        p = BVProblem((0.0,), (0.0,), lambda x, y0, y1: math.copysign(1.7e308, x - 0.5))
+        with pytest.raises(IterationError) as err:
+            iterate(p, BernsteinPoly(np.zeros(4)), 4)
+        assert err.value.n == 4
+        assert isinstance(err.value.cause, EvaluationError)
+        assert str(err.value.cause) == "moments are not finite"
+
     def test_overflowing_system_rhs_fails_with_iteration_index(self):
         # g stays finite, but its dual-basis combination v exceeds float64
         p = BVProblem((0.0,), (), lambda x, y0: 1e308 * math.cos(20 * math.pi * x))
@@ -431,18 +482,30 @@ class TestSolve:
         # differences overflow, and the basis product gives nan, in the
         # derivative arguments of f (from the previous iterate) and in the
         # L2 residual (the band solve is faked); both fail the iteration,
-        # and pytest turns any RuntimeWarning into a failure
+        # and pytest turns any RuntimeWarning into a failure.  Both public
+        # entries to the step hold its np.errstate: iterate from a given
+        # previous iterate, and solve from a seed of boundary values near
+        # the limit
         huge = 9e307 * (-1.0) ** np.arange(9)
         p = BVProblem((0.0,), (0.0,), parse("y1 + sin(x)"))
-        with pytest.raises(IterationError) as err:
-            iterate(p, BernsteinPoly(huge[:8]), 8)
-        assert isinstance(err.value.cause, EvaluationError)
-        assert "non-finite value" in str(err.value.cause)
+        near_limit = BVProblem((9e307,), (-9e307,), parse("y1 + sin(x)"))
+        derivative_failures = [(8, lambda: iterate(p, BernsteinPoly(huge[:8]), 8)),
+                               (2, lambda: solve(near_limit, SolveOptions(degree=4)))]
+        residual_failures = [(8, lambda: iterate(p, BernsteinPoly(np.zeros(8)), 8)),
+                             (2, lambda: solve(p, SolveOptions(degree=4)))]
+        for n, run in derivative_failures:
+            with pytest.raises(IterationError) as err:
+                run()
+            assert err.value.n == n
+            assert isinstance(err.value.cause, EvaluationError)
+            assert "non-finite value" in str(err.value.cause)
         monkeypatch.setattr(bandsolve, "solve", lambda system, v: huge[:system.size])
-        with pytest.raises(IterationError) as err:
-            iterate(p, BernsteinPoly(np.zeros(8)), 8)
-        assert isinstance(err.value.cause, EvaluationError)
-        assert "L2 residual" in str(err.value.cause)
+        for n, run in residual_failures:
+            with pytest.raises(IterationError) as err:
+                run()
+            assert err.value.n == n
+            assert isinstance(err.value.cause, EvaluationError)
+            assert "L2 residual" in str(err.value.cause)
 
     def test_library_solve_is_not_degree_capped(self):
         assert solve(line_problem(), SolveOptions(degree=61)).solution.degree == 61
