@@ -154,17 +154,23 @@ def assemble_rhs(system, duals, legendre_moments, outer):
         onum, fs = _dyadic([*left, *right[::-1]])
     except (OverflowError, ValueError):
         raise EvaluationError("outer coefficients are not finite") from None
-    v = (duals.legendre @ values) / system.scale
+    v = duals.legendre.dot(values) / system.scale
     fnum = onum[:k] + [0] * (nu + 1) + onum[k:]
     numerators, stencil, w = duals.legendre_numerators, system.stencil, k + l + 1
     for i, den in system.exact_rows:
-        dot = sum(map(mul, numerators[i], lnum))
+        # rows nu and 0 of M's numerators are 1 and (-1)^j: P_j at 1 and -1
+        if i == nu:
+            dot = sum(lnum)
+        elif i == 0:
+            dot = sum(lnum[::2]) - sum(lnum[1::2])
+        else:
+            dot = sum(map(mul, numerators[i], lnum))
         corr = sum(map(mul, stencil, fnum[i:i + w]))
         try:
             v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
         except OverflowError:  # the row's value is beyond float64
             v[i] = math.inf
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise EvaluationError("system right-hand side overflows float64")
     return v
 
@@ -210,12 +216,12 @@ def _banded_lu(system, rhs):
         raise SingularSystemError(
             f"singular system: {system.size} x {system.size} matrix of band "
             f"({system.lower_bw}, {system.upper_bw}), condition number {system.condition:.1e}")
-    p = system.inverse @ rhs
+    p = system.inverse.dot(rhs)
     # p's one check: every entry of p takes every entry of rhs, so a
     # non-finite rhs shows in p too; _split would not end on it
-    if not np.isfinite(p).all():
+    if np.count_nonzero(np.isfinite(p)) != p.size:
         return p
-    return p + system.inverse @ _residual(system, rhs, p)
+    return p + system.inverse.dot(_residual(system, rhs, p))
 
 
 def _residual(system, v, p):
@@ -232,7 +238,7 @@ def _residual(system, v, p):
     parts = _split(p, m) if m <= 26 else None
     vals = v.tolist()
     if parts is not None:
-        products = [(system.dense @ part).tolist() for part in parts]
+        products = [system.dense.dot(part).tolist() for part in parts]
         try:
             return list(map(math.fsum, zip(vals, *products)))
         except OverflowError:

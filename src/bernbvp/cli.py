@@ -206,12 +206,13 @@ def cmd_table(args):
     for ex_id in ids:
         ex = example(ex_id)
         m = ex.problem.m
+        cells = columns[ex_id] = {}
+        if hi < m:  # no degree of the range reaches the order: a blank column
+            continue
         report = solve(ex.problem, SolveOptions(degree=hi))
-        cells = {}
         for n in range(max(lo, m), hi + 1):
             w = report.iterates[n - (m - 1)]
             cells[n] = max_error(error_curve(w, ex.reference, 200))
-        columns[ex_id] = cells
     lines = ["n," + ",".join(f"example{i}" for i in ids)]
     for n in range(lo, hi + 1):
         row = [str(n)]
@@ -264,9 +265,11 @@ def cmd_eval(args):
         raise SpecError("coefficient count does not match degree")
     if not 0.0 <= args.at <= 1.0:
         raise SpecError(f"evaluation point {args.at} outside [0, 1]")
+    if not all(_is_real(c) for c in coeffs):
+        raise SpecError("coefficients must be numbers")
     try:
         poly = BernsteinPoly(coeffs)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # not finite in float64
         raise SpecError(f"bad coefficient file: {exc}") from exc
     print(_fmt(eval_poly(poly, args.at)))
     return 0

@@ -327,7 +327,7 @@ def _call(fn, v):
 
 def _check(bad, values, message):
     """EvaluationError at the first of values where bad holds, if any."""
-    if np.asarray(bad).any():
+    if np.count_nonzero(bad):
         bad, values = np.broadcast_arrays(bad, values)
         where = float(values[bad][0])
         raise EvaluationError(message.format(where), where=where)

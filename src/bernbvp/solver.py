@@ -40,6 +40,11 @@ the data of its exact rows, by ``bandsolve.assemble_matrix``; and the
 dual table by its degree.  So a warm iteration derives no constant again,
 whatever the degree of the iterate it starts from.
 
+A step is dominated by the entry cost of small numpy calls, not by their
+arithmetic, so its products with C-contiguous matrices are ndarray.dot
+(the same bits as @, with about half its overhead) and its finiteness
+checks count the finite entries (``np.count_nonzero``).
+
 solve and iterate enter one ``np.errstate`` per call, which ignores
 overflow and invalid operations for every step; each step checks every
 value it makes once, in the layer that makes it (``_iterate_core``), and
@@ -85,7 +90,7 @@ def _node_derivatives(p, terms):
     for steps, basis, scale in terms:
         for _ in steps:
             p = p[1:] - p[:-1]
-        values.append(basis @ (scale * p))
+        values.append(basis.dot(scale * p))
     return values
 
 
@@ -269,15 +274,12 @@ def seed(problem):
         left, right = _outer(problem, _outer_terms(m - 1, k, l))
     except EvaluationError as exc:
         raise IterationError(m - 1, exc) from exc
-    return BernsteinPoly(_full_coeffs(m - 1, k, l, left, right, ()))
+    return BernsteinPoly(_full_coeffs(left, right, ()))
 
 
-def _full_coeffs(n, k, l, left, right, inner):
-    p = np.empty(n + 1)
-    p[:k] = left
-    p[k:n - l + 1] = inner
-    p[n - l + 1:] = right[::-1]
-    return p
+def _full_coeffs(left, right, inner):
+    """The coefficients left, inner, then right reversed, in one array."""
+    return np.concatenate((left, inner, right[::-1]))
 
 
 def _iterate_core(problem, prev, n, rule, rhs):
@@ -311,9 +313,9 @@ def _iterate_core(problem, prev, n, rule, rhs):
         system = bandsolve.assemble_matrix(n, m, k, l)
         v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments, (left, right))
         inner = bandsolve.solve(system, v)
-        if not np.isfinite(inner).all():
+        if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
-        coeffs = _full_coeffs(n, k, l, left, right, inner)
+        coeffs = _full_coeffs(left, right, inner)
 
         # L2 residual of the new iterate against the frozen right-hand side
         [deriv_m] = _eval_mp(coeffs, residual)

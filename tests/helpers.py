@@ -162,7 +162,7 @@ def exact_route_iterate(problem, previous, n, rule):
         lambda xs: problem.rhs_value(xs, [evaluate(d, xs) for d in derivs]), n - m, rule)
     v = assemble_rhs_reference(n, m, k, l, dual_coefficients(n - m), moments, (left, right))
     system = bandsolve.assemble_matrix(n, m, k, l)
-    return _full_coeffs(n, k, l, left, right, bandsolve.solve(system, v))
+    return _full_coeffs(left, right, bandsolve.solve(system, v))
 
 
 def exact_moments_reference(g, nu, rule):

@@ -354,9 +354,13 @@ class TestEvalCommand:
     @pytest.mark.parametrize("text", [
         "[1]", '"degree"', '{"degree": "1", "coefficients": [0, 1]}',
         '{"degree": true, "coefficients": [0, 1]}', '{"degree": 1.0, "coefficients": [0, 1]}',
-        '{"coefficients": [0, 1]}', '{"degree": 1}'],
+        '{"coefficients": [0, 1]}', '{"degree": 1}',
+        '{"degree": 1, "coefficients": ["0.25", "0.75"]}',
+        '{"degree": 1, "coefficients": [true, false]}',
+        '{"degree": 0, "coefficients": [1%s]}' % ("0" * 400)],
         ids=["list", "string", "degree-str", "degree-true", "degree-float", "no-degree",
-             "no-coefficients"])
+             "no-coefficients", "coefficients-str", "coefficients-bool",
+             "coefficient-beyond-float64"])
     def test_malformed_coefficient_document_exits_2(self, tmp_path, capsys, text):
         coeffs = tmp_path / "c.json"
         coeffs.write_text(text)
@@ -414,6 +418,21 @@ class TestTableCommand:
         assert lines[2] == "3,"
         n4 = float(lines[3].split(",")[1])
         assert n4 == pytest.approx(8.11e-3, rel=0.2)
+
+    @pytest.mark.parametrize("examples", ["1,2,3,4,5", "2"])
+    def test_max_degree_below_an_order_leaves_its_column_blank(self, tmp_path, examples):
+        # examples 2 and 3 have m = 4, so no iterate of degree 3 or less and
+        # blank columns; a cell is blank exactly when n is below the order
+        out = tmp_path / "t.csv"
+        assert main(["table", "--examples", examples, "--max-degree", "3",
+                     "--out", str(out)]) == 0
+        ids = examples.split(",")
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["n"] + [f"example{i}" for i in ids]
+        assert [row[0] for row in rows[1:]] == ["2", "3"]
+        for row in rows[1:]:
+            for i, cell in zip(ids, row[1:]):
+                assert (cell == "") == (int(row[0]) < example(int(i)).problem.m), (i, row)
 
     def test_single_row(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -5,7 +5,8 @@ against the exact route (exact Bernstein moments and dual table) on grid
 values, Bernstein evaluation over arrays against a loop over the points
 bit for bit and against the scalar Horner loop within a bound, the
 solver's basis-matrix derivatives against Horner within that bound, the
-split exact residual against the integer one bit for bit, and the band
+split exact residual against the integer one bit for bit, the step's
+matrix-vector products against their @ form bit for bit, and the band
 solve of every stencil shape against its residual bound."""
 
 import math
@@ -295,6 +296,33 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
                             -60 * (np.arange(size) % 7))
             check(matrix, v, wide, 0)
             assert rows[-1] >= min(size, 7), rows
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_step_products_bit_identical_to_matmul_for_every_shape(m):
+    # the step's matrix-vector products run through ndarray.dot and must
+    # give the bits of @: the derivatives at the nodes, the step's (of the
+    # degree n - 1 iterate, orders 0..m-1) and the residual's (degree n,
+    # order m), and the band solve, p = G^-1 v plus G^-1 times the exact
+    # residual v - G p, here by the integer route
+    rng = np.random.default_rng(5200 + m)
+    for nu in (0, int(rng.integers(1, 58)), 58):
+        n = nu + m
+        rule = gauss_rule(max(n + 2, 20), 2)
+        for coeffs, orders in ((random_coeffs(rng, n - 1), range(m)),
+                               (random_coeffs(rng, n), (m,))):
+            d = coeffs.size - 1
+            got = _node_derivatives(coeffs, _derivative_terms(rule, d, orders))
+            for r, values in zip(orders, got):
+                want = rule.bernstein_basis(d - r) @ (falling_factorial(d, r) * np.diff(coeffs, r))
+                assert bits(values) == bits(want), (nu, r)
+        for k in range(m + 1):
+            system = assemble_matrix(n, m, k, m - k)
+            v = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-8, 9, nu + 1)
+            p = system.inverse @ v
+            residual = bandsolve._integer_residual(system, v.tolist(), p.tolist())
+            want = p + system.inverse @ np.array(residual)
+            assert bits(solve(system, v)) == bits(want), (k, nu)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
