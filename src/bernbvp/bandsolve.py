@@ -12,16 +12,16 @@ scale and row denominators that assemble_rhs needs.  A solve to degree N
 uses N - m + 1 shapes; an examples-n40 pass uses 190, about 1.5 MB
 together.
 
-A solve is one product with the inverse followed by one refinement step.
-The step computes the residual v - G p exactly (every entry of p and v is
-a float64, so a dyadic rational), rounds it once and adds the correction
-that the same inverse gives.  The stencil's entries sum to 2^m in
-magnitude, so for m <= 26 p is split into a few parts whose products with
-G are exact, and ``math.fsum`` rounds each row of v minus those products
-once; higher orders, p too large for the split's grids, and v so near
-the float64 limit that fsum overflows, take an exact integer route
-instead.  The product with the inverse is checked once for finiteness; a
-non-finite one is returned unrefined, for the caller to find.
+A solve is one product with the inverse, refined until the correction d
+is at rounding level, |d|^2 <= eps |p|^2; a correction that does not
+halve the one before makes the system singular.  Each step rounds the
+exact residual v - G p once (p and v are float64, so dyadic rationals)
+and adds the correction that the same inverse gives.  The stencil's
+entries sum to 2^m in magnitude, so for m <= 26 p splits into parts
+whose products with G are exact, and ``math.fsum`` rounds each row of v
+minus those products once; higher orders, p beyond the split's grids and
+v so near the float64 limit that fsum overflows take an exact integer
+route.  A non-finite p is returned as it is, for the caller to find.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64, except in the k + l rows that
@@ -43,11 +43,7 @@ from .errors import EvaluationError, SingularSystemError
 
 __all__ = ["StencilSystem", "assemble_matrix", "assemble_rhs", "solve"]
 
-# A matrix whose infinity-norm condition number |G| |G^-1| reaches this is
-# treated as singular: its inverse leaves too few digits for the refinement
-# step to recover.  The stencil matrices stay below 7e11 up to m = 8 and
-# n = 60 (m = k = 8, n = 60 is the worst).
-_MAX_CONDITION = 1e13
+_ROUNDING = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +54,7 @@ class StencilSystem:
     the band's extent below and above the diagonal; ``stencil``, the m-th
     difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
     entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
-    inverse (both read-only; None if inverting fails); ``condition``,
-    |G|_inf |G^-1|_inf (infinite without an inverse).  For assemble_rhs:
+    inverse (both read-only; None if inverting fails).  For assemble_rhs:
     ``scale`` = n!/(n-m)! as a float and ``exact_rows``, the pairs
     (i, C(n-m, i) n!/(n-m)!) for the k + l rows i of v with stencil terms.
     """
@@ -70,7 +65,6 @@ class StencilSystem:
     stencil: tuple
     dense: np.ndarray
     inverse: np.ndarray
-    condition: float
     scale: float
     exact_rows: tuple
 
@@ -99,13 +93,10 @@ def assemble_matrix(n, m, k, l):
     dense.setflags(write=False)
     try:
         inverse = np.linalg.inv(dense)
-    except np.linalg.LinAlgError:
-        inverse, condition = None, math.inf
-    else:
         inverse.setflags(write=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            condition = np.abs(dense).sum(axis=1).max() * np.abs(inverse).sum(axis=1).max()
-    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, condition, float(scale), rows)
+    except np.linalg.LinAlgError:
+        inverse = None
+    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(scale), rows)
 
 
 def assemble_rhs(system, duals, legendre_moments, outer):
@@ -186,13 +177,13 @@ def _dyadic(values):
 
 def solve(system, rhs):
     """Solve G p = rhs for the StencilSystem G = ``system``, with its
-    inverse and one refinement step.
+    inverse, refined until the correction is at rounding level.
 
-    A solve applies the inverse twice, to rhs and to the exactly computed
-    residual, at O(size^2) cost each; the inverse is formed once per
-    system (``assemble_matrix`` keeps one system per shape).
-    SingularSystemError if G is singular or its condition number is at
-    least 1e13.  For right-hand sides of bounded solutions the residual
+    Each product with the inverse, of rhs and then of each exactly computed
+    residual, costs O(size^2); the inverse is formed once per system
+    (``assemble_matrix`` keeps one system per shape).  SingularSystemError
+    if G has no inverse or refinement does not halve the correction.  For
+    right-hand sides of bounded solutions the residual
     |G p - rhs|_inf is well within 1e-10 * (1 + |rhs|_inf) for every split
     k + l = m <= 8 at every n <= 60 (the README gives the measured margin).
     A non-finite rhs, or a product with the inverse that overflows, gives
@@ -212,16 +203,21 @@ def solve(system, rhs):
 
 
 def _banded_lu(system, rhs):
-    if not system.condition < _MAX_CONDITION:
-        raise SingularSystemError(
-            f"singular system: {system.size} x {system.size} matrix of band "
-            f"({system.lower_bw}, {system.upper_bw}), condition number {system.condition:.1e}")
-    p = system.inverse.dot(rhs)
-    # p's one check: every entry of p takes every entry of rhs, so a
-    # non-finite rhs shows in p too; _split would not end on it
-    if np.count_nonzero(np.isfinite(p)) != p.size:
-        return p
-    return p + system.inverse.dot(_residual(system, rhs, p))
+    if system.inverse is None:
+        raise SingularSystemError(f"singular system: {system.size} x {system.size}, no inverse")
+    p, last = system.inverse.dot(rhs), math.inf
+    # a non-finite rhs shows in p (each entry takes all of rhs), returned as
+    # it is: _split would not end on it.  math.hypot scales: no norm overflows
+    while np.count_nonzero(np.isfinite(p)) == p.size:
+        d = system.inverse.dot(_residual(system, rhs, p))
+        p, norm = p + d, math.hypot(*d.tolist())
+        if norm <= _ROUNDING * math.hypot(*p.tolist()):
+            break
+        if norm > last / 2:
+            raise SingularSystemError(f"singular system: refinement of band ({system.lower_bw}, "
+                                      f"{system.upper_bw}), size {system.size}, does not contract")
+        last = norm
+    return p
 
 
 def _residual(system, v, p):
@@ -260,10 +256,10 @@ def _split(p, bits):
     partial sums, are multiples of 2^(e-53) of size at most 2^e, so exact
     in any order of summation, with fused multiply-adds or not.
     """
-    sigma = math.ldexp(1.0, math.frexp(np.abs(p).max())[1] + bits)
-    if sigma > 2.0**1000:
+    e = math.frexp(np.abs(p).max())[1] + bits  # sigma = 2^e
+    if e > 1000:
         return None
-    parts, rest = [], p
+    parts, rest, sigma = [], p, math.ldexp(1.0, e)
     while np.count_nonzero(rest):
         parts.append((sigma - rest) - sigma)
         rest = rest + parts[-1]

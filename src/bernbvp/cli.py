@@ -14,7 +14,7 @@ Problem specs are JSON documents:
 
 Exit codes: 0 success, 2 usage/spec error (an unreadable input or an
 unwritable --out too), 3 numerical failure (the message names the failing
-iteration).
+iteration; an exact solution that fails on the grid names none).
 """
 
 import argparse
@@ -125,10 +125,11 @@ def _make_options(args, quad, m):
         raise SpecError(f"quadrature panels must be an integer >= 1, got {panels!r}")
     if order is not None and order > MAX_QUAD_ORDER:
         raise SpecError(f"quadrature order {order} is above the maximum {MAX_QUAD_ORDER}")
-    nodes = (order or max(args.degree + 2, 20)) * panels  # the solver's default order
+    options = SolveOptions(degree=args.degree, quad_order=order, quad_panels=panels)
+    nodes = options.rule_order(args.degree) * panels  # the most nodes of any degree
     if nodes > MAX_QUAD_NODES:
         raise SpecError(f"quadrature of {nodes} nodes is above the maximum {MAX_QUAD_NODES}")
-    return SolveOptions(degree=args.degree, quad_order=order, quad_panels=panels)
+    return options
 
 
 def _is_count(value):

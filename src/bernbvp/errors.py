@@ -30,8 +30,8 @@ class EvaluationError(ArithmeticError):
 
 
 class SingularSystemError(ArithmeticError):
-    """A band system's matrix is singular, or so ill-conditioned (condition
-    number at least 1e13) that float64 cannot solve it."""
+    """A band system's matrix has no inverse, or iterative refinement of
+    its solve does not contract, so float64 cannot solve it."""
 
 
 class IterationError(RuntimeError):

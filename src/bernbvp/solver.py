@@ -28,8 +28,8 @@ Legendre Vandermonde, and the float rows of M combine them into the
 system right-hand side v.  Only the k + l rows of v that subtract the
 boundary stencil terms are exact, rounded once, since their two parts
 cancel.  The band solve multiplies by the cached inverse of each matrix
-and takes one refinement step with an exact residual; a report turns the
-kept coefficient arrays into float64 BernsteinPolys when first read.
+and refines with an exact residual (``bandsolve.solve``); a report turns
+the kept coefficient arrays into float64 BernsteinPolys when first read.
 
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
@@ -176,13 +176,17 @@ class BVProblem:
 class SolveOptions:
     """Target degree and quadrature overrides.
 
-    quad_order None means the per-iteration default max(n + 2, 20);
+    quad_order None means the per-iteration default of ``rule_order``;
     ``quadrature.gauss_rule`` checks both quadrature fields.
     """
 
     degree: int
     quad_order: int = None
     quad_panels: int = 2
+
+    def rule_order(self, n):
+        """The Gauss order of the rule at degree n: quad_order, or max(n + 2, 20)."""
+        return max(n + 2, 20) if self.quad_order is None else self.quad_order
 
 
 @dataclass(frozen=True)
@@ -332,8 +336,7 @@ def _iterate_core(problem, prev, n, rule, rhs):
 
 def _default_rule(n, options):
     """The quadrature rule for degree n under options (``SolveOptions``)."""
-    order = max(n + 2, 20) if options.quad_order is None else options.quad_order
-    return gauss_rule(order, options.quad_panels)
+    return gauss_rule(options.rule_order(n), options.quad_panels)
 
 
 def _compiled_rhs(problem):

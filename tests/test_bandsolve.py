@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import dense_from_banded
@@ -150,11 +152,28 @@ class TestSolve:
             p = solve(system, 1.7e308 * sign ** np.arange(system.size))
         assert p.shape == (system.size,) and not np.isfinite(p).all()
 
+    def test_refinement_near_the_float64_limit_stops_without_overflow(self):
+        # p of entries near 1.7e308, whose 2-norm is beyond float64: the
+        # stop test's norms must neither overflow with a warning nor keep
+        # the refinement going.  Here p is the running sum of v
+        rng = np.random.default_rng(11)
+        s = assemble_matrix(40, 1, 1, 0)
+        v = rng.uniform(-1, 1, s.size) * 1e290
+        v[0] = 1.7e308
+        p = solve(s, v)
+        exact = np.array([math.fsum(v[:i + 1]) for i in range(s.size)])
+        assert np.abs(p - exact).max() <= 2.0**-52 * 1.7e308
+
     def test_ill_conditioned_system_raises(self):
-        # the one-sided order-10 stencil at n = 50: its condition number,
-        # about 1.1e13, is beyond what the solve accepts
-        with pytest.raises(SingularSystemError, match="condition number"):
-            solve(assemble_matrix(50, 10, 10, 0), np.ones(41))
+        # (m, k) = (30, 15) at n = 60, condition number about 8e16: the
+        # refinement's corrections stall instead of halving.  The one-sided
+        # order-10 stencil at n = 50 (1.1e13) solves
+        rng = np.random.default_rng(5)
+        with pytest.raises(SingularSystemError, match="does not contract"):
+            solve(assemble_matrix(60, 30, 15, 15), rng.standard_normal(31))
+        s = assemble_matrix(50, 10, 10, 0)
+        p = solve(s, np.ones(41))
+        assert np.abs(s.dense @ p - 1.0).max() <= 1e-12 * np.abs(p).max()
 
     def test_failed_inverse_raises_singular_system(self, monkeypatch):
         # no stencil of the CLI's range makes numpy's inverse fail, but one
@@ -167,7 +186,7 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "inv", fail)
         try:
             s = assemble_matrix(9, 3, 1, 2)
-            assert s.inverse is None and s.condition == np.inf
+            assert s.inverse is None
             with pytest.raises(SingularSystemError, match="singular system"):
                 solve(s, np.ones(7))
         finally:

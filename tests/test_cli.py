@@ -273,15 +273,15 @@ class TestSolveCommand:
 
     def test_ill_conditioned_stencil_exits_3(self, tmp_path, capsys):
         # the band guard on a real stencil: within the degree cap, the
-        # one-sided order-10 stencil passes the condition-number limit
-        # (bandsolve._MAX_CONDITION) before n = 60
+        # refinement of the one-sided order-16 stencil stops contracting
+        # at n = 55
         spec = tmp_path / "s.json"
-        spec.write_text(json.dumps({"order": 10, "left": [1.0] + [0.0] * 9, "rhs": "y0"}))
+        spec.write_text(json.dumps({"order": 16, "left": [1.0] + [0.0] * 15, "rhs": "y0"}))
         assert main(["solve", str(spec), "--degree", "60",
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: ")
-        assert "singular system" in err and "condition number" in err
+        assert err.startswith("numerical failure: iteration n=55 failed: singular system")
+        assert "does not contract" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spec,n", [
@@ -301,6 +301,15 @@ class TestSolveCommand:
             f"numerical failure: iteration n={n} failed: "
             "outer coefficients are not finite in float64\n")
         assert not (tmp_path / "o").exists()
+
+    def test_boundary_value_near_the_float64_limit_solves(self, tmp_path):
+        # y' = 0 with y(0) = 1.7e308: the inner coefficients are that value
+        # too, too large for the refinement's split grids, so its exact
+        # residual takes the integer route
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"order": 1, "left": [1.7e308], "rhs": "0"}))
+        assert main(["solve", str(path), "--degree", "8", "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o").read_text())["coefficients"] == [1.7e308] * 9
 
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))

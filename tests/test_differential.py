@@ -21,7 +21,6 @@ from bernbvp import bandsolve
 from bernbvp.bandsolve import assemble_matrix, assemble_rhs, solve
 from bernbvp.bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from bernbvp.dual import dual_coefficients
-from bernbvp.errors import SingularSystemError
 from bernbvp.expressions import parse
 from bernbvp.quadrature import QuadratureRule, gauss_rule, legendre_moments
 from bernbvp.solver import BVProblem, _derivative_terms, _node_derivatives, iterate
@@ -299,13 +298,21 @@ def test_split_residual_matches_integer_route(m, monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_step_products_bit_identical_to_matmul_for_every_shape(m):
+def test_step_products_bit_identical_to_matmul_for_every_shape(m, monkeypatch):
     # the step's matrix-vector products run through ndarray.dot and must
     # give the bits of @: the derivatives at the nodes, the step's (of the
     # degree n - 1 iterate, orders 0..m-1) and the residual's (degree n,
-    # order m), and the band solve, p = G^-1 v plus G^-1 times the exact
-    # residual v - G p, here by the integer route
+    # order m), and the band solve's, p = G^-1 v and then p + G^-1 r for
+    # the exact residual r = v - G p of each refinement step
     rng = np.random.default_rng(5200 + m)
+    steps, residual = [], bandsolve._residual
+
+    def recorded(system, v, p):
+        steps.append((p, residual(system, v, p)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(bandsolve, "_residual", recorded)
+    most = 0
     for nu in (0, int(rng.integers(1, 58)), 58):
         n = nu + m
         rule = gauss_rule(max(n + 2, 20), 2)
@@ -319,19 +326,26 @@ def test_step_products_bit_identical_to_matmul_for_every_shape(m):
         for k in range(m + 1):
             system = assemble_matrix(n, m, k, m - k)
             v = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-8, 9, nu + 1)
-            p = system.inverse @ v
-            residual = bandsolve._integer_residual(system, v.tolist(), p.tolist())
-            want = p + system.inverse @ np.array(residual)
-            assert bits(solve(system, v)) == bits(want), (k, nu)
+            steps.clear()
+            got = solve(system, v)
+            want = system.inverse @ v
+            for p, r in steps:
+                assert bits(p) == bits(want), (k, nu)
+                want = p + system.inverse @ np.array(r)
+            assert bits(got) == bits(want), (k, nu)
+            most = max(most, len(steps))
+    # from m = 7 on, the one-sided shapes at nu = 58 take a second step
+    assert (most > 1) == (m >= 7), most
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_band_solve_raises_only_near_the_condition_limit_else_small_residual(m):
-    # the solver's matrices at sizes 1..61: a stencil may raise
-    # SingularSystemError only when its condition number nears the 1e13
-    # limit (none does up to m = 8), and every one that solves meets
-    # test_residual_small's bound scaled by its condition number
-    # (measured worst: 1.8e-16 (1 + |v|) cond)
+    # the solver's matrices at sizes 1..61: refinement stops contracting
+    # only where the condition number nears 1/eps, far above the worst of
+    # these shapes (1.9e12 at m = 8, k = 0, size 61), so none raises
+    # SingularSystemError, and every solve meets test_residual_small's
+    # bound scaled by its condition number (measured worst:
+    # 1.8e-16 (1 + |v|) cond)
     rng = np.random.default_rng(3000 + m)
     for k in range(m + 1):
         l = m - k
@@ -340,10 +354,6 @@ def test_band_solve_raises_only_near_the_condition_limit_else_small_residual(m):
             system = assemble_matrix(size + m - 1, m, k, l)
             dense = dense_from_banded(system)
             cond = np.linalg.cond(dense, np.inf)
-            try:
-                p = solve(system, rhs)
-            except SingularSystemError:
-                assert cond >= 1e12, (k, l, size)
-                continue
+            p = solve(system, rhs)
             bound = 1e-10 * (1.0 + np.abs(rhs).max()) * cond
             assert np.abs(dense @ p - rhs).max() <= bound, (k, l, size)

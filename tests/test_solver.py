@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,28 +533,64 @@ class TestSolve:
         # by (1/m) sum exp(w x) over the m-th roots of unity w
         return BVProblem((1.0,) + (0.0,) * (m - 1), (), parse("y0"))
 
-    @pytest.mark.parametrize("m,degree", [(30, 36), (55, 59)])
-    def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
-        # above m = 26 the split residual does not apply, so every
-        # refinement step takes the integer route: with it the max error
-        # is 2.2e-16 and 5.6e-16 here, against about 1e-9 unrefined
-        calls = []
-        integer_route = bandsolve._integer_residual
-        monkeypatch.setattr(bandsolve, "_integer_residual",
-                            lambda *a: calls.append(1) or integer_route(*a))
+    def roots_of_unity_error(self, m, degree):
+        """Max error of the degree-N solve of y^(m) = y on the 201-point grid."""
         w = solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree)).solution
         x = np.arange(201) / 200
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         exact = (np.exp(np.outer(x, roots)).sum(axis=1) / m).real
-        assert np.abs(evaluate(w, x) - exact).max() <= 1e-13
+        return np.abs(evaluate(w, x) - exact).max()
+
+    @pytest.mark.parametrize("m,degree", [(30, 36), (55, 59), (30, 37), (55, 60)])
+    def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
+        # above m = 26 the split residual does not apply, so every
+        # refinement step takes the integer route: with it the max error
+        # is 2.2e-16, 5.6e-16, 3.3e-16 and 5.6e-16 here, against about
+        # 1e-9 unrefined.  One degree up from 36 and 59 the one-sided
+        # stencils' condition numbers pass 2e13, and one step still suffices
+        calls = []
+        integer_route = bandsolve._integer_residual
+        monkeypatch.setattr(bandsolve, "_integer_residual",
+                            lambda *a: calls.append(1) or integer_route(*a))
+        assert self.roots_of_unity_error(m, degree) <= 1e-13
         assert len(calls) == degree - m + 1
 
-    @pytest.mark.parametrize("m,degree", [(30, 37), (55, 60)])
-    def test_high_order_one_degree_higher_is_singular(self, m, degree):
-        # one degree above the last good one, the one-sided stencil passes
-        # the condition-number limit (2.9e13 and 2.1e13)
-        with pytest.raises(IterationError, match="singular system"):
-            solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree))
+    @pytest.mark.parametrize("m,degree,bound", [(8, 60, 7e-7), (9, 60, 2e-6),
+                                                (10, 60, 2.4e-6), (12, 40, 2.1e-8)])
+    def test_ill_conditioned_orders_solve_by_refinement(self, m, degree, bound):
+        # the one-sided stencils of these solves reach condition numbers of
+        # 6.6e11, 7.6e12, 7.7e13 and 2.3e13, and refinement continues until
+        # its correction is at rounding level: measured max errors 6.4e-7,
+        # 1.6e-6, 2.4e-7 and 2.1e-9 (the bounds of m = 10 and 12 are ten
+        # times those)
+        assert self.roots_of_unity_error(m, degree) <= bound
+
+    def test_every_benchmarked_band_solve_refines_once(self, monkeypatch):
+        # the five examples to N = 60 and the manufactured specs of the
+        # benchmark's seed 1: each band solve's first correction is at
+        # rounding level, so it takes one exact residual, and its bytes are
+        # those of a single refinement step
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import specgen
+
+        residuals, band_solve = [], bandsolve.solve
+        counted = bandsolve._residual
+        monkeypatch.setattr(bandsolve, "_residual",
+                            lambda *a: residuals.append(1) or counted(*a))
+
+        def solve_counted(system, v):
+            before = len(residuals)
+            p = band_solve(system, v)
+            assert len(residuals) - before == 1, (system.size, system.lower_bw)
+            return p
+
+        monkeypatch.setattr(bandsolve, "solve", solve_counted)
+        problems = [(example(i).problem, 60) for i in range(1, 6)]
+        problems += [(BVProblem(tuple(spec["left"]), tuple(spec["right"]), parse(spec["rhs"])),
+                      degree) for _, spec, _, degree in specgen.generate(1)]
+        for problem, degree in problems:
+            solve(problem, SolveOptions(degree=degree))
+        assert len(residuals) == sum(d - p.m + 1 for p, d in problems)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_manufactured_polynomials_at_degree_30(self, m):
