@@ -8,6 +8,11 @@ The outputs:
 - y^(m) = y with y(0) = 1 and every other condition 0 at x = 0, solved at
   (m, N) = (30, 36) and (55, 59), likewise: orders above 26, whose
   refinement residual takes the band solver's exact integer route;
+- the direct step, ``iterate()``, which ``solve``'s ladder does not take:
+  for each example, the step to degree 20 from the degree-19 iterate of a
+  ladder of ``iterate()`` steps from the seed; and for m = 8, every k and
+  nu = 58, the step of ``tests/test_differential.py``'s route comparison
+  from its inputs (``tests/helpers.py``, ``route_inputs``): coefficients;
 - ``bernbvp solve`` on the 16 manufactured specs of each of the benchmark
   seeds 1-3 (``perfbench/specgen.py``), at the degree the specs-mixed
   workload uses: the coefficient files;
@@ -58,6 +63,8 @@ EXAMPLE_DEGREES = (20, 40, 60)
 SPEC_SEEDS = (1, 2, 3)
 CURVE_DEGREES = (20, 60)
 INTEGER_ROUTE = ((30, 36), (55, 59))
+DIRECT_DEGREE = 20
+ROUTE_ORDER = 8
 
 
 def _sha(data):
@@ -81,11 +88,13 @@ def outputs(tmp):
     a list of floats, NaN for an empty table cell."""
     import numpy as np
 
-    from bernbvp import BVProblem, SolveOptions, example, parse_expression, solve
+    from bernbvp import BVProblem, SolveOptions, example, iterate, parse_expression, seed, solve
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
     import specgen
     from checks import de_casteljau
+    from helpers import route_inputs
 
     def on_grid(coeffs):
         return de_casteljau(coeffs, np.arange(201) / 200).tolist()
@@ -104,6 +113,16 @@ def outputs(tmp):
         report = solve(problem, SolveOptions(degree=n))
         data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
         yield f"integer-route-m{m}-n{n}", data, on_grid(report.solution.coeffs)
+    for ex_id in range(1, 6):
+        problem = example(ex_id).problem
+        w = seed(problem)
+        for n in range(problem.m, DIRECT_DEGREE + 1):
+            w = iterate(problem, w, n)
+        yield f"iterate-example{ex_id}-n{DIRECT_DEGREE}", w.coeffs.tobytes(), on_grid(w.coeffs)
+    for k, nu, problem, prev, rule in route_inputs(ROUTE_ORDER, 0):
+        if nu == 58:
+            w = iterate(problem, prev, nu + ROUTE_ORDER, rule)
+            yield f"iterate-route-m{ROUTE_ORDER}-k{k}-nu{nu}", w.coeffs.tobytes(), on_grid(w.coeffs)
     for seed in SPEC_SEEDS:
         specs = specgen.generate(seed)
         paths = specgen.write_specs(specs, os.path.join(tmp, f"seed{seed}"))

@@ -23,12 +23,19 @@ minus those products once; higher orders, p beyond the split's grids and
 v so near the float64 limit that fsum overflows take an exact integer
 route.  A non-finite p is returned as it is, for the caller to find.
 
+A correction solve (the solver's ladder, whose v is the right-hand side
+of one step's change) first takes one float64 pass, d = G^-1 (v - G p),
+and returns p + d when d passes the same stop test; only otherwise does
+it refine as above, from the first product on, so a stencil that needs
+the exact residual, or does not contract, meets it as before.
+
 The right-hand side (assemble_rhs) combines Legendre moments with the
-Legendre-to-Bernstein matrix in float64, except in the k + l rows that
-also carry the boundary stencil terms: those cancel digits, so they are
-computed exactly and rounded once.  The exact conversion of the moments
-and of the outer coefficients is their one check: a value that is not
-finite raises EvaluationError there.
+Legendre-to-Bernstein matrix in float64.  Given outer coefficients, its
+k + l rows that also carry their stencil terms cancel digits, so they
+are computed exactly and rounded once, and the exact conversion of the
+moments and of the outer coefficients is their one check: a value that
+is not finite raises EvaluationError there.  A correction's right-hand
+side has no outer coefficients, so it is the float64 product alone.
 """
 
 import functools
@@ -99,7 +106,7 @@ def assemble_matrix(n, m, k, l):
     return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(scale), rows)
 
 
-def assemble_rhs(system, duals, legendre_moments, outer):
+def assemble_rhs(system, duals, legendre_moments, outer=None):
     """Right-hand side v of the inner-coefficient system ``system``, the
     StencilSystem of degree n and order m = k + l from ``assemble_matrix``.
 
@@ -113,25 +120,41 @@ def assemble_rhs(system, duals, legendre_moments, outer):
     of the projection of g: sum_j M_ij L_j = sum_q c_iq <g, B_q^nu>.
     ``legendre_moments`` is a sequence of those nu + 1 floats;
     ``outer`` is the pair (left, right) with right[j] the coefficient at
-    index n - j.
+    index n - j, or None when the outer coefficients are zero: the right-
+    hand side of a correction, whose outer coefficients the caller has
+    fixed already.
 
-    Every row is one float64 product with the rows of M, except the rows
-    with stencil terms, whose two parts cancel: each of those is computed
-    exactly, from M's integer numerators, the moments and the stencil
-    terms as dyadic rationals, and rounded once.  The exact conversion is
-    the one check of the moments and of the outer coefficients: a value
-    that is not finite raises EvaluationError ("moments are not finite",
-    before the float product, or "outer coefficients are not finite");
-    then an entry of v beyond float64 raises EvaluationError too.  An
-    overflow in the float product warns unless the caller ignores it
+    Without outer, v is one float64 product with the rows of M.  With it,
+    every row is that product except the rows with stencil terms, whose
+    two parts cancel: each of those is computed exactly, from M's integer
+    numerators, the moments and the stencil terms as dyadic rationals, and
+    rounded once (``_exact_rows``).  A value that is not finite raises
+    EvaluationError: with outer, at the exact conversion, the one check of
+    the moments and of the outer coefficients ("moments are not finite",
+    before the float product, or "outer coefficients are not finite"); in
+    any case, an entry of v beyond float64 ("system right-hand side
+    overflows float64", which a non-finite moment gives without outer).
+    An overflow in the float product warns unless the caller ignores it
     (``np.errstate``), as the solver does.
     """
-    nu, k, l = system.size - 1, system.lower_bw, system.upper_bw
+    nu = system.size - 1
     if duals.degree != nu:
         raise ValueError(f"dual table degree {duals.degree} != n - m = {nu}")
     values = np.asarray(legendre_moments, dtype=float)
     if values.shape != (nu + 1,):
         raise ValueError(f"expected {nu + 1} moments, got {values.size}")
+    if outer is None:
+        v = duals.legendre.dot(values) / system.scale
+    else:
+        v = _exact_rows(system, duals, values, outer)
+    if np.count_nonzero(np.isfinite(v)) != v.size:
+        raise EvaluationError("system right-hand side overflows float64")
+    return v
+
+
+def _exact_rows(system, duals, values, outer):
+    """assemble_rhs with the outer coefficients outer, before its check of v."""
+    nu, k, l = system.size - 1, system.lower_bw, system.upper_bw
     left, right = outer
     if len(left) != k or len(right) != l:
         raise ValueError("outer coefficient blocks must have lengths k and l")
@@ -161,8 +184,6 @@ def assemble_rhs(system, duals, legendre_moments, outer):
             v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
         except OverflowError:  # the row's value is beyond float64
             v[i] = math.inf
-    if np.count_nonzero(np.isfinite(v)) != v.size:
-        raise EvaluationError("system right-hand side overflows float64")
     return v
 
 
@@ -175,9 +196,10 @@ def _dyadic(values):
     return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
 
 
-def solve(system, rhs):
+def solve(system, rhs, correction=False):
     """Solve G p = rhs for the StencilSystem G = ``system``, with its
-    inverse, refined until the correction is at rounding level.
+    inverse, refined until the correction is at rounding level; with
+    ``correction``, by one float64 refinement pass when that reaches it.
 
     Each product with the inverse, of rhs and then of each exactly computed
     residual, costs O(size^2); the inverse is formed once per system
@@ -194,18 +216,24 @@ def solve(system, rhs):
         raise ValueError(f"rhs must have length {system.size}")
     k, l = system.lower_bw, system.upper_bw
     if k == 0:
-        return _back_substitution(system, rhs)
+        return _back_substitution(system, rhs, correction)
     if l == 0:
-        return _forward_substitution(system, rhs)
+        return _forward_substitution(system, rhs, correction)
     if k == 1 and l == 1:
-        return _tridiagonal(system, rhs)
-    return _banded_lu(system, rhs)
+        return _tridiagonal(system, rhs, correction)
+    return _banded_lu(system, rhs, correction)
 
 
-def _banded_lu(system, rhs):
+def _banded_lu(system, rhs, correction):
     if system.inverse is None:
         raise SingularSystemError(f"singular system: {system.size} x {system.size}, no inverse")
     p, last = system.inverse.dot(rhs), math.inf
+    if correction and np.count_nonzero(np.isfinite(p)) == p.size:
+        # one float64 pass; a non-finite or overflowing norm fails the test
+        d = system.inverse.dot(rhs - system.dense.dot(p))
+        q = p + d
+        if math.hypot(*d.tolist()) <= _ROUNDING * math.hypot(*q.tolist()) < math.inf:
+            return q
     # a non-finite rhs shows in p (each entry takes all of rhs), returned as
     # it is: _split would not end on it.  math.hypot scales: no norm overflows
     while np.count_nonzero(np.isfinite(p)) == p.size:

@@ -25,19 +25,32 @@ end.  The projection goes through the Legendre
 factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
 moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
-system right-hand side v.  Only the k + l rows of v that subtract the
-boundary stencil terms are exact, rounded once, since their two parts
-cancel.  The band solve multiplies by the cached inverse of each matrix
-and refines with an exact residual (``bandsolve.solve``); a report turns
+system right-hand side v.  The band solve multiplies by the cached
+inverse of each matrix and refines (``bandsolve.solve``); a report turns
 the kept coefficient arrays into float64 BernsteinPolys when first read.
+
+solve's ladder solves each step for its correction to the previous
+iterate (defect correction): the base of step n is w_(n-1) raised to
+degree n, with the boundary coefficients of degree n in place of its
+outer ones, and the samples less the base's m-th derivative are
+projected, so v is the size of the step's change and cancels nothing.
+It is float64 throughout, and one float64 refinement pass usually ends
+the band solve.  The direct step of iterate() solves for the whole
+iterate: v's k + l rows that subtract the boundary stencil terms cancel
+digits, so they are exact, rounded once, and the band solve refines
+with exact residuals.  The correction step is kept from iterate()
+because it holds its digits only near the fixed point, where the change
+is small; on the ladder it gains them back on ill-conditioned stencils,
+whose condition number magnifies only the rounding of the change.
 
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
 orders; the constants of the outer coefficients by (n, k, l)
 (``_outer_terms``); the band system of each shape, with its inverse and
-the data of its exact rows, by ``bandsolve.assemble_matrix``; and the
-dual table by its degree.  So a warm iteration derives no constant again,
+the data of its exact rows, by ``bandsolve.assemble_matrix``; the
+dual table by its degree; and the weights that raise an iterate to
+degree n by n (``_elevation_weights``).  So a warm iteration derives no constant again,
 whatever the degree of the iterate it starts from.
 
 A step is dominated by the entry cost of small numpy calls, not by their
@@ -112,13 +125,13 @@ def _rhs_at_nodes(rhs, x, args):
 
 # perfbench/tracing.py wraps these names: _eval_mp, the node evaluator
 # above, to time the derivative arguments (one call per iteration, inside
-# the moment kernel, which samples g) apart from the residual's m-th
-# derivative (one call per iteration, outside it), _moment_integrals_mp as
-# the moment layer, eval_expr as the expression layer, and
-# dual_coefficients as the per-degree lookup of the Legendre factor.  The
-# iteration calls each through these names.  The "_mp" suffixes are
-# historical: neither runs in mpmath any more.  eval_expr is the step's
-# own evaluator of the right-hand side, ``_rhs_at_nodes``; every
+# the moment kernel, which samples g) apart from the m-th derivatives
+# outside it (the residual's, and on the ladder the base's too),
+# _moment_integrals_mp as the moment layer, eval_expr as the expression
+# layer, and dual_coefficients as the per-degree lookup of the Legendre
+# factor.  The iteration calls each through these names.  The "_mp"
+# suffixes are historical: neither runs in mpmath any more.  eval_expr is
+# the step's own evaluator of the right-hand side, ``_rhs_at_nodes``; every
 # right-hand side goes through it, from ``_compiled_rhs``.
 _eval_mp = _node_derivatives
 _moment_integrals_mp = legendre_moments
@@ -286,19 +299,54 @@ def _full_coeffs(left, right, inner):
     return np.concatenate((left, inner, right[::-1]))
 
 
-def _iterate_core(problem, prev, n, rule, rhs):
+# one entry per degree, like dual_coefficients
+@functools.lru_cache(maxsize=128)
+def _elevation_weights(n):
+    """i/n for i = 0..n (read-only)."""
+    t = np.arange(n + 1) / n
+    t.setflags(write=False)
+    return t
+
+
+def _elevated(c, k, l):
+    """Coefficients k..n - l of the polynomial with coefficients c, of
+    degree n - 1, raised to degree n: c_i + (i/n)(c_(i-1) - c_i), with
+    c_(-1) read as c_0 and c_n as c_(n-1), so a constant stays exact."""
+    n = c.size
+    ends = np.concatenate((c[:1], c, c[-1:]))
+    before, this = ends[k:n - l + 1], ends[k + 1:n - l + 2]
+    return this + _elevation_weights(n)[k:n - l + 1] * (before - this)
+
+
+def _iterate_core(problem, prev, n, rule, rhs, correction=False):
     """One step to degree n from the coefficients prev of the previous
-    iterate, which may have any degree; returns (coefficients, L2
-    residual).
+    iterate; returns (coefficients, L2 residual).
+
+    The direct step (``correction`` false) takes prev of any degree and
+    solves the band system for the inner coefficients.  The correction
+    step, which solve's ladder takes, needs prev of degree n - 1: its base
+    is prev raised to degree n with the outer coefficients of degree n in
+    place of its own, and it solves for the correction to the base's inner
+    coefficients.  The base's m-th derivative (one ``_eval_mp`` call,
+    outside the moment kernel) is subtracted from the samples of the
+    right-hand side, so the moments, v and the solution are the size of
+    one step's change, and v, with no boundary stencil terms, is float64
+    alone (``bandsolve.assemble_rhs`` without outer), solved with a float64
+    refinement pass (``bandsolve.solve`` with correction).  The two forms
+    give the same iterate in exact arithmetic whenever the rule integrates
+    polynomials of degree 2(n - m) exactly, as every default rule does.
+    The correction step holds its digits near the fixed point only, where
+    the change is small, so iterate() takes the direct step.
 
     rhs is the right-hand side from ``_compiled_rhs``, an expression or a
     callable alike.  The step runs under the caller's np.errstate, which
     solve and iterate enter once per call, ignoring overflow and invalid
     operations.  Each value is checked once, by the layer that makes it:
     the outer coefficients (``_outer``), the samples of the right-hand
-    side (``legendre_moments``), the moments by their exact conversion and
-    v (``bandsolve.assemble_rhs``), the band solve's first product
-    (``bandsolve.solve``), and here its refined result and the L2
+    side, less the base's derivative (``legendre_moments``), the moments
+    by their exact conversion (direct step) and v
+    (``bandsolve.assemble_rhs``), the band solve's first product
+    (``bandsolve.solve``), and here the new inner coefficients and the L2
     residual.  Every numerical failure (EvaluationError,
     SingularSystemError) leaves here as the cause of an
     IterationError(n, cause).
@@ -309,20 +357,31 @@ def _iterate_core(problem, prev, n, rule, rhs):
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        return eval_expr(rhs, x, _eval_mp(prev, derivs))
+        values = eval_expr(rhs, x, _eval_mp(prev, derivs))
+        return values - base_m if correction else values
 
     try:
         left, right = _outer(problem, _outer_terms(n, k, l))
+        if correction:
+            base = _full_coeffs(left, right, _elevated(prev, k, l))
+            [base_m] = _eval_mp(base, residual)
         moments, gvals = _moment_integrals_mp(g, n - m, rule)
         system = bandsolve.assemble_matrix(n, m, k, l)
-        v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments, (left, right))
-        inner = bandsolve.solve(system, v)
+        v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments,
+                                   None if correction else (left, right))
+        inner = bandsolve.solve(system, v, correction)
+        if correction:
+            # (base + step)^(m) - g = step^(m) - (g - base_m): the residual
+            # from the correction's coefficients, with no cancellation
+            step = np.zeros(n + 1)
+            step[k:n - l + 1] = inner
+            inner = base[k:n - l + 1] + inner
         if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
         coeffs = _full_coeffs(left, right, inner)
 
         # L2 residual of the new iterate against the frozen right-hand side
-        [deriv_m] = _eval_mp(coeffs, residual)
+        [deriv_m] = _eval_mp(step if correction else coeffs, residual)
         try:
             res2 = math.fsum((rule.weights * (deriv_m - gvals) ** 2).tolist())
         except OverflowError:
@@ -371,8 +430,10 @@ def iterate(problem, previous, n, rule=None):
 
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
-    ``previous``.  Numerical failures carry the iteration index, and warn
-    nothing.  An expression rhs is compiled per call.
+    ``previous``, for the whole iterate (the direct step, with exact rows
+    and exact refinement; ``_iterate_core``), which holds its digits from
+    any previous iterate.  Numerical failures carry the iteration index,
+    and warn nothing.  An expression rhs is compiled per call.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -396,8 +457,10 @@ def solve(problem, options):
     quadrature rule and each iteration evaluates only the rest.  The
     iterations run under one np.errstate, entered once per call, and a
     numerical failure leaves as IterationError(n, cause), the seed's as
-    n = m - 1 (``seed``).  Nothing is kept across calls.  The iterates are
-    the same bits as iterate() gives.
+    n = m - 1 (``seed``).  Nothing is kept across calls.  Each iterate is
+    the one iterate() gives from the iterate before, up to rounding: the
+    ladder takes the correction step (``_iterate_core``), iterate() the
+    direct one.
     """
     N = options.degree
     m = problem.m
@@ -410,6 +473,7 @@ def solve(problem, options):
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(m, N + 1):
             previous.append(coeffs)
-            coeffs, res = _iterate_core(problem, coeffs, n, _default_rule(n, options), rhs)
+            rule = _default_rule(n, options)
+            coeffs, res = _iterate_core(problem, coeffs, n, rule, rhs, correction=True)
             residuals.append(res)
     return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))

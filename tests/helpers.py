@@ -165,6 +165,28 @@ def exact_route_iterate(problem, previous, n, rule):
     return _full_coeffs(left, right, bandsolve.solve(system, v))
 
 
+def route_inputs(m, seed):
+    """(k, nu, problem, previous, rule) for every k = 0..m and nu in (0,
+    random, 58), drawn from seed: a rhs smooth in x and y0, boundary data
+    in [-1, 1] and a smooth previous iterate of degree n - 1, with the
+    default rule of degree n = nu + m."""
+    from bernbvp.bernstein import BernsteinPoly
+    from bernbvp.expressions import parse
+    from bernbvp.quadrature import gauss_rule
+    from bernbvp.solver import BVProblem
+
+    rng = np.random.default_rng(4000 + m + 100 * seed)
+    for k in range(m + 1):
+        for nu in (0, int(rng.integers(1, 58)), 58):
+            n = nu + m
+            a, b, c, d, e, f, h = rng.uniform(-2, 2, 7)
+            rhs = parse(f"{a:.17g}*sin({b:.17g}*x + {c:.17g}) + {d:.17g}*y0")
+            problem = BVProblem(tuple(rng.uniform(-1, 1, k)), tuple(rng.uniform(-1, 1, m - k)),
+                                rhs)
+            previous = BernsteinPoly(e * np.sin(f * np.linspace(0, 1, n) + h))
+            yield k, nu, problem, previous, gauss_rule(max(n + 2, 20), 2)
+
+
 def exact_moments_reference(g, nu, rule):
     """Exact quadrature moments sum_t w_t g(x_t) B_q^nu(x_t) as Fractions,
     by the direct per-node expansion of X^q (2^e - X)^(nu-q), where

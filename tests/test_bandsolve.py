@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from helpers import dense_from_banded
 
+from bernbvp import bandsolve
 from bernbvp.bandsolve import assemble_matrix, assemble_rhs, solve
 from bernbvp.dual import dual_coefficients
 from bernbvp.errors import EvaluationError, SingularSystemError
 from bernbvp.quadrature import gauss_rule, legendre_moments
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
 
 
 class TestAssembleMatrix:
@@ -175,6 +180,39 @@ class TestSolve:
         p = solve(s, np.ones(41))
         assert np.abs(s.dense @ p - 1.0).max() <= 1e-12 * np.abs(p).max()
 
+    def test_correction_solve_of_a_well_conditioned_stencil_is_float64(self, monkeypatch):
+        # a correction solve's one float64 refinement pass reaches rounding
+        # level on these stencils, so no exact residual is taken
+        def exact_residual(*args):
+            raise AssertionError("exact residual taken")
+
+        monkeypatch.setattr(bandsolve, "_residual", exact_residual)
+        rng = np.random.default_rng(12)
+        for shape in ((20, 4, 2, 2), (40, 2, 1, 1), (30, 1, 0, 1), (40, 3, 1, 2)):
+            system = assemble_matrix(*shape)
+            v = rng.uniform(-1, 1, system.size) * 1e-9
+            p = solve(system, v, correction=True)
+            first = system.inverse @ v
+            assert bits(p) == bits(first + system.inverse @ (v - system.dense @ first)), shape
+
+    def test_correction_solve_beyond_the_float64_pass_is_the_default_solve(self):
+        # where the float64 pass stops short of rounding level (the
+        # one-sided order-10 stencil at n = 50, condition number 1.1e13) or
+        # its norms leave float64, the correction solve refines with exact
+        # residuals from the first product on, as the default solve does
+        rng = np.random.default_rng(13)
+        s = assemble_matrix(50, 10, 10, 0)
+        near_limit = assemble_matrix(40, 1, 1, 0)
+        big = rng.uniform(-1, 1, near_limit.size) * 1e290
+        big[0] = 1.7e308
+        for system, v in ((s, np.ones(41)), (s, rng.uniform(-1, 1, 41)), (near_limit, big)):
+            assert bits(solve(system, v, correction=True)) == bits(solve(system, v))
+
+    def test_correction_solve_refuses_what_does_not_contract(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(SingularSystemError, match="does not contract"):
+            solve(assemble_matrix(60, 30, 15, 15), rng.standard_normal(31), correction=True)
+
     def test_failed_inverse_raises_singular_system(self, monkeypatch):
         # no stencil of the CLI's range makes numpy's inverse fail, but one
         # that did would leave its system without an inverse: every solve
@@ -246,6 +284,19 @@ class TestAssembleRhs:
         with pytest.raises(EvaluationError, match="overflows float64"):
             assemble_rhs(assemble_matrix(8, 4, 2, 2), dual_coefficients(4), np.zeros(5),
                          ([1e308, -1e308], [1e308, -1e308]))
+
+    def test_without_outer_coefficients_v_is_the_float_product(self):
+        # the right-hand side of a correction: no stencil terms, no exact
+        # rows, and a non-finite moment shows as a non-finite v
+        rng = np.random.default_rng(14)
+        for shape in ((12, 4, 2, 2), (12, 4, 4, 0), (12, 4, 0, 4)):
+            system, duals = assemble_matrix(*shape), dual_coefficients(8)
+            moments = rng.uniform(-1, 1, 9)
+            assert bits(assemble_rhs(system, duals, moments)) == bits(
+                duals.legendre @ moments / system.scale)
+        with pytest.raises(EvaluationError, match="overflows float64"), \
+                np.errstate(invalid="ignore"):
+            assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), [0.0, np.inf, 0.0])
 
     def test_legendre_moments_of_a_polynomial(self):
         # g = x^2 lies in the degree-3 space, so M times its Legendre

@@ -274,13 +274,13 @@ class TestSolveCommand:
     def test_ill_conditioned_stencil_exits_3(self, tmp_path, capsys):
         # the band guard on a real stencil: within the degree cap, the
         # refinement of the one-sided order-16 stencil stops contracting
-        # at n = 55
+        # at n = 57
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"order": 16, "left": [1.0] + [0.0] * 15, "rhs": "y0"}))
         assert main(["solve", str(spec), "--degree", "60",
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: iteration n=55 failed: singular system")
+        assert err.startswith("numerical failure: iteration n=57 failed: singular system")
         assert "does not contract" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -312,7 +312,8 @@ class TestSolveCommand:
         assert json.loads((tmp_path / "o").read_text())["coefficients"] == [1.7e308] * 9
 
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
+        monkeypatch.setattr(bandsolve, "solve",
+                            lambda system, v, correction=False: np.full(system.size, np.inf))
         assert main(["solve", str(ex1_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(

@@ -15,15 +15,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (dense_from_banded, evaluate_reference, exact_route_iterate,
-                     legendre_moments_reference)
+                     legendre_moments_reference, route_inputs)
 
 from bernbvp import bandsolve
 from bernbvp.bandsolve import assemble_matrix, assemble_rhs, solve
 from bernbvp.bernstein import BernsteinPoly, derivative, evaluate, falling_factorial
 from bernbvp.dual import dual_coefficients
-from bernbvp.expressions import parse
 from bernbvp.quadrature import QuadratureRule, gauss_rule, legendre_moments
-from bernbvp.solver import BVProblem, _derivative_terms, _node_derivatives, iterate
+from bernbvp.solver import _derivative_terms, _node_derivatives, iterate
 
 
 def random_g(rng):
@@ -108,23 +107,14 @@ def route_differences(m, seed):
     """For every k and nu in (0, random, 58): one iterate by the float64
     Legendre route against the exact route (exact Bernstein moments and
     dual table, v rounded once), as max |difference| / (1 + max |w|) on
-    the 201-point grid.  The rhs is smooth in x and y0, and so is the
-    previous iterate."""
-    rng = np.random.default_rng(4000 + m + 100 * seed)
+    the 201-point grid, from the inputs of ``route_inputs``."""
     grid = np.arange(201) / 200
     out = {}
-    for k in range(m + 1):
-        for nu in (0, int(rng.integers(1, 58)), 58):
-            n = nu + m
-            a, b, c, d, e, f, h = rng.uniform(-2, 2, 7)
-            rhs = parse(f"{a:.17g}*sin({b:.17g}*x + {c:.17g}) + {d:.17g}*y0")
-            problem = BVProblem(tuple(rng.uniform(-1, 1, k)), tuple(rng.uniform(-1, 1, m - k)),
-                                rhs)
-            prev = BernsteinPoly(e * np.sin(f * np.linspace(0, 1, n) + h))
-            rule = gauss_rule(max(n + 2, 20), 2)
-            got = evaluate(iterate(problem, prev, n, rule), grid)
-            want = evaluate(BernsteinPoly(exact_route_iterate(problem, prev, n, rule)), grid)
-            out[k, nu] = np.abs(got - want).max() / (1 + np.abs(want).max())
+    for k, nu, problem, prev, rule in route_inputs(m, seed):
+        n = nu + m
+        got = evaluate(iterate(problem, prev, n, rule), grid)
+        want = evaluate(BernsteinPoly(exact_route_iterate(problem, prev, n, rule)), grid)
+        out[k, nu] = np.abs(got - want).max() / (1 + np.abs(want).max())
     return out
 
 

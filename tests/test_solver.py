@@ -188,13 +188,18 @@ class TestBoundRhs:
 
     @pytest.mark.parametrize("quad_order", [None, 30])
     def test_x_forcing_matches_a_chain_of_unbound_iterates(self, quad_order):
+        # solve's ladder steps against the same steps, each with a freshly
+        # compiled rhs: the x-only values kept per rule change no bit
         p = self.FORCED
-        report = solve(p, SolveOptions(degree=26, quad_order=quad_order))
-        w = seed(p)
+        options = SolveOptions(degree=26, quad_order=quad_order)
+        report = solve(p, options)
+        w = seed(p).coeffs
         for n, got in zip(range(p.m, 27), report.iterates[1:]):
-            rule = gauss_rule(quad_order, 2) if quad_order else None
-            w = iterate(p, w, n, rule)
-            assert got.coeffs.tobytes() == w.coeffs.tobytes()
+            rule = solver._default_rule(n, options)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w, _ = solver._iterate_core(p, w, n, rule, solver._compiled_rhs(p),
+                                            correction=True)
+            assert got.coeffs.tobytes() == w.tobytes()
 
 
 class TestOuterCoefficients:
@@ -471,7 +476,8 @@ class TestSolve:
     def test_nonfinite_band_solve_fails_with_iteration_index(self, monkeypatch):
         # the iteration works on coefficient arrays, so nothing else checks
         # that the inner coefficients are finite
-        monkeypatch.setattr(bandsolve, "solve", lambda system, v: np.full(system.size, np.inf))
+        monkeypatch.setattr(bandsolve, "solve",
+                            lambda system, v, correction=False: np.full(system.size, np.inf))
         with pytest.raises(IterationError) as err:
             solve(parabola_problem(), SolveOptions(degree=4))
         assert err.value.n == 2
@@ -500,7 +506,8 @@ class TestSolve:
             assert err.value.n == n
             assert isinstance(err.value.cause, EvaluationError)
             assert "non-finite value" in str(err.value.cause)
-        monkeypatch.setattr(bandsolve, "solve", lambda system, v: huge[:system.size])
+        monkeypatch.setattr(bandsolve, "solve",
+                            lambda system, v, correction=False: huge[:system.size])
         for n, run in residual_failures:
             with pytest.raises(IterationError) as err:
                 run()
@@ -527,6 +534,20 @@ class TestSolve:
         w = solve(ex.problem, SolveOptions(degree=60)).solution
         assert max_error(error_curve(w, ex.reference, 200)) <= 1e-11
 
+    @pytest.mark.parametrize("ex_id", range(1, 6))
+    def test_ladder_steps_match_the_direct_step(self, ex_id):
+        # each step of the ladder solves for its correction to the iterate
+        # before; iterate() from that iterate solves for the whole new one.
+        # In exact arithmetic they agree; on the 201-point grid they differ
+        # by at most 3.5e-12 (example 3, k = 4, l = 0, to N = 40), 6.2e-15
+        # for the others
+        problem = example(ex_id).problem
+        report = solve(problem, SolveOptions(degree=40))
+        x = np.arange(201) / 200
+        for n, (before, got) in enumerate(zip(report.iterates, report.iterates[1:]), problem.m):
+            want = iterate(problem, before, n)
+            assert np.abs(evaluate(got, x) - evaluate(want, x)).max() <= 1e-11, n
+
     @staticmethod
     def roots_of_unity_problem(m):
         # y^(m) = y with y(0) = 1 and y'(0) = ... = y^(m-1)(0) = 0, solved
@@ -543,54 +564,66 @@ class TestSolve:
 
     @pytest.mark.parametrize("m,degree", [(30, 36), (55, 59), (30, 37), (55, 60)])
     def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
-        # above m = 26 the split residual does not apply, so every
-        # refinement step takes the integer route: with it the max error
-        # is 2.2e-16, 5.6e-16, 3.3e-16 and 5.6e-16 here, against about
-        # 1e-9 unrefined.  One degree up from 36 and 59 the one-sided
-        # stencils' condition numbers pass 2e13, and one step still suffices
+        # the max error of the solve is 2.2e-16, 5.6e-16, 3.3e-16 and
+        # 5.6e-16 here.  Its ladder's correction solves stop at the float64
+        # pass; the direct step refines with an exact residual, and above
+        # m = 26 the split residual does not apply, so every step of a
+        # chain of iterate() calls takes the integer route once, one degree
+        # up from 36 and 59 too, where the one-sided stencils' condition
+        # numbers pass 2e13
+        assert self.roots_of_unity_error(m, degree) <= 1e-13
         calls = []
         integer_route = bandsolve._integer_residual
         monkeypatch.setattr(bandsolve, "_integer_residual",
                             lambda *a: calls.append(1) or integer_route(*a))
-        assert self.roots_of_unity_error(m, degree) <= 1e-13
+        problem = self.roots_of_unity_problem(m)
+        w = seed(problem)
+        for n in range(m, degree + 1):
+            w = iterate(problem, w, n)
         assert len(calls) == degree - m + 1
 
-    @pytest.mark.parametrize("m,degree,bound", [(8, 60, 7e-7), (9, 60, 2e-6),
-                                                (10, 60, 2.4e-6), (12, 40, 2.1e-8)])
+    @pytest.mark.parametrize("m,degree,bound", [(8, 60, 1e-14), (9, 60, 1e-14),
+                                                (10, 60, 1e-14), (12, 40, 1e-14)])
     def test_ill_conditioned_orders_solve_by_refinement(self, m, degree, bound):
         # the one-sided stencils of these solves reach condition numbers of
-        # 6.6e11, 7.6e12, 7.7e13 and 2.3e13, and refinement continues until
-        # its correction is at rounding level: measured max errors 6.4e-7,
-        # 1.6e-6, 2.4e-7 and 2.1e-9 (the bounds of m = 10 and 12 are ten
-        # times those)
+        # 6.6e11, 7.6e12, 7.7e13 and 2.3e13.  The ladder solves each step
+        # for its change, which these condition numbers magnify from a
+        # rounding-sized start only: measured max error 4.4e-16 for each
+        # (6.4e-7, 1.6e-6, 2.4e-7 and 2.1e-9 when every step solved for
+        # the whole iterate, whose exact fixed point these stencils move)
         assert self.roots_of_unity_error(m, degree) <= bound
 
     def test_every_benchmarked_band_solve_refines_once(self, monkeypatch):
         # the five examples to N = 60 and the manufactured specs of the
-        # benchmark's seed 1: each band solve's first correction is at
-        # rounding level, so it takes one exact residual, and its bytes are
-        # those of a single refinement step
+        # benchmark's seeds 1-3: every band solve of the ladder is a
+        # correction solve, and its one float64 refinement pass reaches
+        # rounding level in all but four, which then take the exact
+        # residual twice each: example 3 (k = 4, l = 0) at sizes 55 and 56
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import specgen
 
-        residuals, band_solve = [], bandsolve.solve
+        residuals, band_solve, exact = [], bandsolve.solve, []
         counted = bandsolve._residual
         monkeypatch.setattr(bandsolve, "_residual",
                             lambda *a: residuals.append(1) or counted(*a))
 
-        def solve_counted(system, v):
+        def solve_counted(system, v, correction=False):
+            assert correction
             before = len(residuals)
-            p = band_solve(system, v)
-            assert len(residuals) - before == 1, (system.size, system.lower_bw)
+            p = band_solve(system, v, correction)
+            if len(residuals) > before:
+                exact.append((system.size, system.lower_bw, len(residuals) - before))
             return p
 
         monkeypatch.setattr(bandsolve, "solve", solve_counted)
-        problems = [(example(i).problem, 60) for i in range(1, 6)]
-        problems += [(BVProblem(tuple(spec["left"]), tuple(spec["right"]), parse(spec["rhs"])),
-                      degree) for _, spec, _, degree in specgen.generate(1)]
-        for problem, degree in problems:
-            solve(problem, SolveOptions(degree=degree))
-        assert len(residuals) == sum(d - p.m + 1 for p, d in problems)
+        for i in range(1, 6):
+            solve(example(i).problem, SolveOptions(degree=60))
+        assert exact == [(55, 4, 2), (56, 4, 2)]
+        for seed_ in (1, 2, 3):
+            for _, spec, _, degree in specgen.generate(seed_):
+                problem = BVProblem(tuple(spec["left"]), tuple(spec["right"]), parse(spec["rhs"]))
+                solve(problem, SolveOptions(degree=degree))
+        assert len(exact) == 2
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_manufactured_polynomials_at_degree_30(self, m):
