@@ -5,12 +5,11 @@ couples the inner coefficients: entry (i, j) of the matrix G is
 (-1)^(l-d) C(m, d+k) for d = j - i in -k..l, and zero outside that band.
 ``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
 LRU of 1024 entries, the one cache of this module: the stencil as exact
-integers, the one encoding of the band that the exact rows of v and the
-exact residual both use; the dense matrix and its inverse, formed once
-from it in float64 (its binomials are exact there up to m = 56); and the
-scale and row denominators that assemble_rhs needs.  A solve to degree N
-uses N - m + 1 shapes; an examples-n40 pass uses 190, about 1.5 MB
-together.
+integers, the encoding of the band that the exact residual uses; the
+dense matrix and its inverse, formed once from it in float64 (its
+binomials are exact there up to m = 56); and the scale that assemble_rhs
+needs.  A solve to degree N uses N - m + 1 shapes; an examples-n40 pass
+uses 190, about 1.5 MB together.
 
 A solve is one product with the inverse, refined until the correction d
 is at rounding level, |d|^2 <= eps |p|^2; a correction that does not
@@ -30,12 +29,10 @@ it refine as above, from the first product on, so a stencil that needs
 the exact residual, or does not contract, meets it as before.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
-Legendre-to-Bernstein matrix in float64.  Given outer coefficients, its
-k + l rows that also carry their stencil terms cancel digits, so they
-are computed exactly and rounded once, and the exact conversion of the
-moments and of the outer coefficients is their one check: a value that
-is not finite raises EvaluationError there.  A correction's right-hand
-side has no outer coefficients, so it is the float64 product alone.
+Legendre-to-Bernstein matrix in float64.  The solver fixes the outer
+coefficients in a base and solves for the correction to its inner ones,
+so v has no boundary stencil terms: it is the float64 product alone,
+whose one check is that every entry is finite.
 """
 
 import functools
@@ -61,9 +58,8 @@ class StencilSystem:
     the band's extent below and above the diagonal; ``stencil``, the m-th
     difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
     entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
-    inverse (both read-only; None if inverting fails).  For assemble_rhs:
-    ``scale`` = n!/(n-m)! as a float and ``exact_rows``, the pairs
-    (i, C(n-m, i) n!/(n-m)!) for the k + l rows i of v with stencil terms.
+    inverse (both read-only; None if inverting fails); ``scale`` =
+    n!/(n-m)! as a float, for assemble_rhs.
     """
 
     size: int
@@ -73,7 +69,6 @@ class StencilSystem:
     dense: np.ndarray
     inverse: np.ndarray
     scale: float
-    exact_rows: tuple
 
 
 # the one cache per shape: 1024 systems hold the 190 shapes of an
@@ -93,7 +88,6 @@ def assemble_matrix(n, m, k, l):
     nu = n - m
     scale = factorial(n) // factorial(nu)
     stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
-    rows = tuple((i, comb(nu, i) * scale) for i in range(nu + 1) if i < k or i > nu - l)
     offset = np.arange(nu + 1) - np.arange(nu + 1)[:, None]  # j - i
     dense = np.where((offset >= -k) & (offset <= l),
                      np.array(stencil, dtype=float)[np.clip(offset + k, 0, m)], 0.0)
@@ -103,38 +97,26 @@ def assemble_matrix(n, m, k, l):
         inverse.setflags(write=False)
     except np.linalg.LinAlgError:
         inverse = None
-    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(scale), rows)
+    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(scale))
 
 
-def assemble_rhs(system, duals, legendre_moments, outer=None):
+def assemble_rhs(system, duals, legendre_moments):
     """Right-hand side v of the inner-coefficient system ``system``, the
-    StencilSystem of degree n and order m = k + l from ``assemble_matrix``.
-
-    v_i = (n-m)!/n! * sum_j M_ij L_j, minus the stencil terms that touch
-    the fixed outer coefficients; the correction sums are empty except in
-    the first k rows and the last l rows.
+    StencilSystem of degree n and order m = k + l from ``assemble_matrix``,
+    for outer coefficients that the caller has fixed at zero (the solver
+    solves for a correction to a base that carries them):
+    v_i = (n-m)!/n! * sum_j M_ij L_j, one float64 product with the rows of
+    M.
 
     ``duals`` is the DualCoeffTable of degree nu = n - m, whose Legendre
     factor M turns the Legendre moments L_j = (2j+1) <g, P_j> (j = 0..nu,
     from ``quadrature.legendre_moments``) into the Bernstein coefficients
     of the projection of g: sum_j M_ij L_j = sum_q c_iq <g, B_q^nu>.
-    ``legendre_moments`` is a sequence of those nu + 1 floats;
-    ``outer`` is the pair (left, right) with right[j] the coefficient at
-    index n - j, or None when the outer coefficients are zero: the right-
-    hand side of a correction, whose outer coefficients the caller has
-    fixed already.
+    ``legendre_moments`` is a sequence of those nu + 1 floats.
 
-    Without outer, v is one float64 product with the rows of M.  With it,
-    every row is that product except the rows with stencil terms, whose
-    two parts cancel: each of those is computed exactly, from M's integer
-    numerators, the moments and the stencil terms as dyadic rationals, and
-    rounded once (``_exact_rows``).  A value that is not finite raises
-    EvaluationError: with outer, at the exact conversion, the one check of
-    the moments and of the outer coefficients ("moments are not finite",
-    before the float product, or "outer coefficients are not finite"); in
-    any case, an entry of v beyond float64 ("system right-hand side
-    overflows float64", which a non-finite moment gives without outer).
-    An overflow in the float product warns unless the caller ignores it
+    An entry of v that is not finite, as a non-finite moment gives,
+    raises EvaluationError ("system right-hand side overflows float64").
+    An overflow in the product warns unless the caller ignores it
     (``np.errstate``), as the solver does.
     """
     nu = system.size - 1
@@ -143,47 +125,9 @@ def assemble_rhs(system, duals, legendre_moments, outer=None):
     values = np.asarray(legendre_moments, dtype=float)
     if values.shape != (nu + 1,):
         raise ValueError(f"expected {nu + 1} moments, got {values.size}")
-    if outer is None:
-        v = duals.legendre.dot(values) / system.scale
-    else:
-        v = _exact_rows(system, duals, values, outer)
+    v = duals.legendre.dot(values) / system.scale
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise EvaluationError("system right-hand side overflows float64")
-    return v
-
-
-def _exact_rows(system, duals, values, outer):
-    """assemble_rhs with the outer coefficients outer, before its check of v."""
-    nu, k, l = system.size - 1, system.lower_bw, system.upper_bw
-    left, right = outer
-    if len(left) != k or len(right) != l:
-        raise ValueError("outer coefficient blocks must have lengths k and l")
-    try:
-        lnum, ls = _dyadic(values.tolist())
-    except (OverflowError, ValueError):  # the ratio of an inf or a nan
-        raise EvaluationError("moments are not finite") from None
-    # degree-n coefficients with the inner ones zero: the stencil terms on
-    # the outer ones move to the right-hand side
-    try:
-        onum, fs = _dyadic([*left, *right[::-1]])
-    except (OverflowError, ValueError):
-        raise EvaluationError("outer coefficients are not finite") from None
-    v = duals.legendre.dot(values) / system.scale
-    fnum = onum[:k] + [0] * (nu + 1) + onum[k:]
-    numerators, stencil, w = duals.legendre_numerators, system.stencil, k + l + 1
-    for i, den in system.exact_rows:
-        # rows nu and 0 of M's numerators are 1 and (-1)^j: P_j at 1 and -1
-        if i == nu:
-            dot = sum(lnum)
-        elif i == 0:
-            dot = sum(lnum[::2]) - sum(lnum[1::2])
-        else:
-            dot = sum(map(mul, numerators[i], lnum))
-        corr = sum(map(mul, stencil, fnum[i:i + w]))
-        try:
-            v[i] = ((dot << fs) - ((corr * den) << ls)) / (den << (ls + fs))
-        except OverflowError:  # the row's value is beyond float64
-            v[i] = math.inf
     return v
 
 

@@ -89,8 +89,10 @@ def load_problem_spec(path):
             raise SpecError("exact solution may only reference x")
         reference = ReferenceSolution(kind="closed_form",
                                       fn=lambda x: eval_expr(exact, x))
-    quad = doc.get("quadrature") or {}
-    if not isinstance(quad, dict):
+    quad = doc.get("quadrature")
+    if quad is None:  # absent or null: the default, as for its order and panels
+        quad = {}
+    elif not isinstance(quad, dict):
         raise SpecError("quadrature must be an object with order/panels")
     try:
         problem = BVProblem(tuple(left), tuple(right), rhs)
@@ -118,7 +120,9 @@ def _make_options(args, quad, m):
     if args.degree > MAX_DEGREE:
         raise SpecError(f"degree {args.degree} is above the maximum {MAX_DEGREE}")
     order = args.quad_order if args.quad_order is not None else quad.get("order")
-    panels = args.quad_panels if args.quad_panels is not None else quad.get("panels", 2)
+    panels = args.quad_panels if args.quad_panels is not None else quad.get("panels")
+    if panels is None:
+        panels = 2
     if order is not None and not _is_count(order):
         raise SpecError(f"quadrature order must be an integer >= 1, got {order!r}")
     if not _is_count(panels):

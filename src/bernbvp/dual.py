@@ -13,10 +13,9 @@ where column j of M holds the degree-n Bernstein coefficients of P_j
 the r-th Bernstein coefficient of the L2 projection of g, is the r-th row
 of M applied to the Legendre moments (2j + 1) <g, P_j>.  The solver uses
 exactly that: ``DualCoeffTable.legendre`` holds M rounded to float64 and
-``legendre_numerators`` the integers N[r, j] = C(n,r) M[r, j], for the
-few rows that the direct step of ``solver.iterate`` combines exactly
-(solve's ladder, which solves for each step's change, takes the float
-rows alone).  |M| stays below about 2^n, while the c_ij
+``legendre_numerators`` the integers N[r, j] = C(n,r) M[r, j], from
+which the rows are rounded and each degree's table is elevated to the
+next.  |M| stays below about 2^n, while the c_ij
 grow like 4^n (about 8.8e10 at n = 18), so C itself rounded to float64
 loses its duality property beyond n ~ 14.  The solver never forms C; the
 tests form it exactly from N and check it against the exact inverse of

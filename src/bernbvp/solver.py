@@ -29,28 +29,27 @@ system right-hand side v.  The band solve multiplies by the cached
 inverse of each matrix and refines (``bandsolve.solve``); a report turns
 the kept coefficient arrays into float64 BernsteinPolys when first read.
 
-solve's ladder solves each step for its correction to the previous
-iterate (defect correction): the base of step n is w_(n-1) raised to
-degree n, with the boundary coefficients of degree n in place of its
-outer ones, and the samples less the base's m-th derivative are
-projected, so v is the size of the step's change and cancels nothing.
-It is float64 throughout, and one float64 refinement pass usually ends
-the band solve.  The direct step of iterate() solves for the whole
-iterate: v's k + l rows that subtract the boundary stencil terms cancel
-digits, so they are exact, rounded once, and the band solve refines
-with exact residuals.  The correction step is kept from iterate()
-because it holds its digits only near the fixed point, where the change
-is small; on the ladder it gains them back on ill-conditioned stencils,
-whose condition number magnifies only the rounding of the change.
+Each step solves for its correction to a base whose outer coefficients
+are the boundary coefficients of degree n (defect correction), so v has
+no boundary stencil terms, cancels nothing, and is float64 throughout.
+solve's ladder takes w_(n-1) raised to degree n as its base and projects
+the samples less the base's m-th derivative, so v is the size of the
+step's change, and one float64 refinement pass usually ends the band
+solve; on ill-conditioned stencils the condition number magnifies only
+the rounding of the change.  iterate() starts from any previous iterate,
+where the change is not small, so its base is the seed raised to degree
+n, whose m-th derivative is zero and is not evaluated: the samples are
+projected as they are, and the band solve refines with exact residuals.
 
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
 orders; the constants of the outer coefficients by (n, k, l)
-(``_outer_terms``); the band system of each shape, with its inverse and
-the data of its exact rows, by ``bandsolve.assemble_matrix``; the
-dual table by its degree; and the weights that raise an iterate to
-degree n by n (``_elevation_weights``).  So a warm iteration derives no constant again,
+(``_outer_terms``); the band system of each shape, with its inverse, by
+``bandsolve.assemble_matrix``; the dual table by its degree; the
+weights that raise an iterate to degree n by n (``_elevation_weights``);
+and the matrix that raises the seed to degree n by (n, k, l)
+(``_seed_elevation``).  So a warm iteration derives no constant again,
 whatever the degree of the iterate it starts from.
 
 A step is dominated by the entry cost of small numpy calls, not by their
@@ -63,7 +62,7 @@ overflow and invalid operations for every step; each step checks every
 value it makes once, in the layer that makes it (``_iterate_core``), and
 leaves as one IterationError on a numerical failure.  Boundary data whose
 outer coefficients leave float64 fail the same way, at the seed's degree
-m - 1 or at the step's.
+m - 1 or at the step's (iterate()'s step takes the seed's too).
 """
 
 import functools
@@ -286,12 +285,16 @@ def seed(problem):
     Boundary data whose coefficients are not finite in float64 fail as
     IterationError(m - 1, cause), the degree of the seed.
     """
-    m, k, l = problem.m, problem.k, problem.l
     try:
-        left, right = _outer(problem, _outer_terms(m - 1, k, l))
+        return BernsteinPoly(_seed_coeffs(problem))
     except EvaluationError as exc:
-        raise IterationError(m - 1, exc) from exc
-    return BernsteinPoly(_full_coeffs(left, right, ()))
+        raise IterationError(problem.m - 1, exc) from exc
+
+
+def _seed_coeffs(problem):
+    """The seed's coefficients: the outer coefficients of degree m - 1."""
+    left, right = _outer(problem, _outer_terms(problem.m - 1, problem.k, problem.l))
+    return _full_coeffs(left, right, ())
 
 
 def _full_coeffs(left, right, inner):
@@ -318,33 +321,46 @@ def _elevated(c, k, l):
     return this + _elevation_weights(n)[k:n - l + 1] * (before - this)
 
 
+# one entry per shape (n, k, l), like _outer_terms
+@functools.lru_cache(maxsize=1024)
+def _seed_elevation(n, k, l):
+    """Rows k..n - l of the matrix that raises a polynomial of degree
+    m - 1 = k + l - 1 to degree n: C(m-1, j) C(n-m+1, i-j) / C(n, i),
+    each rounded once from the integers (read-only)."""
+    m = k + l
+    e = np.array([[comb(m - 1, j) * comb(n - m + 1, i - j) / comb(n, i) if j <= i else 0.0
+                   for j in range(m)] for i in range(k, n - l + 1)])
+    e.setflags(write=False)
+    return e
+
+
 def _iterate_core(problem, prev, n, rule, rhs, correction=False):
     """One step to degree n from the coefficients prev of the previous
     iterate; returns (coefficients, L2 residual).
 
-    The direct step (``correction`` false) takes prev of any degree and
-    solves the band system for the inner coefficients.  The correction
-    step, which solve's ladder takes, needs prev of degree n - 1: its base
-    is prev raised to degree n with the outer coefficients of degree n in
-    place of its own, and it solves for the correction to the base's inner
-    coefficients.  The base's m-th derivative (one ``_eval_mp`` call,
-    outside the moment kernel) is subtracted from the samples of the
-    right-hand side, so the moments, v and the solution are the size of
-    one step's change, and v, with no boundary stencil terms, is float64
-    alone (``bandsolve.assemble_rhs`` without outer), solved with a float64
-    refinement pass (``bandsolve.solve`` with correction).  The two forms
-    give the same iterate in exact arithmetic whenever the rule integrates
-    polynomials of degree 2(n - m) exactly, as every default rule does.
-    The correction step holds its digits near the fixed point only, where
-    the change is small, so iterate() takes the direct step.
+    Both steps solve for the correction to the inner coefficients of a
+    base whose outer coefficients are those of degree n, so v has no
+    boundary stencil terms and is the float64 product alone
+    (``bandsolve.assemble_rhs``).  iterate()'s step (``correction``
+    false) takes prev of any degree; its base is the seed raised to
+    degree n (``_seed_elevation``), whose m-th derivative is zero, so the
+    samples of the right-hand side are projected as they are, and the band
+    solve refines with exact residuals.  solve's ladder (``correction``)
+    needs prev of degree n - 1: its base is prev raised to degree n, whose
+    m-th derivative (one ``_eval_mp`` call, outside the moment kernel) is
+    subtracted from the samples, so the moments, v and the solution are
+    the size of one step's change, solved with a float64 refinement pass
+    (``bandsolve.solve`` with correction).  It holds its digits near the
+    fixed point, where the change is small.  The two bases give the same
+    iterate in exact arithmetic whenever the rule integrates polynomials
+    of degree 2(n - m) exactly, as every default rule does.
 
     rhs is the right-hand side from ``_compiled_rhs``, an expression or a
     callable alike.  The step runs under the caller's np.errstate, which
     solve and iterate enter once per call, ignoring overflow and invalid
     operations.  Each value is checked once, by the layer that makes it:
     the outer coefficients (``_outer``), the samples of the right-hand
-    side, less the base's derivative (``legendre_moments``), the moments
-    by their exact conversion (direct step) and v
+    side, less the base's derivative (``legendre_moments``), v
     (``bandsolve.assemble_rhs``), the band solve's first product
     (``bandsolve.solve``), and here the new inner coefficients and the L2
     residual.  Every numerical failure (EvaluationError,
@@ -363,25 +379,24 @@ def _iterate_core(problem, prev, n, rule, rhs, correction=False):
     try:
         left, right = _outer(problem, _outer_terms(n, k, l))
         if correction:
-            base = _full_coeffs(left, right, _elevated(prev, k, l))
-            [base_m] = _eval_mp(base, residual)
+            base = _elevated(prev, k, l)
+            [base_m] = _eval_mp(_full_coeffs(left, right, base), residual)
+        else:
+            base = _seed_elevation(n, k, l).dot(_seed_coeffs(problem))
         moments, gvals = _moment_integrals_mp(g, n - m, rule)
         system = bandsolve.assemble_matrix(n, m, k, l)
-        v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments,
-                                   None if correction else (left, right))
-        inner = bandsolve.solve(system, v, correction)
-        if correction:
-            # (base + step)^(m) - g = step^(m) - (g - base_m): the residual
-            # from the correction's coefficients, with no cancellation
-            step = np.zeros(n + 1)
-            step[k:n - l + 1] = inner
-            inner = base[k:n - l + 1] + inner
+        v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments)
+        # (base + step)^(m) - g = step^(m) - (g - base_m), base_m = 0 for
+        # the raised seed: the residual from the correction's coefficients
+        step = np.zeros(n + 1)
+        step[k:n - l + 1] = bandsolve.solve(system, v, correction)
+        inner = base + step[k:n - l + 1]
         if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
         coeffs = _full_coeffs(left, right, inner)
 
         # L2 residual of the new iterate against the frozen right-hand side
-        [deriv_m] = _eval_mp(step if correction else coeffs, residual)
+        [deriv_m] = _eval_mp(step, residual)
         try:
             res2 = math.fsum((rule.weights * (deriv_m - gvals) ** 2).tolist())
         except OverflowError:
@@ -430,9 +445,9 @@ def iterate(problem, previous, n, rule=None):
 
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
-    ``previous``, for the whole iterate (the direct step, with exact rows
-    and exact refinement; ``_iterate_core``), which holds its digits from
-    any previous iterate.  Numerical failures carry the iteration index,
+    ``previous``, as the correction to the seed raised to degree n, with
+    exact refinement (``_iterate_core``), which holds its digits from any
+    previous iterate.  Numerical failures carry the iteration index,
     and warn nothing.  An expression rhs is compiled per call.
     """
     if n < problem.m:
@@ -459,8 +474,8 @@ def solve(problem, options):
     numerical failure leaves as IterationError(n, cause), the seed's as
     n = m - 1 (``seed``).  Nothing is kept across calls.  Each iterate is
     the one iterate() gives from the iterate before, up to rounding: the
-    ladder takes the correction step (``_iterate_core``), iterate() the
-    direct one.
+    ladder corrects the iterate before raised to degree n
+    (``_iterate_core``), iterate() the raised seed.
     """
     N = options.degree
     m = problem.m

@@ -146,23 +146,71 @@ def _power_reference(base, exponent):
 
 
 def exact_route_iterate(problem, previous, n, rule):
-    """Coefficients of the degree-n iterate by the exact route that the
-    float64 Legendre projection replaced: exact Bernstein moments, the
-    exact dual table, v rounded once per entry, then the production band
-    solve."""
-    from bernbvp import bandsolve
+    """Coefficients of the degree-n iterate solved exactly, each rounded
+    once to float64: the outer coefficients from the boundary data
+    (``outer_coefficients_reference``), the exact Bernstein moments of the
+    samples, v from the exact dual table, and the band system solved
+    exactly (``band_solve_reference``), all in Fractions.  Only the
+    samples, f at the float64 derivatives of ``previous``, are rounded."""
     from bernbvp.bernstein import derivative, evaluate
-    from bernbvp.dual import dual_coefficients
-    from bernbvp.solver import _full_coeffs, outer_coefficients
 
     m, k, l = problem.m, problem.k, problem.l
-    left, right = outer_coefficients(problem, n)
+    nu = n - m
+    left, right = outer_coefficients_reference(problem, n)
     derivs = [derivative(previous, r) for r in range(m)]
     moments, _ = exact_moments_reference(
-        lambda xs: problem.rhs_value(xs, [evaluate(d, xs) for d in derivs]), n - m, rule)
-    v = assemble_rhs_reference(n, m, k, l, dual_coefficients(n - m), moments, (left, right))
-    system = bandsolve.assemble_matrix(n, m, k, l)
-    return _full_coeffs(left, right, bandsolve.solve(system, v))
+        lambda xs: problem.rhs_value(xs, [evaluate(d, xs) for d in derivs]), nu, rule)
+    stencil = [(-1) ** (m - h) * math.comb(m, h) for h in range(m + 1)]
+    fixed = [*left, *[0] * (nu + 1), *right[::-1]]
+    mden = math.lcm(*(x.denominator for x in moments))
+    mnum = [x.numerator * (mden // x.denominator) for x in moments]
+    v = []
+    for i, row in enumerate(dual_table(nu)):
+        den = math.lcm(*(c.denominator for c in row))
+        dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
+        v.append(Fraction(dot * math.factorial(nu), den * mden * math.factorial(n))
+                 - sum(a * b for a, b in zip(stencil, fixed[i:i + m + 1])))
+    inner = band_solve_reference(stencil, k, v)
+    return np.array([float(c) for c in (*left, *inner, *right[::-1])])
+
+
+def outer_coefficients_reference(problem, n):
+    """The outer Bernstein coefficients of degree n as exact Fractions of
+    the boundary data, (left, right) as ``solver.outer_coefficients``
+    returns them: y^(i)(0) = n!/(n-i)! sum_h (-1)^(i-h) C(i, h) left[h]
+    and y^(j)(1) = n!/(n-j)! sum_h (-1)^h C(j, h) right[j-h], solved for
+    the last coefficient of each."""
+    left, right = [], []
+    for i, value in enumerate(problem.left_values):
+        left.append(Fraction(value) / math.perm(n, i)
+                    - sum((-1) ** (i - h) * math.comb(i, h) * c for h, c in enumerate(left)))
+    for j, value in enumerate(problem.right_values):
+        right.append((-1) ** j * Fraction(value) / math.perm(n, j)
+                     - sum((-1) ** h * math.comb(j, h) * right[j - h] for h in range(1, j + 1)))
+    return left, right
+
+
+def band_solve_reference(stencil, k, v):
+    """The exact solution p of G p = v, where G's entry (i, j) is
+    stencil[j - i + k] on the band, by Gaussian elimination without
+    pivoting and back substitution in Fractions.  Every leading block of
+    such a G is the stencil matrix of a smaller size, which is not
+    singular, so no pivot is zero."""
+    size, upper = len(v), len(stencil) - 1 - k
+    rows = [{j: Fraction(stencil[j - i + k]) for j in range(max(0, i - k), min(size, i + upper + 1))}
+            for i in range(size)]
+    v = list(v)
+    for p in range(size):
+        for i in range(p + 1, min(size, p + k + 1)):
+            factor = rows[i].pop(p) / rows[p][p]
+            for j, a in rows[p].items():
+                if j > p:
+                    rows[i][j] = rows[i].get(j, 0) - factor * a
+            v[i] -= factor * v[p]
+    x = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        x[i] = (v[i] - sum(a * x[j] for j, a in rows[i].items() if j > i)) / rows[i][i]
+    return x
 
 
 def route_inputs(m, seed):
@@ -229,32 +277,6 @@ def legendre_moments_reference(g, nu, rule):
 def _over_power_of_two(ratios):
     s = max(d.bit_length() for _, d in ratios) - 1
     return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
-
-
-def assemble_rhs_reference(n, m, k, l, duals, moments, outer):
-    """The system right-hand side v in Fraction arithmetic (each table row
-    over its lcm denominator), each entry rounded once by
-    ``float(Fraction)``: the exact route's v, from Bernstein moments
-    (floats or Fractions) and the exact dual table."""
-    nu = n - m
-    left, right = outer
-    fixed = np.zeros(n + 1)
-    fixed[:k] = left
-    fixed[n - l + 1:] = np.asarray(right, dtype=float)[::-1]
-    stencil = [(-1) ** (m - h) * math.comb(m, h) for h in range(m + 1)]
-    mvals = [Fraction(x) for x in moments]
-    mden = math.lcm(*(x.denominator for x in mvals))
-    mnum = [x.numerator * (mden // x.denominator) for x in mvals]
-    v = np.empty(nu + 1)
-    for i, row in enumerate(dual_table(duals.degree)):
-        den = math.lcm(*(c.denominator for c in row))
-        dot = sum(c.numerator * (den // c.denominator) * y for c, y in zip(row, mnum))
-        acc = Fraction(dot * math.factorial(nu), den * mden * math.factorial(n))
-        for h in range(m + 1):
-            if fixed[i + h]:
-                acc -= stencil[h] * Fraction(fixed[i + h])
-        v[i] = float(acc)
-    return v
 
 
 @functools.lru_cache(maxsize=None)

@@ -233,77 +233,64 @@ class TestSolve:
 
 class TestAssembleRhs:
     def test_all_zero_problem(self):
-        # homogeneous boundary data and zero rhs: no work needed
+        # a zero rhs projects to zero: no correction to the base
         duals = dual_coefficients(2)
         moments = [0.0, 0.0, 0.0]
-        v = assemble_rhs(assemble_matrix(4, 2, 1, 1), duals, moments, ([0.0], [0.0]))
+        v = assemble_rhs(assemble_matrix(4, 2, 1, 1), duals, moments)
         assert v.tolist() == [0.0, 0.0, 0.0]
 
     def test_straight_line_hand_case(self):
-        # y'' = 0, y(0)=0, y(1)=1 at n=2: v = [-1], giving p_1 = 1/2
+        # y'' = 0, y(0)=0, y(1)=1 at n=2: the base, the line raised to
+        # degree 2, has inner coefficient 1/2, and v = [0] corrects nothing
         duals = dual_coefficients(0)
         moments = [0.0]
         system = assemble_matrix(2, 2, 1, 1)
-        v = assemble_rhs(system, duals, moments, ([0.0], [1.0]))
-        assert v.tolist() == pytest.approx([-1.0], abs=1e-15)
-        assert solve(system, v).tolist() == pytest.approx([0.5], abs=1e-15)
+        v = assemble_rhs(system, duals, moments)
+        assert v.tolist() == [0.0]
+        assert (0.5 + solve(system, v)).tolist() == [0.5]
 
     def test_parabola_hand_case(self):
-        # y'' = -2 with zero boundary values: v = [-1], w(x) = x(1-x)
+        # y'' = -2 with zero boundary values: v = [-2/2] = [-1], p_1 = 1/2,
+        # w(x) = x(1-x)
         duals = dual_coefficients(0)
         moments = [-2.0]
-        v = assemble_rhs(assemble_matrix(2, 2, 1, 1), duals, moments, ([0.0], [0.0]))
-        assert v.tolist() == pytest.approx([-1.0], abs=1e-15)
+        system = assemble_matrix(2, 2, 1, 1)
+        v = assemble_rhs(system, duals, moments)
+        assert v.tolist() == [-1.0]
+        assert solve(system, v).tolist() == pytest.approx([0.5], abs=1e-15)
 
     def test_dimension_mismatches(self):
         duals = dual_coefficients(2)
         good = [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
-            assemble_rhs(assemble_matrix(5, 2, 1, 1), duals, good, ([0.0], [0.0]))
+            assemble_rhs(assemble_matrix(5, 2, 1, 1), duals, good)
         with pytest.raises(ValueError):
-            assemble_rhs(assemble_matrix(4, 2, 1, 1), duals, good, ([0.0, 1.0], [0.0]))
+            assemble_rhs(assemble_matrix(4, 2, 1, 1), duals, good[:2])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_moments_raise_evaluation_error(self, bad):
+        # a non-finite moment shows as a non-finite v, v's one check
         moments = [0.0, bad, 0.0]
-        with pytest.raises(EvaluationError, match="moments are not finite"):
-            assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), moments,
-                         ([0.0], [0.0]))
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_nonfinite_outer_coefficients_raise_evaluation_error(self, bad):
-        # their exact conversion is their check, before any float product
-        with pytest.raises(EvaluationError, match="outer coefficients are not finite"):
-            assemble_rhs(assemble_matrix(8, 4, 2, 2), dual_coefficients(4), np.zeros(5),
-                         ([1.0, bad], [0.0, 0.0]))
-
-    def test_exact_row_beyond_float64_raises_evaluation_error(self):
-        # the stencil terms of boundary values near the float64 limit: the
-        # exact row's one rounding overflows, which is an evaluation failure
-        # like any other non-finite entry of v
-        with pytest.raises(EvaluationError, match="overflows float64"):
-            assemble_rhs(assemble_matrix(8, 4, 2, 2), dual_coefficients(4), np.zeros(5),
-                         ([1e308, -1e308], [1e308, -1e308]))
+        with pytest.raises(EvaluationError, match="system right-hand side overflows float64"), \
+                np.errstate(invalid="ignore"):
+            assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), moments)
 
     def test_without_outer_coefficients_v_is_the_float_product(self):
-        # the right-hand side of a correction: no stencil terms, no exact
-        # rows, and a non-finite moment shows as a non-finite v
+        # the outer coefficients sit in the solver's base, so v has no
+        # stencil terms on any shape, one-sided ones included
         rng = np.random.default_rng(14)
         for shape in ((12, 4, 2, 2), (12, 4, 4, 0), (12, 4, 0, 4)):
             system, duals = assemble_matrix(*shape), dual_coefficients(8)
             moments = rng.uniform(-1, 1, 9)
             assert bits(assemble_rhs(system, duals, moments)) == bits(
                 duals.legendre @ moments / system.scale)
-        with pytest.raises(EvaluationError, match="overflows float64"), \
-                np.errstate(invalid="ignore"):
-            assemble_rhs(assemble_matrix(4, 2, 1, 1), dual_coefficients(2), [0.0, np.inf, 0.0])
 
     def test_legendre_moments_of_a_polynomial(self):
         # g = x^2 lies in the degree-3 space, so M times its Legendre
-        # moments gives its Bernstein coefficients [0, 0, 1/3, 1]; with
-        # zero outer coefficients v is those over n!/nu! = 20.  Bernstein
-        # moments in their place would give other values for nu >= 1.
+        # moments gives its Bernstein coefficients [0, 0, 1/3, 1], and v is
+        # those over n!/nu! = 20.  Bernstein moments in their place would
+        # give other values for nu >= 1.
         duals = dual_coefficients(3)
         moments, _ = legendre_moments(lambda xs: xs**2, 3, gauss_rule(8))
-        v = assemble_rhs(assemble_matrix(5, 2, 1, 1), duals, moments, ([0.0], [0.0]))
+        v = assemble_rhs(assemble_matrix(5, 2, 1, 1), duals, moments)
         assert v.tolist() == pytest.approx([0.0, 0.0, 1 / 60, 1 / 20], abs=1e-14)

@@ -212,8 +212,15 @@ class TestSolveCommand:
         ({"order": True}, []),
         ({"panels": 2.5}, []),
         ({"panels": 0}, []),
+        ([], []),
+        (0, []),
+        (False, []),
+        ("", []),
+        ([1], []),
+        (1, []),
     ], ids=["order-flag-0", "panels-flag-0", "order-22.5", "order-str", "order-22.0",
-            "order-true", "panels-2.5", "panels-0"])
+            "order-true", "panels-2.5", "panels-0", "quad-empty-list", "quad-0",
+            "quad-false", "quad-empty-str", "quad-list", "quad-1"])
     def test_malformed_quadrature_exits_2(self, tmp_path, capsys, quad, flags):
         spec = tmp_path / "q.json"
         spec.write_text(json.dumps({
@@ -223,6 +230,19 @@ class TestSolveCommand:
                      ["error-curve", "--spec", str(spec)]):
             assert main(argv + ["--degree", "6"] + flags) == 2
             assert capsys.readouterr().err.startswith("error: quadrature ")
+
+    @pytest.mark.parametrize("quad", [None, {"order": None}, {"panels": None}],
+                             ids=["quad-null", "order-null", "panels-null"])
+    def test_null_quadrature_is_the_default(self, tmp_path, quad):
+        # null means the default, as a missing key does
+        doc = {"order": 2, "left": [0.0], "right": [0.0], "rhs": "y1^2 + 1"}
+        outputs = []
+        for name, value in (("default", {}), ("null", quad)):
+            spec, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            spec.write_text(json.dumps({**doc, "quadrature": value}))
+            assert main(["solve", str(spec), "--degree", "6", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("quad,flags", [
         ({"order": 10**9}, []),

@@ -1,9 +1,9 @@
 """Fast forms against their direct reference implementations in
 helpers.py: the Legendre moments against exact ones, the system
-right-hand side v bit for bit, one iterate of the float64 Legendre route
-against the exact route (exact Bernstein moments and dual table) on grid
-values, Bernstein evaluation over arrays against a loop over the points
-bit for bit and against the scalar Horner loop within a bound, the
+right-hand side v bit for bit, one iterate against the iterate solved
+exactly in Fractions on grid values, Bernstein evaluation over arrays
+against a loop over the points bit for bit and against the scalar
+Horner loop within a bound, the
 solver's basis-matrix derivatives against Horner within that bound, the
 split exact residual against the integer one bit for bit, the step's
 matrix-vector products against their @ form bit for bit, and the band
@@ -73,9 +73,8 @@ def test_exact_moments_match_reference_with_nodes_at_the_ends():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_rhs_bit_identical_for_every_shape(m):
-    # the k + l rows of v with boundary stencil terms are the exact value
-    # of M's row times the float moments over n!/nu!, minus the stencil
-    # terms, rounded once; the other rows are the float64 product
+    # every row of v is the float64 product of M's row with the moments
+    # over n!/nu!, bit for bit
     rng = np.random.default_rng(200 + m)
     for k in range(m + 1):
         l = m - k
@@ -83,30 +82,15 @@ def test_rhs_bit_identical_for_every_shape(m):
             n = nu + m
             duals = dual_coefficients(nu)
             moments = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-16, 3, nu + 1)
-            outer = (rng.uniform(-1, 1, k) * 10.0 ** rng.integers(-8, 9, k),
-                     rng.uniform(-1, 1, l) * 10.0 ** rng.integers(-8, 9, l))
-            got = assemble_rhs(assemble_matrix(n, m, k, l), duals, moments, outer)
-            fixed = [Fraction(0)] * (n + 1)
-            fixed[:k] = map(Fraction, outer[0])
-            for j, x in enumerate(outer[1]):
-                fixed[n - j] = Fraction(x)
+            got = assemble_rhs(assemble_matrix(n, m, k, l), duals, moments)
             scale = math.factorial(n) // math.factorial(nu)
-            interior = duals.legendre @ moments / scale
-            for i in range(nu + 1):
-                if k <= i <= nu - l:
-                    assert bits(got[i]) == bits(interior[i]), (k, nu, i)
-                    continue
-                dot = sum(a * Fraction(y) for a, y in zip(duals.legendre_numerators[i], moments))
-                corr = sum((-1) ** (m - h) * math.comb(m, h) * fixed[i + h]
-                           for h in range(m + 1))
-                want = float(dot / (math.comb(nu, i) * scale) - corr)
-                assert bits(got[i]) == bits(want), (k, nu, i)
+            assert bits(got) == bits(duals.legendre @ moments / scale), (k, nu)
 
 
 def route_differences(m, seed):
-    """For every k and nu in (0, random, 58): one iterate by the float64
-    Legendre route against the exact route (exact Bernstein moments and
-    dual table, v rounded once), as max |difference| / (1 + max |w|) on
+    """For every k and nu in (0, random, 58): one iterate by iterate()
+    against the true iterate (``exact_route_iterate``: the same samples,
+    everything after them exact), as max |difference| / (1 + max |w|) on
     the 201-point grid, from the inputs of ``route_inputs``."""
     grid = np.arange(201) / 200
     out = {}
@@ -120,14 +104,14 @@ def route_differences(m, seed):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_legendre_route_matches_exact_route_on_grid_values(m):
-    # Tolerance: over seeds 0..14 the worst difference was 1.3e-9 (seed 9,
-    # m = k = 6, nu = 58), and the two-sided shapes (0 < k < m) stayed
-    # below 4e-13.  The one-sided shapes at nu = 58 are ill-conditioned for
-    # both routes: in that worst case the iterate solved exactly in
-    # Fractions from the exact v differs from the exact route by 3.0e-9
-    # and from the Legendre route by 5.3e-9.
+    # Tolerance: over seeds 0..14 and m = 1..8 the worst difference was
+    # 1.3e-14 (seed 10, m = 8, k = 0, nu = 0), on one-sided and two-sided
+    # shapes alike.  A step that subtracted the stencil terms of the
+    # float64 outer coefficients from v read up to 6.8e-7 here (seeds 0
+    # and 1, m = 8, k = 0, nu = 58): the one-sided stencils' inverse
+    # spreads that rounding inward.
     worst = max(route_differences(m, 0).values())
-    assert worst <= 1e-8
+    assert worst <= 1e-13
 
 
 def horner_bound(q, x):

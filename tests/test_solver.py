@@ -447,13 +447,13 @@ class TestSolve:
 
     def test_overflowing_moments_fail_with_iteration_index(self):
         # every sample is finite, but 3 sum_t w_t g(x_t) P_1(2 x_t - 1) is
-        # about 1.5 * 1.7e308: the moments' exact conversion catches it
+        # about 1.5 * 1.7e308: the moment is inf, and v's check catches it
         p = BVProblem((0.0,), (0.0,), lambda x, y0, y1: math.copysign(1.7e308, x - 0.5))
         with pytest.raises(IterationError) as err:
             iterate(p, BernsteinPoly(np.zeros(4)), 4)
         assert err.value.n == 4
         assert isinstance(err.value.cause, EvaluationError)
-        assert str(err.value.cause) == "moments are not finite"
+        assert str(err.value.cause) == "system right-hand side overflows float64"
 
     def test_overflowing_system_rhs_fails_with_iteration_index(self):
         # g stays finite, but its dual-basis combination v exceeds float64
@@ -537,9 +537,10 @@ class TestSolve:
     @pytest.mark.parametrize("ex_id", range(1, 6))
     def test_ladder_steps_match_the_direct_step(self, ex_id):
         # each step of the ladder solves for its correction to the iterate
-        # before; iterate() from that iterate solves for the whole new one.
-        # In exact arithmetic they agree; on the 201-point grid they differ
-        # by at most 3.5e-12 (example 3, k = 4, l = 0, to N = 40), 6.2e-15
+        # before raised by one degree; iterate() from that iterate, for its
+        # correction to the raised seed.  In exact arithmetic they agree; on
+        # the 201-point grid they differ by at most 5.8e-12 (example 3,
+        # k = 4, l = 0, to N = 40, where the ladder is the one off), 3.9e-15
         # for the others
         problem = example(ex_id).problem
         report = solve(problem, SolveOptions(degree=40))
@@ -554,9 +555,11 @@ class TestSolve:
         # by (1/m) sum exp(w x) over the m-th roots of unity w
         return BVProblem((1.0,) + (0.0,) * (m - 1), (), parse("y0"))
 
-    def roots_of_unity_error(self, m, degree):
-        """Max error of the degree-N solve of y^(m) = y on the 201-point grid."""
-        w = solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree)).solution
+    def roots_of_unity_error(self, m, degree, w=None):
+        """Max error of w, by default the degree-N solve, of y^(m) = y on
+        the 201-point grid."""
+        if w is None:
+            w = solve(self.roots_of_unity_problem(m), SolveOptions(degree=degree)).solution
         x = np.arange(201) / 200
         roots = np.exp(2j * np.pi * np.arange(m) / m)
         exact = (np.exp(np.outer(x, roots)).sum(axis=1) / m).real
@@ -566,7 +569,7 @@ class TestSolve:
     def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
         # the max error of the solve is 2.2e-16, 5.6e-16, 3.3e-16 and
         # 5.6e-16 here.  Its ladder's correction solves stop at the float64
-        # pass; the direct step refines with an exact residual, and above
+        # pass; iterate()'s step refines with an exact residual, and above
         # m = 26 the split residual does not apply, so every step of a
         # chain of iterate() calls takes the integer route once, one degree
         # up from 36 and 59 too, where the one-sided stencils' condition
@@ -586,12 +589,18 @@ class TestSolve:
                                                 (10, 60, 1e-14), (12, 40, 1e-14)])
     def test_ill_conditioned_orders_solve_by_refinement(self, m, degree, bound):
         # the one-sided stencils of these solves reach condition numbers of
-        # 6.6e11, 7.6e12, 7.7e13 and 2.3e13.  The ladder solves each step
-        # for its change, which these condition numbers magnify from a
-        # rounding-sized start only: measured max error 4.4e-16 for each
-        # (6.4e-7, 1.6e-6, 2.4e-7 and 2.1e-9 when every step solved for
-        # the whole iterate, whose exact fixed point these stencils move)
+        # 6.6e11, 7.6e12, 7.7e13 and 2.3e13.  Both the ladder and a chain of
+        # iterate() steps from the seed solve each step for a correction
+        # to a base that carries the outer coefficients, so v subtracts no
+        # stencil terms of rounded ones: measured max error 4.4e-16 for
+        # each, both ways (6.4e-7, 1.6e-6, 2.4e-7 and 2.1e-9 when each step
+        # subtracted them, whose rounding these stencils spread inward)
         assert self.roots_of_unity_error(m, degree) <= bound
+        problem = self.roots_of_unity_problem(m)
+        w = seed(problem)
+        for n in range(m, degree + 1):
+            w = iterate(problem, w, n)
+        assert self.roots_of_unity_error(m, degree, w) <= bound
 
     def test_every_benchmarked_band_solve_refines_once(self, monkeypatch):
         # the five examples to N = 60 and the manufactured specs of the
