@@ -8,10 +8,10 @@ The outputs:
 - y^(m) = y with y(0) = 1 and every other condition 0 at x = 0, solved at
   (m, N) = (30, 36) and (55, 59), likewise: orders above 26, whose
   refinement residual takes the band solver's exact integer route;
-- ``iterate()``, whose step corrects the seed raised to degree n, where
-  ``solve``'s ladder corrects the raised previous iterate: for each
-  example, the step to degree 20 from the degree-19 iterate of a ladder
-  of ``iterate()`` steps from the seed; and for m = 8, every k and
+- ``iterate()``, whose band solve refines with exact residuals where
+  ``solve``'s ladder takes a float64 pass first: for each example, the
+  step to degree 20 from the degree-19 iterate of a ladder of
+  ``iterate()`` steps from the seed; and for m = 8, every k and
   nu = 58, the step of ``tests/test_differential.py``'s route comparison
   from its inputs (``tests/helpers.py``, ``route_inputs``): coefficients;
 - ``bernbvp solve`` on the 16 manufactured specs of each of the benchmark

@@ -22,17 +22,17 @@ minus those products once; higher orders, p beyond the split's grids and
 v so near the float64 limit that fsum overflows take an exact integer
 route.  A non-finite p is returned as it is, for the caller to find.
 
-A correction solve (the solver's ladder, whose v is the right-hand side
-of one step's change) first takes one float64 pass, d = G^-1 (v - G p),
-and returns p + d when d passes the same stop test; only otherwise does
-it refine as above, from the first product on, so a stencil that needs
-the exact residual, or does not contract, meets it as before.
+A solve with ``float_pass`` (the solver's ladder) first takes one
+float64 pass, d = G^-1 (v - G p), and returns p + d when d passes the
+same stop test; only otherwise does it refine as above, from the first
+product on, so a stencil that needs the exact residual, or does not
+contract, meets it as before.
 
 The right-hand side (assemble_rhs) combines Legendre moments with the
 Legendre-to-Bernstein matrix in float64.  The solver fixes the outer
-coefficients in a base and solves for the correction to its inner ones,
-so v has no boundary stencil terms: it is the float64 product alone,
-whose one check is that every entry is finite.
+coefficients in a base, the raised seed, and solves for the correction
+to its inner ones, so v has no boundary stencil terms: it is the float64
+product alone, whose one check is that every entry is finite.
 """
 
 import functools
@@ -140,10 +140,11 @@ def _dyadic(values):
     return [p << (s + 1 - d.bit_length()) for p, d in ratios], s
 
 
-def solve(system, rhs, correction=False):
+def solve(system, rhs, float_pass=False):
     """Solve G p = rhs for the StencilSystem G = ``system``, with its
-    inverse, refined until the correction is at rounding level; with
-    ``correction``, by one float64 refinement pass when that reaches it.
+    inverse, refined with exact residuals until the correction is at
+    rounding level; with ``float_pass``, by one float64 refinement pass
+    when that reaches it.
 
     Each product with the inverse, of rhs and then of each exactly computed
     residual, costs O(size^2); the inverse is formed once per system
@@ -160,19 +161,19 @@ def solve(system, rhs, correction=False):
         raise ValueError(f"rhs must have length {system.size}")
     k, l = system.lower_bw, system.upper_bw
     if k == 0:
-        return _back_substitution(system, rhs, correction)
+        return _back_substitution(system, rhs, float_pass)
     if l == 0:
-        return _forward_substitution(system, rhs, correction)
+        return _forward_substitution(system, rhs, float_pass)
     if k == 1 and l == 1:
-        return _tridiagonal(system, rhs, correction)
-    return _banded_lu(system, rhs, correction)
+        return _tridiagonal(system, rhs, float_pass)
+    return _banded_lu(system, rhs, float_pass)
 
 
-def _banded_lu(system, rhs, correction):
+def _banded_lu(system, rhs, float_pass):
     if system.inverse is None:
         raise SingularSystemError(f"singular system: {system.size} x {system.size}, no inverse")
     p, last = system.inverse.dot(rhs), math.inf
-    if correction and np.count_nonzero(np.isfinite(p)) == p.size:
+    if float_pass and np.count_nonzero(np.isfinite(p)) == p.size:
         # one float64 pass; a non-finite or overflowing norm fails the test
         d = system.inverse.dot(rhs - system.dense.dot(p))
         q = p + d

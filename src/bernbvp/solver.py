@@ -29,26 +29,23 @@ system right-hand side v.  The band solve multiplies by the cached
 inverse of each matrix and refines (``bandsolve.solve``); a report turns
 the kept coefficient arrays into float64 BernsteinPolys when first read.
 
-Each step solves for its correction to a base whose outer coefficients
-are the boundary coefficients of degree n (defect correction), so v has
-no boundary stencil terms, cancels nothing, and is float64 throughout.
-solve's ladder takes w_(n-1) raised to degree n as its base and projects
-the samples less the base's m-th derivative, so v is the size of the
-step's change, and one float64 refinement pass usually ends the band
-solve; on ill-conditioned stencils the condition number magnifies only
-the rounding of the change.  iterate() starts from any previous iterate,
-where the change is not small, so its base is the seed raised to degree
-n, whose m-th derivative is zero and is not evaluated: the samples are
-projected as they are, and the band solve refines with exact residuals.
+Each step solves for its correction to a base, the seed raised to degree
+n with the boundary coefficients of degree n as its outer ones (defect
+correction), so v has no boundary stencil terms, cancels nothing, and is
+float64 throughout.  The base's m-th derivative is zero, so it is not
+evaluated: the samples are projected as they are, whatever the degree of
+the previous iterate.  solve's ladder and iterate() take this one step
+and differ only in the band solve: the ladder tries one float64
+refinement pass first and refines with exact residuals only when that
+pass falls short, while iterate() always refines with exact residuals.
 
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
 orders; the constants of the outer coefficients by (n, k, l)
 (``_outer_terms``); the band system of each shape, with its inverse, by
-``bandsolve.assemble_matrix``; the dual table by its degree; the
-weights that raise an iterate to degree n by n (``_elevation_weights``);
-and the matrix that raises the seed to degree n by (n, k, l)
+``bandsolve.assemble_matrix``; the dual table by its degree; and the
+matrix that raises the seed to degree n by (n, k, l)
 (``_seed_elevation``).  So a warm iteration derives no constant again,
 whatever the degree of the iterate it starts from.
 
@@ -124,8 +121,8 @@ def _rhs_at_nodes(rhs, x, args):
 
 # perfbench/tracing.py wraps these names: _eval_mp, the node evaluator
 # above, to time the derivative arguments (one call per iteration, inside
-# the moment kernel, which samples g) apart from the m-th derivatives
-# outside it (the residual's, and on the ladder the base's too),
+# the moment kernel, which samples g) apart from the m-th derivative
+# outside it (the residual's),
 # _moment_integrals_mp as the moment layer, eval_expr as the expression
 # layer, and dual_coefficients as the per-degree lookup of the Legendre
 # factor.  The iteration calls each through these names.  The "_mp"
@@ -302,25 +299,6 @@ def _full_coeffs(left, right, inner):
     return np.concatenate((left, inner, right[::-1]))
 
 
-# one entry per degree, like dual_coefficients
-@functools.lru_cache(maxsize=128)
-def _elevation_weights(n):
-    """i/n for i = 0..n (read-only)."""
-    t = np.arange(n + 1) / n
-    t.setflags(write=False)
-    return t
-
-
-def _elevated(c, k, l):
-    """Coefficients k..n - l of the polynomial with coefficients c, of
-    degree n - 1, raised to degree n: c_i + (i/n)(c_(i-1) - c_i), with
-    c_(-1) read as c_0 and c_n as c_(n-1), so a constant stays exact."""
-    n = c.size
-    ends = np.concatenate((c[:1], c, c[-1:]))
-    before, this = ends[k:n - l + 1], ends[k + 1:n - l + 2]
-    return this + _elevation_weights(n)[k:n - l + 1] * (before - this)
-
-
 # one entry per shape (n, k, l), like _outer_terms
 @functools.lru_cache(maxsize=1024)
 def _seed_elevation(n, k, l):
@@ -334,37 +312,31 @@ def _seed_elevation(n, k, l):
     return e
 
 
-def _iterate_core(problem, prev, n, rule, rhs, correction=False):
+def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     """One step to degree n from the coefficients prev of the previous
-    iterate; returns (coefficients, L2 residual).
+    iterate, of any degree from m - 1 up, with start the seed's
+    coefficients; returns (coefficients, L2 residual).
 
-    Both steps solve for the correction to the inner coefficients of a
-    base whose outer coefficients are those of degree n, so v has no
-    boundary stencil terms and is the float64 product alone
-    (``bandsolve.assemble_rhs``).  iterate()'s step (``correction``
-    false) takes prev of any degree; its base is the seed raised to
-    degree n (``_seed_elevation``), whose m-th derivative is zero, so the
-    samples of the right-hand side are projected as they are, and the band
-    solve refines with exact residuals.  solve's ladder (``correction``)
-    needs prev of degree n - 1: its base is prev raised to degree n, whose
-    m-th derivative (one ``_eval_mp`` call, outside the moment kernel) is
-    subtracted from the samples, so the moments, v and the solution are
-    the size of one step's change, solved with a float64 refinement pass
-    (``bandsolve.solve`` with correction).  It holds its digits near the
-    fixed point, where the change is small.  The two bases give the same
-    iterate in exact arithmetic whenever the rule integrates polynomials
-    of degree 2(n - m) exactly, as every default rule does.
+    The step solves for the correction to the inner coefficients of a base,
+    the seed raised to degree n (``_seed_elevation``) with the outer
+    coefficients of degree n, so v has no boundary stencil terms and is
+    the float64 product alone (``bandsolve.assemble_rhs``).  The base's
+    m-th derivative is zero, so it is not evaluated: the samples of the
+    right-hand side are projected as they are, and the L2 residual comes
+    from the correction alone.  With ``float_pass``, as solve's ladder
+    steps, the band solve tries one float64 refinement pass before it
+    refines with exact residuals (``bandsolve.solve``); iterate()'s step
+    refines with exact residuals only.
 
     rhs is the right-hand side from ``_compiled_rhs``, an expression or a
     callable alike.  The step runs under the caller's np.errstate, which
     solve and iterate enter once per call, ignoring overflow and invalid
     operations.  Each value is checked once, by the layer that makes it:
     the outer coefficients (``_outer``), the samples of the right-hand
-    side, less the base's derivative (``legendre_moments``), v
-    (``bandsolve.assemble_rhs``), the band solve's first product
-    (``bandsolve.solve``), and here the new inner coefficients and the L2
-    residual.  Every numerical failure (EvaluationError,
-    SingularSystemError) leaves here as the cause of an
+    side (``legendre_moments``), v (``bandsolve.assemble_rhs``), the band
+    solve's first product (``bandsolve.solve``), and here the new inner
+    coefficients and the L2 residual.  Every numerical failure
+    (EvaluationError, SingularSystemError) leaves here as the cause of an
     IterationError(n, cause).
     """
     m, k, l = problem.m, problem.k, problem.l
@@ -373,29 +345,22 @@ def _iterate_core(problem, prev, n, rule, rhs, correction=False):
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
-        values = eval_expr(rhs, x, _eval_mp(prev, derivs))
-        return values - base_m if correction else values
+        return eval_expr(rhs, x, _eval_mp(prev, derivs))
 
     try:
         left, right = _outer(problem, _outer_terms(n, k, l))
-        if correction:
-            base = _elevated(prev, k, l)
-            [base_m] = _eval_mp(_full_coeffs(left, right, base), residual)
-        else:
-            base = _seed_elevation(n, k, l).dot(_seed_coeffs(problem))
         moments, gvals = _moment_integrals_mp(g, n - m, rule)
         system = bandsolve.assemble_matrix(n, m, k, l)
         v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments)
-        # (base + step)^(m) - g = step^(m) - (g - base_m), base_m = 0 for
-        # the raised seed: the residual from the correction's coefficients
         step = np.zeros(n + 1)
-        step[k:n - l + 1] = bandsolve.solve(system, v, correction)
-        inner = base + step[k:n - l + 1]
+        step[k:n - l + 1] = bandsolve.solve(system, v, float_pass)
+        inner = _seed_elevation(n, k, l).dot(start) + step[k:n - l + 1]
         if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
         coeffs = _full_coeffs(left, right, inner)
 
-        # L2 residual of the new iterate against the frozen right-hand side
+        # L2 residual of the new iterate against the frozen right-hand
+        # side: (base + step)^(m) - g = step^(m) - g
         [deriv_m] = _eval_mp(step, residual)
         try:
             res2 = math.fsum((rule.weights * (deriv_m - gvals) ** 2).tolist())
@@ -446,9 +411,10 @@ def iterate(problem, previous, n, rule=None):
     The outer coefficients come from the boundary data; the inner ones solve
     the banded Toeplitz system with the right-hand side frozen at
     ``previous``, as the correction to the seed raised to degree n, with
-    exact refinement (``_iterate_core``), which holds its digits from any
-    previous iterate.  Numerical failures carry the iteration index,
-    and warn nothing.  An expression rhs is compiled per call.
+    exact refinement (``_iterate_core``), which keeps the step at the one
+    solved exactly from the same samples, to rounding.  Numerical failures,
+    the seed's too, carry the iteration index, and warn nothing.  An
+    expression rhs is compiled per call.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -456,8 +422,13 @@ def iterate(problem, previous, n, rule=None):
         raise ValueError(f"previous iterate has degree {previous.degree} < m - 1")
     if rule is None:
         rule = _default_rule(n, SolveOptions(degree=n))
+    try:
+        start = _seed_coeffs(problem)
+    except EvaluationError as exc:
+        raise IterationError(n, exc) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, _ = _iterate_core(problem, previous.coeffs, n, rule, _compiled_rhs(problem))
+        coeffs, _ = _iterate_core(problem, start, previous.coeffs, n, rule,
+                                  _compiled_rhs(problem))
     return BernsteinPoly(coeffs)
 
 
@@ -473,22 +444,22 @@ def solve(problem, options):
     iterations run under one np.errstate, entered once per call, and a
     numerical failure leaves as IterationError(n, cause), the seed's as
     n = m - 1 (``seed``).  Nothing is kept across calls.  Each iterate is
-    the one iterate() gives from the iterate before, up to rounding: the
-    ladder corrects the iterate before raised to degree n
-    (``_iterate_core``), iterate() the raised seed.
+    the one iterate() gives from the iterate before, up to the band solve's
+    refinement: the ladder's takes one float64 pass first
+    (``_iterate_core``).
     """
     N = options.degree
     m = problem.m
     if N < m:
         raise ValueError(f"target degree {N} below equation order {m}")
 
-    coeffs = seed(problem).coeffs
+    start = coeffs = seed(problem).coeffs
     previous, residuals = [], []
     rhs = _compiled_rhs(problem)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(m, N + 1):
             previous.append(coeffs)
             rule = _default_rule(n, options)
-            coeffs, res = _iterate_core(problem, coeffs, n, rule, rhs, correction=True)
+            coeffs, res = _iterate_core(problem, start, coeffs, n, rule, rhs, float_pass=True)
             residuals.append(res)
     return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))

@@ -181,7 +181,7 @@ class TestSolve:
         assert np.abs(s.dense @ p - 1.0).max() <= 1e-12 * np.abs(p).max()
 
     def test_correction_solve_of_a_well_conditioned_stencil_is_float64(self, monkeypatch):
-        # a correction solve's one float64 refinement pass reaches rounding
+        # with float_pass, one float64 refinement pass reaches rounding
         # level on these stencils, so no exact residual is taken
         def exact_residual(*args):
             raise AssertionError("exact residual taken")
@@ -191,27 +191,28 @@ class TestSolve:
         for shape in ((20, 4, 2, 2), (40, 2, 1, 1), (30, 1, 0, 1), (40, 3, 1, 2)):
             system = assemble_matrix(*shape)
             v = rng.uniform(-1, 1, system.size) * 1e-9
-            p = solve(system, v, correction=True)
+            p = solve(system, v, float_pass=True)
             first = system.inverse @ v
             assert bits(p) == bits(first + system.inverse @ (v - system.dense @ first)), shape
 
     def test_correction_solve_beyond_the_float64_pass_is_the_default_solve(self):
         # where the float64 pass stops short of rounding level (the
         # one-sided order-10 stencil at n = 50, condition number 1.1e13) or
-        # its norms leave float64, the correction solve refines with exact
-        # residuals from the first product on, as the default solve does
+        # its norms leave float64, the solve with float_pass refines with
+        # exact residuals from the first product on, as the default solve
+        # does
         rng = np.random.default_rng(13)
         s = assemble_matrix(50, 10, 10, 0)
         near_limit = assemble_matrix(40, 1, 1, 0)
         big = rng.uniform(-1, 1, near_limit.size) * 1e290
         big[0] = 1.7e308
         for system, v in ((s, np.ones(41)), (s, rng.uniform(-1, 1, 41)), (near_limit, big)):
-            assert bits(solve(system, v, correction=True)) == bits(solve(system, v))
+            assert bits(solve(system, v, float_pass=True)) == bits(solve(system, v))
 
     def test_correction_solve_refuses_what_does_not_contract(self):
         rng = np.random.default_rng(5)
         with pytest.raises(SingularSystemError, match="does not contract"):
-            solve(assemble_matrix(60, 30, 15, 15), rng.standard_normal(31), correction=True)
+            solve(assemble_matrix(60, 30, 15, 15), rng.standard_normal(31), float_pass=True)
 
     def test_failed_inverse_raises_singular_system(self, monkeypatch):
         # no stencil of the CLI's range makes numpy's inverse fail, but one

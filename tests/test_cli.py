@@ -293,15 +293,15 @@ class TestSolveCommand:
 
     def test_ill_conditioned_stencil_exits_3(self, tmp_path, capsys):
         # the band guard on a real stencil: within the degree cap, the
-        # refinement of the one-sided order-16 stencil stops contracting
-        # at n = 57
+        # refinement of the one-sided order-20 stencil stops contracting
+        # at n = 56 (order 16 solves to N = 60)
         spec = tmp_path / "s.json"
-        spec.write_text(json.dumps({"order": 16, "left": [1.0] + [0.0] * 15, "rhs": "y0"}))
+        spec.write_text(json.dumps({"order": 20, "left": [1.0] + [0.0] * 19, "rhs": "y0"}))
         assert main(["solve", str(spec), "--degree", "60",
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: iteration n=57 failed: singular system")
-        assert "does not contract" in err and "Traceback" not in err
+        assert err.startswith("numerical failure: iteration n=56 failed: singular system")
+        assert "band (20, 0), size 37, does not contract" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spec,n", [
@@ -324,8 +324,7 @@ class TestSolveCommand:
 
     def test_boundary_value_near_the_float64_limit_solves(self, tmp_path):
         # y' = 0 with y(0) = 1.7e308: the inner coefficients are that value
-        # too, too large for the refinement's split grids, so its exact
-        # residual takes the integer route
+        # too, carried exactly by the raised seed, whose correction is zero
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"order": 1, "left": [1.7e308], "rhs": "0"}))
         assert main(["solve", str(path), "--degree", "8", "--out", str(tmp_path / "o")]) == 0
@@ -333,7 +332,7 @@ class TestSolveCommand:
 
     def test_nonfinite_band_solve_exits_3(self, ex1_spec, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(bandsolve, "solve",
-                            lambda system, v, correction=False: np.full(system.size, np.inf))
+                            lambda system, v, float_pass=False: np.full(system.size, np.inf))
         assert main(["solve", str(ex1_spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(
