@@ -6,14 +6,18 @@ The outputs:
 - the five built-in examples solved to N = 20, 40 and 60: coefficients and
   residuals as float64 bytes;
 - y^(m) = y with y(0) = 1 and every other condition 0 at x = 0, solved at
-  (m, N) = (30, 36) and (55, 59), likewise: orders above 26, whose
-  refinement residual takes the band solver's exact integer route;
+  (m, N) = (30, 36) and (55, 59), likewise: high orders whose band solves
+  the ladder's float64 pass ends (the names of these outputs, kept so
+  that digests compare across commits, still say "integer-route");
 - ``iterate()``, whose band solve refines with exact residuals where
   ``solve``'s ladder takes a float64 pass first: for each example, the
   step to degree 20 from the degree-19 iterate of a ladder of
-  ``iterate()`` steps from the seed; and for m = 8, every k and
-  nu = 58, the step of ``tests/test_differential.py``'s route comparison
-  from its inputs (``tests/helpers.py``, ``route_inputs``): coefficients;
+  ``iterate()`` steps from the seed; for m = 8, every k and nu = 58, the
+  step of ``tests/test_differential.py``'s route comparison from its
+  inputs (``tests/helpers.py``, ``route_inputs``); and the same y^(m) = y
+  by a chain of ``iterate()`` steps from the seed at (m, N) = (16, 60) and
+  (30, 37), whose steps refine with the exact residual (164 and 8 of
+  them): coefficients;
 - ``bernbvp solve`` on the 16 manufactured specs of each of the benchmark
   seeds 1-3 (``perfbench/specgen.py``), at the degree the specs-mixed
   workload uses: the coefficient files;
@@ -63,7 +67,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_DEGREES = (20, 40, 60)
 SPEC_SEEDS = (1, 2, 3)
 CURVE_DEGREES = (20, 60)
-INTEGER_ROUTE = ((30, 36), (55, 59))
+HIGH_ORDERS = ((30, 36), (55, 59))
+ITERATE_CHAINS = ((16, 60), (30, 37))
 DIRECT_DEGREE = 20
 ROUTE_ORDER = 8
 
@@ -109,8 +114,11 @@ def outputs(tmp):
             report = solve(example(ex_id).problem, SolveOptions(degree=n))
             data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
             yield f"example{ex_id}-n{n}", data, on_grid(report.solution.coeffs)
-    for m, n in INTEGER_ROUTE:
-        problem = BVProblem((1.0,) + (0.0,) * (m - 1), (), parse_expression("y0"))
+    def roots_of_unity_problem(m):
+        return BVProblem((1.0,) + (0.0,) * (m - 1), (), parse_expression("y0"))
+
+    for m, n in HIGH_ORDERS:
+        problem = roots_of_unity_problem(m)
         report = solve(problem, SolveOptions(degree=n))
         data = report.solution.coeffs.tobytes() + report.residuals.tobytes()
         yield f"integer-route-m{m}-n{n}", data, on_grid(report.solution.coeffs)
@@ -124,6 +132,12 @@ def outputs(tmp):
         if nu == 58:
             w = iterate(problem, prev, nu + ROUTE_ORDER, rule)
             yield f"iterate-route-m{ROUTE_ORDER}-k{k}-nu{nu}", w.coeffs.tobytes(), on_grid(w.coeffs)
+    for m, n in ITERATE_CHAINS:
+        problem = roots_of_unity_problem(m)
+        w = seed(problem)
+        for d in range(m, n + 1):
+            w = iterate(problem, w, d)
+        yield f"iterate-chain-m{m}-n{n}", w.coeffs.tobytes(), on_grid(w.coeffs)
     for seed in SPEC_SEEDS:
         specs = specgen.generate(seed)
         paths = specgen.write_specs(specs, os.path.join(tmp, f"seed{seed}"))

@@ -5,22 +5,19 @@ couples the inner coefficients: entry (i, j) of the matrix G is
 (-1)^(l-d) C(m, d+k) for d = j - i in -k..l, and zero outside that band.
 ``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
 LRU of 1024 entries, the one cache of this module: the stencil as exact
-integers, the encoding of the band that the exact residual uses; the
-dense matrix and its inverse, formed once from it in float64 (its
-binomials are exact there up to m = 56); and the scale that assemble_rhs
-needs.  A solve to degree N uses N - m + 1 shapes; an examples-n40 pass
-uses 190, about 1.5 MB together.
+integers; the dense matrix and its inverse, formed once from it in
+float64 (its binomials are exact there up to m = 56); and the scale that
+assemble_rhs needs.  A solve to degree N uses N - m + 1 shapes; an
+examples-n40 pass uses 190, about 1.5 MB together.
 
 A solve is one product with the inverse, refined until the correction d
 is at rounding level, |d|^2 <= eps |p|^2; a correction that does not
 halve the one before makes the system singular.  Each step rounds the
 exact residual v - G p once (p and v are float64, so dyadic rationals)
-and adds the correction that the same inverse gives.  The stencil's
-entries sum to 2^m in magnitude, so for m <= 26 p splits into parts
-whose products with G are exact, and ``math.fsum`` rounds each row of v
-minus those products once; higher orders, p beyond the split's grids and
-v so near the float64 limit that fsum overflows take an exact integer
-route.  A non-finite p is returned as it is, for the caller to find.
+and adds the correction that the same inverse gives.  The residual takes
+one route for every order: v and p as integers over one power of two,
+and G p as the m-th forward difference of p, which is the stencil's
+product.  A non-finite p is returned as it is, for the caller to find.
 
 A solve with ``float_pass`` (the solver's ladder) first takes one
 float64 pass, d = G^-1 (v - G p), and returns p + d when d passes the
@@ -39,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import mul
+from operator import sub
 
 import numpy as np
 
@@ -179,8 +176,8 @@ def _banded_lu(system, rhs, float_pass):
         q = p + d
         if math.hypot(*d.tolist()) <= _ROUNDING * math.hypot(*q.tolist()) < math.inf:
             return q
-    # a non-finite rhs shows in p (each entry takes all of rhs), returned as
-    # it is: _split would not end on it.  math.hypot scales: no norm overflows
+    # a non-finite rhs shows in p, returned as it is: the exact residual
+    # takes finite floats only.  math.hypot scales: no norm overflows
     while np.count_nonzero(np.isfinite(p)) == p.size:
         d = system.inverse.dot(_residual(system, rhs, p))
         p, norm = p + d, math.hypot(*d.tolist())
@@ -194,65 +191,18 @@ def _banded_lu(system, rhs, float_pass):
 
 
 def _residual(system, v, p):
-    """v - G p, exact on the float64 entries, rounded once per entry.
-
-    The stencil's entries sum to 2^m in magnitude, so for m <= 26 p splits
-    into vectors that sum to -p and whose products with G are exact
-    (``_split``), and ``math.fsum`` rounds each v_i plus those products
-    once.  Higher orders, p too large for the grids, and v so near the
-    float64 limit that a partial sum of fsum overflows take the integer
-    route (``_integer_residual``): both round the same exact values.
-    """
-    m = system.lower_bw + system.upper_bw
-    parts = _split(p, m) if m <= 26 else None
-    vals = v.tolist()
-    if parts is not None:
-        products = [system.dense.dot(part).tolist() for part in parts]
-        try:
-            return list(map(math.fsum, zip(vals, *products)))
-        except OverflowError:
-            pass
-    return _integer_residual(system, vals, p.tolist())
-
-
-def _split(p, bits):
-    """Vectors that sum to -p exactly, or None if p is beyond
-    2^(1000 - bits).
-
-    Each vector is the ExtractVector step of Rump, Ogita and Oishi
-    ("Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
-    2008) on -p, taken from p without negating it: sigma - rest rounds as
-    sigma + (-rest) does.  For sigma = 2^e >= 2^bits max|rest|,
-    (sigma - rest) - sigma holds multiples of 2^(e-53) of size at most
-    2^(e-bits) and leaves at most 2^(e-53) for the next vector.  Its
-    products with integer stencils of sum |d| <= 2^bits, and all their
-    partial sums, are multiples of 2^(e-53) of size at most 2^e, so exact
-    in any order of summation, with fused multiply-adds or not.
-    """
-    e = math.frexp(np.abs(p).max())[1] + bits  # sigma = 2^e
-    if e > 1000:
-        return None
-    parts, rest, sigma = [], p, math.ldexp(1.0, e)
-    while np.count_nonzero(rest):
-        parts.append((sigma - rest) - sigma)
-        rest = rest + parts[-1]
-        sigma *= 2.0 ** (bits - 53)
-    return parts
-
-
-def _integer_residual(system, v, p):
-    """v - G p as exact integers over a common power of two, with G's
-    integer stencil, each entry rounded once by the true division; v and p
-    are sequences of finite floats."""
+    """v - G p, exact on the float64 entries v and p (finite), rounded
+    once per entry: v and p as integers over one power of two
+    (``_dyadic``), G p as the m-th forward difference of p with k zeros
+    before it and l after (the stencil's product), each entry rounded by
+    the true division."""
     k, l = system.lower_bw, system.upper_bw
-    pnum, ps = _dyadic(p)
-    vnum, vs = _dyadic(v)
-    e = max(vs, ps)
-    sv, sp, den = e - vs, e - ps, 1 << e
-    pnum = [0] * k + pnum + [0] * l  # row i meets pnum[i:i + k + l + 1]
-    w = k + l + 1
-    return [((x << sv) - (sum(map(mul, system.stencil, pnum[i:i + w])) << sp)) / den
-            for i, x in enumerate(vnum)]
+    ints, s = _dyadic(v.tolist() + p.tolist())
+    diff = [0] * k + ints[v.size:] + [0] * l
+    for _ in range(k + l):
+        diff = list(map(sub, diff[1:], diff[:-1]))
+    den = 1 << s
+    return [(x - y) / den for x, y in zip(ints, diff)]
 
 
 # perfbench/tracing.py counts solves by these four names, one per band

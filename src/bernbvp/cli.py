@@ -31,8 +31,8 @@ from .solver import BVProblem, SolveOptions, solve
 _EXAMPLE_IDS = (1, 2, 3, 4, 5)
 
 # highest degree the commands accept: beyond it the float64 route loses
-# digits fast (example 1 reads 1.2e-15 at N = 60, 2.9e-13 at N = 70 and
-# 1.7e+00 at N = 80)
+# digits fast (example 1 reads 4.3e-15 at N = 60, 6.8e-13 at N = 70 and
+# 5.3e-02 at N = 80)
 MAX_DEGREE = 60
 # largest Gauss rule the commands build: leggauss takes order^2 memory, and
 # every iteration evaluates the basis at order * panels nodes

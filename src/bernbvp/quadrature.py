@@ -125,7 +125,7 @@ def legendre_moments(g, nu, rule):
     EvaluationError names the first node where a sample is not finite.
     The moments themselves are not checked here; a product that
     overflows is inf or nan, for the caller to find
-    (``bandsolve.assemble_rhs`` does, by their exact conversion or in v).
+    (``bandsolve.assemble_rhs`` does, in v).
     """
     gvals = np.asarray(g(rule.nodes), dtype=float)
     if np.count_nonzero(np.isfinite(gvals)) != gvals.size:

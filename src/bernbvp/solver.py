@@ -360,17 +360,22 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
         coeffs = _full_coeffs(left, right, inner)
 
         # L2 residual of the new iterate against the frozen right-hand
-        # side: (base + step)^(m) - g = step^(m) - g
+        # side: (base + step)^(m) - g = step^(m) - g.  Where the squares
+        # of a finite r overflow, r is scaled by 2^-e (exactly) first
         [deriv_m] = _eval_mp(step, residual)
+        r, e = deriv_m - gvals, 0
         try:
-            res2 = math.fsum((rule.weights * (deriv_m - gvals) ** 2).tolist())
+            res2 = math.fsum((rule.weights * r ** 2).tolist())
         except OverflowError:
             res2 = math.inf
+        if not math.isfinite(res2) and np.count_nonzero(np.isfinite(r)) == r.size:
+            e = math.frexp(np.abs(r).max())[1]
+            res2 = math.fsum((rule.weights * np.ldexp(r, -e) ** 2).tolist())
         if not math.isfinite(res2):
             raise EvaluationError("L2 residual is not finite in float64")
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
-    return coeffs, math.sqrt(res2)
+    return coeffs, math.ldexp(math.sqrt(res2), e)
 
 
 def _default_rule(n, options):

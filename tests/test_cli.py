@@ -283,13 +283,25 @@ class TestSolveCommand:
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_residual_exits_3(self, tmp_path, capsys):
-        # v and the band solve stay finite, but (w'' - f)^2 overflows
+        # v and the band solve stay finite, but w'' - f overflows near
+        # x = 1 (a finite w'' - f whose squares overflow solves)
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({
-            "order": 2, "left": [0.0], "right": [0.0], "rhs": "1e160*sin(1000*x)"}))
+            "order": 2, "left": [0.0], "right": [0.0], "rhs": "1e308*(1 - 2*x^16)"}))
         assert main(["solve", str(spec), "--degree", "4",
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: iteration n=2 failed: ")
+
+    def test_a_solution_near_1e160_solves(self, tmp_path, capsys):
+        # its pointwise residual squared leaves float64, its L2 residual
+        # does not; eval at 1/2 meets 1e160 sinh(1/2) / sinh(1)
+        spec, out = tmp_path / "s.json", tmp_path / "o.json"
+        spec.write_text(json.dumps({"order": 2, "left": [1e160], "right": [0.0], "rhs": "y0"}))
+        assert main(["solve", str(spec), "--degree", "20", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--coeffs", str(out), "--at", "0.5"]) == 0
+        exact = 1e160 * math.sinh(0.5) / math.sinh(1)
+        assert abs(float(capsys.readouterr().out) - exact) <= 1e-12 * exact
 
     def test_ill_conditioned_stencil_exits_3(self, tmp_path, capsys):
         # the band guard on a real stencil: within the degree cap, the

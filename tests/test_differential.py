@@ -5,11 +5,12 @@ exactly in Fractions on grid values, Bernstein evaluation over arrays
 against a loop over the points bit for bit and against the scalar
 Horner loop within a bound, the
 solver's basis-matrix derivatives against Horner within that bound, the
-split exact residual against the integer one bit for bit, the step's
-matrix-vector products against their @ form bit for bit, and the band
-solve of every stencil shape against its residual bound."""
+band solve's exact residual against one in Fractions bit for bit, the
+step's matrix-vector products against their @ form bit for bit, and the
+band solve of every stencil shape against its residual bound."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -211,64 +212,62 @@ def factor_and_apply(system, v):
     return system.inverse @ v
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_split_residual_matches_integer_route(m, monkeypatch):
-    # the refinement step's residual v - G p: p split on shared grids and
-    # each row summed by fsum gives the bits of the exact integer route.
-    # p near a solution (heavy cancellation), p over the whole range the
-    # split serves (tiny and subnormal entries included) and p spanning
-    # more than 300 binades take the split; an entry of p too large for
-    # the grids falls back to the integer route
+def exact_residual(system, v, p):
+    """v - G p in Fractions from the stencil, each entry rounded once by
+    float(); OverflowError where one leaves float64."""
+    padded = [0] * system.lower_bw + list(map(Fraction, p.tolist())) + [0] * system.upper_bw
+    w = len(system.stencil)
+    return [float(Fraction(x) - sum(map(operator.mul, system.stencil, padded[i:i + w])))
+            for i, x in enumerate(v.tolist())]
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 30, 55])
+def test_exact_residual_matches_fractions(m):
+    # the refinement step's residual v - G p, rounded once per entry from
+    # its exact value, for p near a solution (heavy cancellation), p over
+    # 2^-968..2^992 with entries 0 and -0 (and that p times 2^-m, whose
+    # product with G stays below the float64 limit at every order), v at
+    # the float64 limit, single entries of p from 2^1010 down to the least
+    # subnormal, and p spanning more than 300 binades.  Where the exact
+    # residual leaves float64 the residual raises OverflowError too
     rng = np.random.default_rng(3100 + m)
-    integer_route, split = bandsolve._integer_residual, bandsolve._split
-    fallbacks, rows = [], []
+    finite = []
 
-    def counted(system, v, p):
-        fallbacks.append(system.size)
-        return integer_route(system, v, p)
-
-    def counted_split(p, bits):
-        parts = split(p, bits)
-        rows.append(None if parts is None else len(parts))
-        return parts
-
-    monkeypatch.setattr(bandsolve, "_integer_residual", counted)
-    monkeypatch.setattr(bandsolve, "_split", counted_split)
-
-    def check(system, v, p, falls_back):
-        before = len(fallbacks)
-        got = bandsolve._residual(system, v, p)
-        assert bits(got) == bits(integer_route(system, v, p)), (system.stencil, p)
-        assert len(fallbacks) - before == falls_back
+    def check(system, v, p):
+        try:
+            want = exact_residual(system, v, p)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                bandsolve._residual(system, v, p)
+            return
+        assert bits(bandsolve._residual(system, v, p)) == bits(want), (system.stencil, p)
+        finite.append(system.size)
 
     for k in range(m + 1):
         for n in (m, int(rng.integers(m + 1, 60)), 60):
             size = n - m + 1
             matrix = assemble_matrix(n, m, k, m - k)
             near = np.ldexp(rng.uniform(-1, 1, size), rng.integers(-60, 60, size))
-            check(matrix, near, factor_and_apply(matrix, near), 0)
+            check(matrix, near, factor_and_apply(matrix, near))
             v = np.ldexp(rng.uniform(-1, 1, size), rng.integers(-1074, 1000, size))
-            # |p| from 2^-969 to 2^992, some entries 0 or -0
             p = np.ldexp(rng.uniform(0.5, 1, size) * rng.choice((-1, 1), size),
                          rng.integers(-968, 993, size))
             p[rng.random(size) < 0.2] = rng.choice((0.0, -0.0))
-            check(matrix, v, p, 0)
-            # v up to the float64 limit takes the split too: fsum sums it
-            # exactly unless a partial sum overflows
+            check(matrix, v, p)
+            check(matrix, v, np.ldexp(p, -m))
             near_limit = v.copy()
             near_limit[rng.integers(size)] = 1.7e308 * rng.choice((-1, 1))
-            check(matrix, near_limit, p, 0)
-            for extreme, falls_back in ((2.0**1010, 1), (-(2.0**1005), 1),
-                                        (2.0**-1000, 0), (5e-324, 0)):
+            check(matrix, near_limit, p)
+            for extreme in (2.0**1010, -(2.0**1005), 2.0**-1000, 5e-324):
                 q = p.copy()
                 q[rng.integers(size)] = extreme
-                check(matrix, v, q, falls_back)
-            # seven magnitudes 60 binades apart, 2^0 down to 2^-360: each
-            # needs a grid of its own
+                check(matrix, v, q)
+            # seven magnitudes 60 binades apart, 2^0 down to 2^-360
             wide = np.ldexp(rng.uniform(0.5, 1, size) * rng.choice((-1, 1), size),
                             -60 * (np.arange(size) % 7))
-            check(matrix, v, wide, 0)
-            assert rows[-1] >= min(size, 7), rows
+            check(matrix, v, wide)
+    # every shape compares finite residuals, not only overflows
+    assert len(finite) >= 6 * 3 * (m + 1), len(finite)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -465,13 +465,34 @@ class TestSolve:
         assert "overflows float64" in str(err.value.cause)
 
     def test_overflowing_residual_fails_with_iteration_index(self):
-        # v and the band solve stay finite, but (w'' - f)^2 overflows
-        p = BVProblem((0.0,), (0.0,), parse("1e160*sin(1000*x)"))
+        # v and the band solve stay finite, but w'' - f itself overflows at
+        # the nodes near x = 1, where f is near -1e308 and the constant w''
+        # of degree 2 near +0.9e308
+        p = BVProblem((0.0,), (0.0,), parse("1e308*(1 - 2*x^16)"))
         with pytest.raises(IterationError) as err:
             solve(p, SolveOptions(degree=4))
         assert err.value.n == 2
         assert isinstance(err.value.cause, EvaluationError)
         assert "L2 residual" in str(err.value.cause)
+
+    @pytest.mark.parametrize("ex_id", [None, 2, 4])
+    def test_boundary_data_times_2_600_scale_every_output_exactly(self, ex_id):
+        # linear homogeneous operators (y'' = y and those of examples 2 and
+        # 4): boundary data times 2^600 scale every float64 operation of a
+        # step by 2^600 exactly, so the coefficients and the L2 residuals,
+        # whose squares leave float64, are 2^600 times the unit problem's,
+        # through solve and through a chain of iterate() steps
+        unit = BVProblem((1.0,), (0.0,), parse("y0")) if ex_id is None else example(ex_id).problem
+        scaled = BVProblem(tuple(np.ldexp(unit.left_values, 600).tolist()),
+                           tuple(np.ldexp(unit.right_values, 600).tolist()), unit.rhs)
+        want, got = solve(unit, SolveOptions(degree=20)), solve(scaled, SolveOptions(degree=20))
+        assert np.array_equal(got.solution.coeffs, np.ldexp(want.solution.coeffs, 600))
+        assert np.array_equal(got.residuals, np.ldexp(want.residuals, 600))
+        assert got.residuals.max() > 2.0**512  # its square leaves float64
+        w, v = seed(unit), seed(scaled)
+        for n in range(unit.m, 21):
+            w, v = iterate(unit, w, n), iterate(scaled, v, n)
+            assert np.array_equal(v.coeffs, np.ldexp(w.coeffs, 600)), n
 
     def test_nonfinite_band_solve_fails_with_iteration_index(self, monkeypatch):
         # the iteration works on coefficient arrays, so nothing else checks
@@ -584,16 +605,14 @@ class TestSolve:
     def test_high_order_refines_by_the_integer_route(self, m, degree, monkeypatch):
         # the max error of the solve is 2.2e-16, 5.6e-16, 3.3e-16 and
         # 5.6e-16 here.  The ladder's band solves stop at the float64
-        # pass; iterate()'s step refines with an exact residual, and above
-        # m = 26 the split residual does not apply, so every step of a
-        # chain of iterate() calls takes the integer route once, one degree
-        # up from 36 and 59 too, where the one-sided stencils' condition
-        # numbers pass 2e13
+        # pass; iterate()'s step refines with the exact (integer)
+        # residual, so every step of a chain of iterate() calls takes it
+        # once, one degree up from 36 and 59 too, where the one-sided
+        # stencils' condition numbers pass 2e13
         assert self.roots_of_unity_error(m, degree) <= 1e-13
         calls = []
-        integer_route = bandsolve._integer_residual
-        monkeypatch.setattr(bandsolve, "_integer_residual",
-                            lambda *a: calls.append(1) or integer_route(*a))
+        exact = bandsolve._residual
+        monkeypatch.setattr(bandsolve, "_residual", lambda *a: calls.append(1) or exact(*a))
         problem = self.roots_of_unity_problem(m)
         w = seed(problem)
         for n in range(m, degree + 1):
