@@ -25,7 +25,7 @@ import sys
 from .bernstein import BernsteinPoly, evaluate as eval_poly
 from .errors import EvaluationError, ExpressionSyntaxError, IterationError
 from .expressions import evaluate as eval_expr, max_arg_index, parse as parse_expr
-from .problems import ReferenceSolution, error_curve, example, max_error
+from .problems import FIXTURE_GRID_M, ReferenceSolution, error_curve, example, max_error
 from .solver import BVProblem, SolveOptions, solve
 
 _EXAMPLE_IDS = (1, 2, 3, 4, 5)
@@ -53,17 +53,10 @@ def _fmt(v):
 def load_problem_spec(path):
     """Parse and validate a problem spec file; returns (problem, reference,
     quadrature dict), the reference None when the spec has no exact key."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError also covers undecodable bytes and integers of more
-        # digits than int() converts; RecursionError, nesting too deep
-        raise SpecError(f"spec is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "cannot read spec file", "spec is not valid JSON")
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
+    _check_keys(doc, ("order", "left", "right", "rhs", "exact", "quadrature"), "spec")
     try:
         order, rhs_source = doc["order"], doc["rhs"]
     except KeyError as exc:
@@ -94,11 +87,33 @@ def load_problem_spec(path):
         quad = {}
     elif not isinstance(quad, dict):
         raise SpecError("quadrature must be an object with order/panels")
+    _check_keys(quad, ("order", "panels"), "quadrature")
     try:
         problem = BVProblem(tuple(left), tuple(right), rhs)
     except (ValueError, OverflowError) as exc:
         raise SpecError(str(exc)) from exc
     return problem, reference, quad
+
+
+def _read_json(path, unreadable, invalid):
+    """The JSON document in the file at path.  SpecError with the prefix
+    unreadable if the file cannot be read, and invalid if it is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"{unreadable}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers undecodable bytes and integers of more
+        # digits than int() converts; RecursionError, nesting too deep
+        raise SpecError(f"{invalid}: {exc}") from exc
+
+
+def _check_keys(doc, allowed, where):
+    """SpecError naming the least key of doc outside allowed, if any."""
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise SpecError(f"unknown {where} key {min(unknown)!r}")
 
 
 def _parse_source(source, key):
@@ -122,7 +137,7 @@ def _make_options(args, quad, m):
     order = args.quad_order if args.quad_order is not None else quad.get("order")
     panels = args.quad_panels if args.quad_panels is not None else quad.get("panels")
     if panels is None:
-        panels = 2
+        panels = SolveOptions.quad_panels
     if order is not None and not _is_count(order):
         raise SpecError(f"quadrature order must be an integer >= 1, got {order!r}")
     if not _is_count(panels):
@@ -187,7 +202,7 @@ def cmd_solve(args):
     print(f"degree {report.solution.degree}, "
           f"final residual {_fmt(report.residuals[-1])}")
     if reference is not None:
-        err = max_error(error_curve(report.solution, reference, 200))
+        err = max_error(error_curve(report.solution, reference, FIXTURE_GRID_M))
         print(f"max error E_{report.solution.degree} = {_fmt(err)}")
     return _emit(_coefficient_document(report, options), args.out, "coefficients")
 
@@ -217,7 +232,7 @@ def cmd_table(args):
         report = solve(ex.problem, SolveOptions(degree=hi))
         for n in range(max(lo, m), hi + 1):
             w = report.iterates[n - (m - 1)]
-            cells[n] = max_error(error_curve(w, ex.reference, 200))
+            cells[n] = max_error(error_curve(w, ex.reference, FIXTURE_GRID_M))
     lines = ["n," + ",".join(f"example{i}" for i in ids)]
     for n in range(lo, hi + 1):
         row = [str(n)]
@@ -256,11 +271,7 @@ def cmd_error_curve(args):
 
 
 def cmd_eval(args):
-    try:
-        with open(args.coeffs) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SpecError(f"cannot read coefficient file: {exc}") from exc
+    doc = _read_json(args.coeffs, "cannot read coefficient file", "cannot read coefficient file")
     if not isinstance(doc, dict) or type(doc.get("degree")) is not int:
         raise SpecError("coefficient file must be an object with an integer degree")
     if doc["degree"] > MAX_DEGREE:
@@ -307,7 +318,7 @@ def build_parser():
     p.add_argument("--example", type=int, default=None, help="built-in example id")
     p.add_argument("--spec", default=None, help="problem spec with an exact solution")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--grid", type=int, default=200, help="grid parameter M")
+    p.add_argument("--grid", type=int, default=FIXTURE_GRID_M, help="grid parameter M")
     p.add_argument("--quad-order", type=int, default=None)
     p.add_argument("--quad-panels", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")

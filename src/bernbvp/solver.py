@@ -58,8 +58,8 @@ solve and iterate enter one ``np.errstate`` per call, which ignores
 overflow and invalid operations for every step; each step checks every
 value it makes once, in the layer that makes it (``_iterate_core``), and
 leaves as one IterationError on a numerical failure.  Boundary data whose
-outer coefficients leave float64 fail the same way, at the seed's degree
-m - 1 or at the step's (iterate()'s step takes the seed's too).
+outer coefficients leave float64 fail the same way, at the step's degree
+or at the seed's, m - 1, from ``seed``, where solve and iterate both start.
 """
 
 import functools
@@ -283,20 +283,10 @@ def seed(problem):
     IterationError(m - 1, cause), the degree of the seed.
     """
     try:
-        return BernsteinPoly(_seed_coeffs(problem))
+        left, right = _outer(problem, _outer_terms(problem.m - 1, problem.k, problem.l))
     except EvaluationError as exc:
         raise IterationError(problem.m - 1, exc) from exc
-
-
-def _seed_coeffs(problem):
-    """The seed's coefficients: the outer coefficients of degree m - 1."""
-    left, right = _outer(problem, _outer_terms(problem.m - 1, problem.k, problem.l))
-    return _full_coeffs(left, right, ())
-
-
-def _full_coeffs(left, right, inner):
-    """The coefficients left, inner, then right reversed, in one array."""
-    return np.concatenate((left, inner, right[::-1]))
+    return BernsteinPoly(np.concatenate((left, right[::-1])))
 
 
 # one entry per shape (n, k, l), like _outer_terms
@@ -357,7 +347,7 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
         inner = _seed_elevation(n, k, l).dot(start) + step[k:n - l + 1]
         if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
-        coeffs = _full_coeffs(left, right, inner)
+        coeffs = np.concatenate((left, inner, right[::-1]))
 
         # L2 residual of the new iterate against the frozen right-hand
         # side: (base + step)^(m) - g = step^(m) - g.  Where the squares
@@ -417,9 +407,9 @@ def iterate(problem, previous, n, rule=None):
     the banded Toeplitz system with the right-hand side frozen at
     ``previous``, as the correction to the seed raised to degree n, with
     exact refinement (``_iterate_core``), which keeps the step at the one
-    solved exactly from the same samples, to rounding.  Numerical failures,
-    the seed's too, carry the iteration index, and warn nothing.  An
-    expression rhs is compiled per call.
+    solved exactly from the same samples, to rounding.  Numerical failures
+    carry the iteration index, the seed's m - 1 (``seed``), and warn
+    nothing.  An expression rhs is compiled per call.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -427,10 +417,7 @@ def iterate(problem, previous, n, rule=None):
         raise ValueError(f"previous iterate has degree {previous.degree} < m - 1")
     if rule is None:
         rule = _default_rule(n, SolveOptions(degree=n))
-    try:
-        start = _seed_coeffs(problem)
-    except EvaluationError as exc:
-        raise IterationError(n, exc) from exc
+    start = seed(problem).coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, _ = _iterate_core(problem, start, previous.coeffs, n, rule,
                                   _compiled_rhs(problem))

@@ -146,8 +146,12 @@ class TestSolveCommand:
         ({"order": "1"}, "order must be an integer >= 1, got '1'"),
         ({"left": ["1"]}, "boundary values must be numbers"),
         ({"left": [True]}, "boundary values must be numbers"),
+        # a misspelled key would leave its default in force: 2 panels for
+        # "panel", and no max error for "exactt"
+        ({"quadrature": {"order": 30, "panel": 3}}, "unknown quadrature key 'panel'"),
+        ({"exactt": "x"}, "unknown spec key 'exactt'"),
     ], ids=["rhs-int", "rhs-null", "exact-int", "order-true", "order-float", "order-str",
-            "left-str", "left-true"])
+            "left-str", "left-true", "quadrature-panel", "exactt"])
     def test_mistyped_spec_exits_2(self, tmp_path, capsys, fields, message):
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"order": 1, "left": [0.0], "rhs": "y0", **fields}))

@@ -273,11 +273,13 @@ class TestSeed:
     def test_huge_boundary_data_fail_as_the_seed_iteration(self):
         # finite boundary values whose degree-3 coefficients meet inf - inf
         # in the recurrence: the seed is iterate m - 1, and its failure is
-        # a numerical one at that degree, from seed and from solve alike
+        # a numerical one at that degree, from seed, solve and iterate
+        # alike, whatever degree iterate steps to
         p = BVProblem((1e308, 1e308, 0.0, 0.0), (), parse("y0"))
         with pytest.raises(EvaluationError, match="outer coefficients are not finite"):
             outer_coefficients(p, 3)
-        for run in (lambda: seed(p), lambda: solve(p, SolveOptions(degree=8))):
+        for run in (lambda: seed(p), lambda: solve(p, SolveOptions(degree=8)),
+                    lambda: iterate(p, BernsteinPoly(np.zeros(4)), 6)):
             with pytest.raises(IterationError) as err:
                 run()
             assert err.value.n == 3
@@ -738,6 +740,7 @@ class TestSolve:
             _dual_table.cache_clear()
             assemble_matrix.cache_clear()
             solver._outer_terms.cache_clear()
+            solver._seed_elevation.cache_clear()
             cold.append(solve(problem, opts))
         assert gauss_rule(40, 2) is gauss_rule(40, 2)
         warm = [solve(problem, opts) for problem, opts in runs + runs[::-1]]
@@ -764,6 +767,7 @@ class TestSolve:
         _dual_table.cache_clear()
         assemble_matrix.cache_clear()
         solver._outer_terms.cache_clear()
+        solver._seed_elevation.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
