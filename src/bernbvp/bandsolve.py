@@ -35,7 +35,7 @@ product alone, whose one check is that every entry is finite.
 import functools
 import math
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from operator import sub
 
 import numpy as np
@@ -56,7 +56,7 @@ class StencilSystem:
     difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
     entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
     inverse (both read-only; None if inverting fails); ``scale`` =
-    n!/(n-m)! as a float, for assemble_rhs.
+    n!/(n-m)! correctly rounded (``math.perm``), for assemble_rhs.
     """
 
     size: int
@@ -83,7 +83,6 @@ def assemble_matrix(n, m, k, l):
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     nu = n - m
-    scale = factorial(n) // factorial(nu)
     stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
     offset = np.arange(nu + 1) - np.arange(nu + 1)[:, None]  # j - i
     dense = np.where((offset >= -k) & (offset <= l),
@@ -94,7 +93,7 @@ def assemble_matrix(n, m, k, l):
         inverse.setflags(write=False)
     except np.linalg.LinAlgError:
         inverse = None
-    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(scale))
+    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(math.perm(n, m)))
 
 
 def assemble_rhs(system, duals, legendre_moments):

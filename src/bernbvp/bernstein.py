@@ -35,11 +35,8 @@ def binomial_row(n):
 
 
 def falling_factorial(n, r):
-    """n * (n-1) * ... * (n-r+1) as a float; equals n!/(n-r)!."""
-    out = 1.0
-    for t in range(r):
-        out *= n - t
-    return out
+    """n!/(n-r)! = n * (n-1) * ... * (n-r+1), correctly rounded to a float."""
+    return float(math.perm(n, r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .bernstein import evaluate as eval_poly
+from .errors import EvaluationError
 from .expressions import evaluate as eval_expr, parse
 from .solver import BVProblem
 
@@ -58,6 +59,8 @@ class ReferenceSolution:
 
         Computed once per M and kept, so later calls return the same
         array.  Fixture references require M to divide their native grid.
+        A closed form that is not finite on the grid raises EvaluationError
+        at the first such x, and nothing is kept.
         """
         values = self._grid_values.get(M)
         if values is not None:
@@ -67,6 +70,9 @@ class ReferenceSolution:
         if self.kind == "closed_form":
             xs = _grid(M)
             values = np.array(np.broadcast_to(self.fn(xs), xs.shape), dtype=float)
+            if np.count_nonzero(np.isfinite(values)) != values.size:
+                x = xs[~np.isfinite(values)][0].item()
+                raise EvaluationError(f"exact solution is not finite at x={x}", where=x)
         elif FIXTURE_GRID_M % M != 0:
             raise ValueError(
                 f"fixture reference is tabulated on M={FIXTURE_GRID_M}; "

@@ -63,11 +63,11 @@ class QuadratureRule:
     def bernstein_basis(self, d):
         """``basis_matrix(d, self.nodes)``: B_i^d(x_t) for every node t and
         i = 0..d, as a read-only (nodes, d + 1) array, kept (``memo``)."""
-        return self.memo(("bernstein", d), _read_only_basis, d, self.nodes)
+        return self.memo(("bernstein", d), basis_matrix, d, self.nodes)
 
     def memo(self, key, build, *args):
         """build(*args), built on the first call with this key and kept, so
-        later calls return the same object.
+        later calls return the same object; an array is kept read-only.
 
         For values that depend on the rule and the key alone.  Threads that
         build the same key at once build equal values, and all of them get
@@ -75,14 +75,11 @@ class QuadratureRule:
         """
         value = self._memo.get(key)
         if value is None:
-            value = self._memo.setdefault(key, build(*args))
+            value = build(*args)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            value = self._memo.setdefault(key, value)
         return value
-
-
-def _read_only_basis(d, nodes):
-    table = basis_matrix(d, nodes)
-    table.setflags(write=False)
-    return table
 
 
 def gauss_rule(order, panels=1):

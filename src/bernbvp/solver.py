@@ -21,7 +21,9 @@ the iterate.  A derivative's values at the nodes are one product of its
 coefficients (forward differences of the iterate's) with the Bernstein
 basis matrix that the quadrature rule keeps per degree, so the iteration
 works on coefficient arrays and never builds a BernsteinPoly before the
-end.  The projection goes through the Legendre
+end.  The L2 residual is one scaled norm (``math.hypot``) of the residual
+at the nodes times the roots of the weights, exact in scale where its
+squares would leave float64.  The projection goes through the Legendre
 factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
 moments of the samples are one float64 product with the rule's weighted
 Legendre Vandermonde, and the float rows of M combine them into the
@@ -42,12 +44,12 @@ pass falls short, while iterate() always refines with exact residuals.
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
-orders; the constants of the outer coefficients by (n, k, l)
-(``_outer_terms``); the band system of each shape, with its inverse, by
-``bandsolve.assemble_matrix``; the dual table by its degree; and the
-matrix that raises the seed to degree n by (n, k, l)
-(``_seed_elevation``).  So a warm iteration derives no constant again,
-whatever the degree of the iterate it starts from.
+orders, with the roots of the rule's weights; the constants of the outer
+coefficients by (n, k, l) (``_outer_terms``); the band system of each
+shape, with its inverse, by ``bandsolve.assemble_matrix``; the dual table
+by its degree; and the matrix that raises the seed to degree n by
+(n, k, l) (``_seed_elevation``).  So a warm iteration derives no
+constant again, whatever the degree of the iterate it starts from.
 
 A step is dominated by the entry cost of small numpy calls, not by their
 arithmetic, so its products with C-contiguous matrices are ndarray.dot
@@ -333,6 +335,7 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     d = prev.size - 1
     derivs = rule.memo(("derivs", d, m), _derivative_terms, rule, d, range(m))
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
+    root_weights = rule.memo("root_weights", np.sqrt, rule.weights)
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
         return eval_expr(rhs, x, _eval_mp(prev, derivs))
@@ -350,22 +353,14 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
         coeffs = np.concatenate((left, inner, right[::-1]))
 
         # L2 residual of the new iterate against the frozen right-hand
-        # side: (base + step)^(m) - g = step^(m) - g.  Where the squares
-        # of a finite r overflow, r is scaled by 2^-e (exactly) first
+        # side: (base + step)^(m) - g = step^(m) - g, one scaled norm
         [deriv_m] = _eval_mp(step, residual)
-        r, e = deriv_m - gvals, 0
-        try:
-            res2 = math.fsum((rule.weights * r ** 2).tolist())
-        except OverflowError:
-            res2 = math.inf
-        if not math.isfinite(res2) and np.count_nonzero(np.isfinite(r)) == r.size:
-            e = math.frexp(np.abs(r).max())[1]
-            res2 = math.fsum((rule.weights * np.ldexp(r, -e) ** 2).tolist())
-        if not math.isfinite(res2):
+        res = math.hypot(*(root_weights * (deriv_m - gvals)).tolist())
+        if not math.isfinite(res):
             raise EvaluationError("L2 residual is not finite in float64")
     except (EvaluationError, SingularSystemError) as exc:
         raise IterationError(n, exc) from exc
-    return coeffs, math.ldexp(math.sqrt(res2), e)
+    return coeffs, res
 
 
 def _default_rule(n, options):

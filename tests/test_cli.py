@@ -602,6 +602,18 @@ class TestErrorCurveCommand:
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: exp(")
 
+    @pytest.mark.parametrize("command", ["solve", "error-curve"])
+    def test_exact_not_finite_on_the_grid_exits_3(self, tmp_path, capsys, command):
+        # 1e200*1e200 is inf: the exact solution is nan at x = 0 and inf
+        # elsewhere, with no evaluation error of its own
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"order": 2, "left": [0.0], "right": [0.0],
+                                    "rhs": "y1^2 + 1", "exact": "1e200*1e200*x"}))
+        args = [str(spec)] if command == "solve" else ["--spec", str(spec), "--grid", "4"]
+        assert main([command, *args, "--degree", "6", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: exact solution is not finite at x=0.0\n"
+
 
 # JSON values of every type, huge and non-finite numbers included
 _json_values = st.recursive(

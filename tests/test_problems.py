@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernbvp.bernstein import BernsteinPoly, evaluate
+from bernbvp.errors import EvaluationError
 from bernbvp.problems import ReferenceSolution, error_curve, example, max_error
 from bernbvp.solver import SolveOptions, solve
 
@@ -201,6 +202,13 @@ class TestErrorCurve:
         assert ref.values_on_grid(100).tolist() == ys[::2].tolist()
         with pytest.raises(ValueError):
             ys[0] = 1.0
+
+    def test_closed_form_not_finite_on_the_grid_raises_and_keeps_nothing(self):
+        ref = ReferenceSolution(kind="closed_form", fn=lambda x: np.where(x == 0.5, np.inf, x))
+        for _ in range(2):  # a failure is not kept as the grid's values
+            with pytest.raises(EvaluationError, match=r"not finite at x=0\.5") as err:
+                ref.values_on_grid(4)
+            assert err.value.where == 0.5
 
     def test_max_error_validation(self):
         assert max_error(np.array([[0.0, 0.0], [1.0, 0.0]])) == 0.0

@@ -478,23 +478,26 @@ class TestSolve:
         assert "L2 residual" in str(err.value.cause)
 
     @pytest.mark.parametrize("ex_id", [None, 2, 4])
-    def test_boundary_data_times_2_600_scale_every_output_exactly(self, ex_id):
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_boundary_data_times_2_pm600_scale_every_output_exactly(self, e, ex_id):
         # linear homogeneous operators (y'' = y and those of examples 2 and
-        # 4): boundary data times 2^600 scale every float64 operation of a
-        # step by 2^600 exactly, so the coefficients and the L2 residuals,
-        # whose squares leave float64, are 2^600 times the unit problem's,
-        # through solve and through a chain of iterate() steps
+        # 4): boundary data times 2^e scale every float64 operation of a
+        # step by 2^e exactly, so the coefficients and the L2 residuals,
+        # whose squares overflow (e = 600) or underflow (e = -600) float64,
+        # are 2^e times the unit problem's, through solve and through a
+        # chain of iterate() steps
         unit = BVProblem((1.0,), (0.0,), parse("y0")) if ex_id is None else example(ex_id).problem
-        scaled = BVProblem(tuple(np.ldexp(unit.left_values, 600).tolist()),
-                           tuple(np.ldexp(unit.right_values, 600).tolist()), unit.rhs)
+        scaled = BVProblem(tuple(np.ldexp(unit.left_values, e).tolist()),
+                           tuple(np.ldexp(unit.right_values, e).tolist()), unit.rhs)
         want, got = solve(unit, SolveOptions(degree=20)), solve(scaled, SolveOptions(degree=20))
-        assert np.array_equal(got.solution.coeffs, np.ldexp(want.solution.coeffs, 600))
-        assert np.array_equal(got.residuals, np.ldexp(want.residuals, 600))
-        assert got.residuals.max() > 2.0**512  # its square leaves float64
+        assert np.array_equal(got.solution.coeffs, np.ldexp(want.solution.coeffs, e))
+        assert np.array_equal(got.residuals, np.ldexp(want.residuals, e))
+        # |exponent| > 512: the square of the largest residual leaves float64
+        assert abs(math.frexp(got.residuals.max())[1]) > 512
         w, v = seed(unit), seed(scaled)
         for n in range(unit.m, 21):
             w, v = iterate(unit, w, n), iterate(scaled, v, n)
-            assert np.array_equal(v.coeffs, np.ldexp(w.coeffs, 600)), n
+            assert np.array_equal(v.coeffs, np.ldexp(w.coeffs, e)), n
 
     def test_nonfinite_band_solve_fails_with_iteration_index(self, monkeypatch):
         # the iteration works on coefficient arrays, so nothing else checks
