@@ -108,14 +108,18 @@ def derivative(p, r):
     """r-th derivative of p as a Bernstein polynomial of degree n - r.
 
     Coefficients are n!/(n-r)! times the r-fold forward differences of p's
-    coefficients.  r = 0 returns p itself.
+    coefficients.  r = 0 returns p itself.  ValueError beyond float64.
     """
     n = p.degree
     if not 0 <= r <= n:
         raise ValueError(f"derivative order {r} outside 0..{n}")
     if r == 0:
         return p
-    return BernsteinPoly(falling_factorial(n, r) * np.diff(p.coeffs, r))
+    try:
+        with np.errstate(all="ignore"):
+            return BernsteinPoly(falling_factorial(n, r) * np.diff(p.coeffs, r))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"derivative of order {r} of degree {n} is beyond float64") from exc
 
 
 def endpoint_derivative(p, r, end):

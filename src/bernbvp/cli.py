@@ -25,10 +25,9 @@ import sys
 from .bernstein import BernsteinPoly, evaluate as eval_poly
 from .errors import EvaluationError, ExpressionSyntaxError, IterationError
 from .expressions import evaluate as eval_expr, max_arg_index, parse as parse_expr
-from .problems import FIXTURE_GRID_M, ReferenceSolution, error_curve, example, max_error
+from .problems import (EXAMPLE_IDS, FIXTURE_GRID_M, ReferenceSolution, error_curve,
+                       example, max_error)
 from .solver import BVProblem, SolveOptions, solve
-
-_EXAMPLE_IDS = (1, 2, 3, 4, 5)
 
 # highest degree the commands accept: beyond it the float64 route loses
 # digits fast (example 1 reads 4.3e-15 at N = 60, 6.8e-13 at N = 70 and
@@ -199,11 +198,12 @@ def cmd_solve(args):
     problem, reference, quad = load_problem_spec(args.spec)
     options = _make_options(args, quad, problem.m)
     report = solve(problem, options)
-    print(f"degree {report.solution.degree}, "
-          f"final residual {_fmt(report.residuals[-1])}")
-    if reference is not None:
+    n = report.solution.degree
+    lines = [f"degree {n}, final residual {_fmt(report.residuals[-1])}"]
+    if reference is not None:  # an exact solution failing on the grid prints nothing
         err = max_error(error_curve(report.solution, reference, FIXTURE_GRID_M))
-        print(f"max error E_{report.solution.degree} = {_fmt(err)}")
+        lines.append(f"max error E_{n} = {_fmt(err)}")
+    print("\n".join(lines))
     return _emit(_coefficient_document(report, options), args.out, "coefficients")
 
 
@@ -212,7 +212,7 @@ def _parse_example_list(text):
         ids = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise SpecError(f"bad example list {text!r}") from exc
-    if not ids or any(i not in _EXAMPLE_IDS for i in ids):
+    if not ids or any(i not in EXAMPLE_IDS for i in ids):
         raise SpecError(f"example ids must be in 1..5, got {text!r}")
     return ids
 
@@ -249,7 +249,7 @@ def cmd_error_curve(args):
     if not 1 <= args.grid <= MAX_GRID:
         raise SpecError(f"grid M must be 1..{MAX_GRID}, got {args.grid}")
     if args.example is not None:
-        if args.example not in _EXAMPLE_IDS:
+        if args.example not in EXAMPLE_IDS:
             raise SpecError(f"example id must be 1..5, got {args.example}")
         ex = example(args.example)
         problem, reference = ex.problem, ex.reference

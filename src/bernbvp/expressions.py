@@ -318,8 +318,6 @@ def _pow(base, exponent):
 def _call(fn, v):
     """The named function at the float v."""
     try:
-        if fn in ("tan", "sec") and math.cos(v) == 0:
-            raise EvaluationError(f"{fn} at a pole", where=v)
         return _FUNCS[fn](v)
     except (OverflowError, ValueError) as exc:
         raise EvaluationError(f"{fn}({v}): {exc}", where=v) from exc
@@ -456,8 +454,9 @@ def _function(fn, v):
 
     The math function is mapped over the elements as Python floats
     (numpy's ufuncs do not always match math's results).  Only when an
-    element fails, or tan or sec meets a pole, are they taken again one by
-    one through ``_call``, which raises at the first failing element.
+    element fails are they taken again one by one through ``_call``, which
+    raises at the first failing element.  tan and sec fail at no double,
+    since cos vanishes at none.
     """
     if fn == "ln":
         _check(v <= 0, v, "ln of non-positive value {}")
@@ -467,8 +466,6 @@ def _function(fn, v):
     points = v.ravel().tolist()
     try:
         values = list(map(_FUNCS[fn], points))
-    except (ArithmeticError, ValueError):
-        values = None
-    if values is None or (fn in ("tan", "sec") and 0.0 in map(math.cos, points)):
+    except (OverflowError, ValueError):
         values = [_call(fn, p) for p in points]
     return np.array(values, dtype=float).reshape(v.shape)

@@ -1,13 +1,15 @@
 """Built-in benchmark problems with reference solutions, plus the pointwise
 error curve and maximum-error metrics over the uniform grid {0, 1/M, .., 1}.
 
-Problems 1-3 carry closed-form references (elementary functions); problems
-4 and 5 reference Airy- and Bessel-type solutions, shipped as fixture tables
-generated by scripts/make_reference_fixtures.py (mpmath at 50 digits, stored
-to 17 significant digits on the 201-point grid).  Problem 5's boundary data
-are themselves fixture constants, read from the same file.
+The five examples are one table, ``_EXAMPLES``, which ``example`` reads.  A
+reference ending in ``.txt`` is a fixture table, generated by
+scripts/make_reference_fixtures.py (mpmath at 50 digits, stored to 17
+significant digits on the 201-point grid): problems 4 and 5, Airy- and
+Bessel-type.  Any other reference is a closed form in x (problems 1-3).  A
+boundary value given by name ("a0", "a1") is the fixture's constant.
 """
 
+import io
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +22,7 @@ from .errors import EvaluationError
 from .expressions import evaluate as eval_expr, parse
 from .solver import BVProblem
 
-__all__ = ["ReferenceSolution", "ExampleProblem", "example",
+__all__ = ["ReferenceSolution", "ExampleProblem", "EXAMPLE_IDS", "example",
            "error_curve", "max_error"]
 
 FIXTURE_GRID_M = 200
@@ -94,100 +96,51 @@ class ExampleProblem:
 
 @lru_cache(maxsize=None)
 def _load_fixture(name):
+    """x, y and the named boundary constants of a fixture table, read once."""
     text = resources.files("bernbvp").joinpath(f"data/{name}").read_text()
-    xs, ys, consts = [], [], {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = re.match(r"#\s*boundary\s+(a\d)\s*=\s*(\S+)", line)
-            if m:
-                consts[m.group(1)] = float(m.group(2))
-            continue
-        sx, sy = line.split()
-        xs.append(float(sx))
-        ys.append(float(sy))
-    xs, ys = np.array(xs), np.array(ys)
+    xs, ys = np.loadtxt(io.StringIO(text), comments="#", unpack=True)
     if xs.size != FIXTURE_GRID_M + 1:
         raise ValueError(f"fixture {name}: expected {FIXTURE_GRID_M + 1} rows")
-    return xs, ys, consts
+    consts = re.findall(r"^#\s*boundary\s+(a\d)\s*=\s*(\S+)", text, re.MULTILINE)
+    return xs, ys, {key: float(value) for key, value in consts}
 
 
-def _fixture_reference(name, note):
-    xs, ys, _ = _load_fixture(name)
-    return ReferenceSolution(kind="fixture", grid_x=xs, grid_y=ys, note=note)
-
-
-def _expr_reference(source, note):
-    e = parse(source)
-    return ReferenceSolution(
-        kind="closed_form", fn=lambda x: eval_expr(e, x), note=note
-    )
-
-
-def _example1():
-    return ExampleProblem(
-        id=1,
-        problem=BVProblem((0.0,), (0.0,), parse("y1^2 + 1")),
-        reference=_expr_reference(
-            "-ln(cos(x - 1/2)/cos(1/2))", "y = -ln(cos(x - 1/2)/cos(1/2))"),
-        note="second order, nonlinear",
-    )
-
-
-def _example2():
-    return ExampleProblem(
-        id=2,
-        problem=BVProblem((3.0, 3.0), (0.0, 0.0), parse("-2*y2 - y0")),
-        reference=_expr_reference(
-            "3/2 * sec(1)^2 * ((4 - 3*x)*sin(x) - x*sin(2 - x)"
-            " - (3*x - 1)*cos(x) + (x + 1)*cos(2 - x))",
-            "trigonometric closed form"),
-        note="fourth order, linear",
-    )
-
-
-def _example3():
-    return ExampleProblem(
-        id=3,
-        problem=BVProblem((2.0, -1.0, 3.0, 1.0), (), parse("y3^2 / y2")),
-        reference=_expr_reference(
-            "-25 - 10*x + 27*exp(x/3)", "exponential closed form"),
-        note="fourth order, nonlinear, all conditions at x = 0",
-    )
-
-
-def _example4():
-    return ExampleProblem(
-        id=4,
-        problem=BVProblem((1.0, 0.0), (0.0,), parse("4*x*y1 + 2*y0")),
-        reference=_fixture_reference(
-            "example4_airy.txt", "Airy-product solution (fixture)"),
-        note="third order, linear, Airy-type solution",
-    )
-
-
-def _example5():
-    _, _, consts = _load_fixture("example5_bessel.txt")
-    return ExampleProblem(
-        id=5,
-        problem=BVProblem((consts["a0"], consts["a1"]), (),
-                          parse("-(x + 2)^2 * y0")),
-        reference=_fixture_reference(
-            "example5_bessel.txt", "Bessel J/Y order-1/4 solution (fixture)"),
-        note="second order, linear, Bessel-type solution",
-    )
-
-
-_BUILDERS = {1: _example1, 2: _example2, 3: _example3, 4: _example4, 5: _example5}
+# id: (left values, right values, rhs, reference, reference note, note)
+_EXAMPLES = {
+    1: ((0.0,), (0.0,), "y1^2 + 1",
+        "-ln(cos(x - 1/2)/cos(1/2))", "y = -ln(cos(x - 1/2)/cos(1/2))",
+        "second order, nonlinear"),
+    2: ((3.0, 3.0), (0.0, 0.0), "-2*y2 - y0",
+        "3/2 * sec(1)^2 * ((4 - 3*x)*sin(x) - x*sin(2 - x)"
+        " - (3*x - 1)*cos(x) + (x + 1)*cos(2 - x))",
+        "trigonometric closed form", "fourth order, linear"),
+    3: ((2.0, -1.0, 3.0, 1.0), (), "y3^2 / y2",
+        "-25 - 10*x + 27*exp(x/3)", "exponential closed form",
+        "fourth order, nonlinear, all conditions at x = 0"),
+    4: ((1.0, 0.0), (0.0,), "4*x*y1 + 2*y0",
+        "example4_airy.txt", "Airy-product solution (fixture)",
+        "third order, linear, Airy-type solution"),
+    5: (("a0", "a1"), (), "-(x + 2)^2 * y0",
+        "example5_bessel.txt", "Bessel J/Y order-1/4 solution (fixture)",
+        "second order, linear, Bessel-type solution"),
+}
+EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
 def example(example_id):
-    """One of the five built-in benchmark problems."""
-    if example_id not in _BUILDERS:
+    """One of the five built-in benchmark problems, built from its row of
+    ``_EXAMPLES``."""
+    if example_id not in _EXAMPLES:
         raise ValueError(f"example id must be 1..5, got {example_id}")
-    return _BUILDERS[example_id]()
+    left, right, rhs, source, ref_note, note = _EXAMPLES[example_id]
+    if source.endswith(".txt"):
+        xs, ys, consts = _load_fixture(source)
+        reference = ReferenceSolution("fixture", grid_x=xs, grid_y=ys, note=ref_note)
+        left, right = ([consts.get(v, v) for v in side] for side in (left, right))
+    else:
+        e = parse(source)
+        reference = ReferenceSolution("closed_form", lambda x: eval_expr(e, x), note=ref_note)
+    return ExampleProblem(example_id, BVProblem(left, right, parse(rhs)), reference, note)
 
 
 def error_curve(w, ref, M):

@@ -105,8 +105,6 @@ def expression_reference(e, x, args=()):
         if e.fn == "sqrt" and v < 0:
             raise EvaluationError(f"sqrt of negative value {float(v)}", where=float(v))
         try:
-            if e.fn in ("tan", "sec") and math.cos(v) == 0:
-                raise EvaluationError(f"{e.fn} at a pole", where=float(v))
             return _FUNCS_REFERENCE[e.fn](v)
         except (OverflowError, ValueError) as exc:
             raise EvaluationError(f"{e.fn}({float(v)}): {exc}", where=float(v)) from exc

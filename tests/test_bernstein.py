@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import comb
 
 import numpy as np
@@ -131,6 +132,15 @@ class TestDerivative:
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
             derivative(BernsteinPoly([1.0, 2.0]), 2)
+
+    @pytest.mark.parametrize("r", [150, 171])
+    def test_derivative_beyond_float64_is_one_value_error(self, r):
+        # r = 150 overflows the coefficients, r = 171 the factor 171! itself
+        p = BernsteinPoly(np.linspace(0.0, 1.0, 172))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"derivative of order {r} of degree 171"):
+                derivative(p, r)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)

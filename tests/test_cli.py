@@ -205,7 +205,9 @@ class TestSolveCommand:
             "order": 1, "left": [1.0], "rhs": "1000*y0", "exact": "exp(1000*x)"}))
         assert main(["solve", str(spec), "--degree", "3",
                      "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure: exp(")
+        printed, err = capsys.readouterr()
+        assert err.startswith("numerical failure: exp(")
+        assert printed == "" and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("quad,flags", [
         ({}, ["--quad-order", "0"]),
@@ -611,8 +613,9 @@ class TestErrorCurveCommand:
                                     "rhs": "y1^2 + 1", "exact": "1e200*1e200*x"}))
         args = [str(spec)] if command == "solve" else ["--spec", str(spec), "--grid", "4"]
         assert main([command, *args, "--degree", "6", "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         assert err == "numerical failure: exact solution is not finite at x=0.0\n"
+        assert printed == "" and not (tmp_path / "o").exists()
 
 
 # JSON values of every type, huge and non-finite numbers included

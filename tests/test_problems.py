@@ -1,11 +1,14 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from bernbvp.bernstein import BernsteinPoly, evaluate
 from bernbvp.errors import EvaluationError
-from bernbvp.problems import ReferenceSolution, error_curve, example, max_error
+from bernbvp.expressions import evaluate as eval_expr, parse, to_source
+from bernbvp.problems import (EXAMPLE_IDS, ReferenceSolution, error_curve, example,
+                              max_error)
 from bernbvp.solver import SolveOptions, solve
 
 
@@ -48,37 +51,63 @@ def trig_sum_derivative(terms, order):
     return lambda x, ts=terms: sum(t.value(x) for t in ts)
 
 
+# id: left and right values, to_source of the rhs, reference (a closed form
+# or a fixture table), the reference's note and the example's note
+EXAMPLE_TABLE = {
+    1: ((0.0,), (0.0,), "((y1 ^ 2) + 1)",
+        "-ln(cos(x - 1/2)/cos(1/2))", "y = -ln(cos(x - 1/2)/cos(1/2))",
+        "second order, nonlinear"),
+    2: ((3.0, 3.0), (0.0, 0.0), "(((-2) * y2) - y0)",
+        "3/2 * sec(1)^2 * ((4 - 3*x)*sin(x) - x*sin(2 - x)"
+        " - (3*x - 1)*cos(x) + (x + 1)*cos(2 - x))",
+        "trigonometric closed form", "fourth order, linear"),
+    3: ((2.0, -1.0, 3.0, 1.0), (), "((y3 ^ 2) / y2)",
+        "-25 - 10*x + 27*exp(x/3)", "exponential closed form",
+        "fourth order, nonlinear, all conditions at x = 0"),
+    4: ((1.0, 0.0), (0.0,), "(((4 * x) * y1) + (2 * y0))",
+        "example4_airy.txt", "Airy-product solution (fixture)",
+        "third order, linear, Airy-type solution"),
+    5: ((1.1180057736499096, -0.24774633559592937), (), "((-((x + 2) ^ 2)) * y0)",
+        "example5_bessel.txt", "Bessel J/Y order-1/4 solution (fixture)",
+        "second order, linear, Bessel-type solution"),
+}
+
+
+def fixture_columns(name):
+    """The x and y columns of a fixture table, each field read by float()."""
+    text = resources.files("bernbvp").joinpath(f"data/{name}").read_text()
+    lines = [line.split() for line in text.splitlines()]
+    return np.array([[float(v) for v in f] for f in lines if f and not f[0].startswith("#")]).T
+
+
 class TestExampleDefinitions:
-    def test_example1(self):
-        ex = example(1)
-        assert (ex.problem.m, ex.problem.k, ex.problem.l) == (2, 1, 1)
-        assert ex.problem.left_values == (0.0,)
-        assert ex.problem.right_values == (0.0,)
+    @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+    def test_example_matches_its_table_row(self, ex_id):
+        # a mistyped entry of problems._EXAMPLES fails here
+        left, right, rhs, source, ref_note, note = EXAMPLE_TABLE[ex_id]
+        ex = example(ex_id)
+        assert ex.id == ex_id
+        assert (ex.problem.left_values, ex.problem.right_values) == (left, right)
+        assert to_source(ex.problem.rhs) == rhs
+        assert (ex.reference.note, ex.note) == (ref_note, note)
+        grid = np.arange(201) / 200
+        if source.endswith(".txt"):
+            assert ex.reference.kind == "fixture"
+            xs, ys = fixture_columns(source)
+            assert ex.reference.grid_x.tobytes() == xs.tobytes() == grid.tobytes()
+            assert ex.reference.grid_y.tobytes() == ys.tobytes()
+        else:
+            assert ex.reference.kind == "closed_form"
+            want = eval_expr(parse(source), grid)
+            assert ex.reference.values_on_grid(200).tobytes() == want.tobytes()
+        # the reference meets the first condition at each end
+        ys = ex.reference.values_on_grid(200)
+        assert ys[0] == pytest.approx(left[0], abs=1e-12)
+        if right:
+            assert ys[-1] == pytest.approx(right[0], abs=1e-12)
 
-    def test_example2(self):
-        ex = example(2)
-        assert (ex.problem.m, ex.problem.k, ex.problem.l) == (4, 2, 2)
-        assert ex.problem.left_values == (3.0, 3.0)
-        assert ex.problem.right_values == (0.0, 0.0)
-
-    def test_example3(self):
-        ex = example(3)
-        assert (ex.problem.m, ex.problem.k, ex.problem.l) == (4, 4, 0)
-        assert ex.problem.left_values == (2.0, -1.0, 3.0, 1.0)
-        assert ex.reference.value(0.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_example4(self):
-        ex = example(4)
-        assert (ex.problem.m, ex.problem.k, ex.problem.l) == (3, 2, 1)
-        assert ex.problem.left_values == (1.0, 0.0)
-        assert ex.reference.kind == "fixture"
-
-    def test_example5(self):
-        ex = example(5)
-        assert (ex.problem.m, ex.problem.k, ex.problem.l) == (2, 2, 0)
-        a0, a1 = ex.problem.left_values
-        assert a0 == pytest.approx(1.1180057736499096, rel=1e-15)
-        assert a1 == pytest.approx(-0.24774633559592937, rel=1e-15)
+    def test_example_ids(self):
+        assert EXAMPLE_IDS == tuple(EXAMPLE_TABLE) == (1, 2, 3, 4, 5)
 
     def test_bad_id(self):
         with pytest.raises(ValueError):
