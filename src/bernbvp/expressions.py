@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError, UnknownIdentifierError
 
-__all__ = ["parse", "evaluate", "compile", "to_source", "max_arg_index",
+__all__ = ["parse", "evaluate", "compile", "to_source", "arg_indices", "max_arg_index",
            "Num", "X", "Arg", "Neg", "BinOp", "Call"]
 
 
@@ -102,7 +102,7 @@ def _tokenize(source):
 
 # Deepest syntax tree that parse accepts, and deepest nesting of
 # parentheses (and, separately, of minus signs and ^) in its source.
-# Compiling, evaluation, to_source and max_arg_index recurse once per tree
+# Compiling, evaluation, to_source and arg_indices recurse once per tree
 # level and the parser about six times per nesting level (under 800 frames
 # for 64 levels of "2^(", the deepest source it reads), so this keeps them
 # all below Python's recursion limit of 1000.  Every accepted tree's
@@ -258,19 +258,24 @@ def to_source(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def arg_indices(e):
+    """The set of yk indices appearing in e; TypeError for a non-node."""
+    if isinstance(e, Arg):
+        return frozenset((e.index,))
+    if isinstance(e, Neg):
+        return arg_indices(e.operand)
+    if isinstance(e, BinOp):
+        return arg_indices(e.left) | arg_indices(e.right)
+    if isinstance(e, Call):
+        return arg_indices(e.arg)
+    if isinstance(e, (Num, X)):
+        return frozenset()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def max_arg_index(e):
     """Largest yk index appearing in e, or -1 if none; TypeError for a non-node."""
-    if isinstance(e, Arg):
-        return e.index
-    if isinstance(e, Neg):
-        return max_arg_index(e.operand)
-    if isinstance(e, BinOp):
-        return max(max_arg_index(e.left), max_arg_index(e.right))
-    if isinstance(e, Call):
-        return max_arg_index(e.arg)
-    if isinstance(e, (Num, X)):
-        return -1
-    raise TypeError(f"not an expression node: {e!r}")
+    return max(arg_indices(e), default=-1)
 
 
 def _power(base, exponent):
@@ -279,10 +284,17 @@ def _power(base, exponent):
     The domain checks run as masks over the whole array, and the first
     failing element raises, as in an element-by-element walk; a constant
     exponent that is a non-negative integer cannot fail them and skips
-    them.  The powers are Python pow mapped over the elements; only when
-    one overflows are they taken again through ``_pow``, which gives a
-    signed infinity there.  An integral exponent need not become an int
-    first: float pow converts it back to the same double.
+    them.  The powers are math.pow mapped over the elements (``_map``);
+    only when one overflows are they taken again through ``_pow``, which
+    gives a signed infinity there.  math.pow gives the bits of Python's
+    float pow at less cost (half of it where bases are negative, which
+    Python's pow takes through a path of its own): both take a finite
+    power from the C library's pow and follow C99 where an operand is ±0,
+    ±inf or nan, and they differ only in what they raise where pow
+    returns a complex or divides by zero, which the domain checks leave
+    no element to reach.
+    An integral exponent need not become an int first: float pow converts
+    it back to the same double.
     """
     base = np.asarray(base, dtype=float)
     if isinstance(exponent, float) and exponent >= 0 and exponent.is_integer():
@@ -300,12 +312,10 @@ def _power(base, exponent):
                                       where=b)
             raise EvaluationError("zero raised to a negative power", where=0.0)
         exponents = exponent.ravel().tolist()
-    bases = base.ravel().tolist()
     try:
-        values = list(map(pow, bases, exponents))
+        return _map(math.pow, base, exponents)
     except OverflowError:
-        values = list(map(_pow, bases, exponents))
-    return np.array(values, dtype=float).reshape(base.shape)
+        return _map(_pow, base, exponents)
 
 
 def _pow(base, exponent):
@@ -339,8 +349,9 @@ def evaluate(e, x, args=()):
     value has their common shape, so it is a float when all of them are
     floats, and a constant e still fills the whole shape.  One walk of the
     tree serves every point: + - * / and negation are numpy operations,
-    the functions and ^ run per element through math and Python's pow, so
-    each element carries the same IEEE operations as a walk over floats.
+    the functions and ^ run per element through math (^ as math.pow, with
+    the bits of Python's pow; ``_power``), so each element carries the
+    same IEEE operations as a walk over floats.
     Domain checks run over the whole array: the first operation in walk
     order that fails at some point raises EvaluationError, with ``where``
     the failing operand at the first such point.  The walk runs under an
@@ -463,9 +474,17 @@ def _function(fn, v):
     if fn == "sqrt":
         _check(v < 0, v, "sqrt of negative value {}")
     v = np.asarray(v, dtype=float)
-    points = v.ravel().tolist()
     try:
-        values = list(map(_FUNCS[fn], points))
+        return _map(_FUNCS[fn], v)
     except (OverflowError, ValueError):
-        values = [_call(fn, p) for p in points]
-    return np.array(values, dtype=float).reshape(v.shape)
+        return _map(lambda p: _call(fn, p), v)
+
+
+def _map(fn, v, *rest):
+    """fn mapped over the elements of the float64 array v, in C order, and
+    of the iterables rest alongside, as a float64 array of v's shape.  A
+    1-D v, as a rule's nodes give, goes from tolist() straight into the
+    array, with no ravel and no reshape."""
+    if v.ndim == 1:
+        return np.fromiter(map(fn, v.tolist(), *rest), float, v.size)
+    return np.fromiter(map(fn, v.ravel().tolist(), *rest), float, v.size).reshape(v.shape)

@@ -21,15 +21,19 @@ the iterate.  A derivative's values at the nodes are one product of its
 coefficients (forward differences of the iterate's) with the Bernstein
 basis matrix that the quadrature rule keeps per degree, so the iteration
 works on coefficient arrays and never builds a BernsteinPoly before the
-end.  The L2 residual is one scaled norm (``math.hypot``) of the residual
-at the nodes times the roots of the weights, exact in scale where its
-squares would leave float64.  The projection goes through the Legendre
-factorization of the dual table, C = M diag(2j+1) M^T: the Legendre
-moments of the samples are one float64 product with the rule's weighted
-Legendre Vandermonde, and the float rows of M combine them into the
-system right-hand side v.  The band solve multiplies by the cached
-inverse of each matrix and refines (``bandsolve.solve``); a report turns
-the kept coefficient arrays into float64 BernsteinPolys when first read.
+end.  The step takes only the derivatives that the right-hand side reads
+(``BVProblem.reads``: the yk of an expression, every order of a
+callable), each with the bits it has when every order is taken, and
+passes None for the others.  The L2 residual is one scaled norm
+(``math.hypot``) of the residual at the nodes times the roots of the
+weights, exact in scale where its squares would leave float64.  The
+projection goes through the Legendre factorization of the dual table,
+C = M diag(2j+1) M^T: the Legendre moments of the samples are one
+float64 product with the rule's weighted Legendre Vandermonde, and the
+float rows of M combine them into the system right-hand side v.  The
+band solve multiplies by the cached inverse of each matrix and refines
+(``bandsolve.solve``); a report turns the kept coefficient arrays into
+float64 BernsteinPolys when first read.
 
 Each step solves for its correction to a base, the seed raised to degree
 n with the boundary coefficients of degree n as its outer ones (defect
@@ -44,10 +48,10 @@ pass falls short, while iterate() always refines with exact residuals.
 Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
-orders, with the roots of the rule's weights; the constants of the outer
-coefficients by (n, k, l) (``_outer_terms``); the band system of each
-shape, with its inverse, by ``bandsolve.assemble_matrix``; the dual table
-by its degree; and the matrix that raises the seed to degree n by
+orders read, with the roots of the rule's weights; the constants of the
+outer coefficients by (n, k, l) (``_outer_terms``); the band system of
+each shape, with its inverse, by ``bandsolve.assemble_matrix``; the dual
+table by its degree; and the matrix that raises the seed to degree n by
 (n, k, l) (``_seed_elevation``).  So a warm iteration derives no
 constant again, whatever the degree of the iterate it starts from.
 
@@ -76,7 +80,7 @@ from . import bandsolve
 from .bernstein import BernsteinPoly, falling_factorial
 from .dual import dual_coefficients
 from .errors import EvaluationError, IterationError, SingularSystemError
-from .expressions import compile, evaluate, max_arg_index
+from .expressions import arg_indices, compile, evaluate
 from .quadrature import gauss_rule, legendre_moments
 
 __all__ = ["BVProblem", "SolveOptions", "SolveReport",
@@ -85,30 +89,38 @@ __all__ = ["BVProblem", "SolveOptions", "SolveReport",
 
 def _node_derivatives(p, terms):
     """Values at a rule's nodes of derivatives of the polynomial with
-    Bernstein coefficients p, one array per entry of terms.
+    Bernstein coefficients p, positioned by order: entry r is the values
+    of derivative r, or None for an order that terms skips.
 
-    terms holds (steps, B, n!/(n-r)!) per derivative order r, ascending,
-    where n = p.size - 1, B is the rule's basis matrix of degree n - r and
-    steps is the range of forward differences that lead from the previous
-    order to r (``_derivative_terms``).  Derivative r has the coefficients
-    n!/(n-r)! times the r-fold forward differences of p, taken once, order
-    after order, and its values are one product with B.  A value that
+    terms holds (steps, skipped, B, n!/(n-r)!) per derivative order r
+    wanted, ascending, where n = p.size - 1, B is the rule's basis matrix
+    of degree n - r, steps is the range of forward differences that lead
+    to r from the previous order wanted (from p itself for the first),
+    and skipped holds a None for each order on the way that is not
+    wanted (``_derivative_terms``).  Derivative r has the
+    coefficients n!/(n-r)! times the r-fold forward differences of p,
+    taken once, order after order, so each has the bits it has when every
+    order is wanted; its values are one product with B, and order 0's are
+    B times p itself, with no product by n!/n! = 1.  A value that
     overflows is inf or nan, with a warning unless the caller ignores it
     (``np.errstate``, as solve and iterate do); the caller checks the
     values it uses.
     """
     values = []
-    for steps, basis, scale in terms:
+    for steps, skipped, basis, scale in terms:
         for _ in steps:
             p = p[1:] - p[:-1]
-        values.append(basis.dot(scale * p))
+        values += skipped
+        values.append(basis.dot(scale * p) if steps else basis.dot(p))
     return values
 
 
 def _derivative_terms(rule, n, orders):
-    """The terms of ``_node_derivatives`` for a polynomial of degree n."""
-    return tuple((range(r - q), rule.bernstein_basis(n - r), falling_factorial(n, r))
-                 for q, r in zip((0, *orders), orders))
+    """The terms of ``_node_derivatives`` for the derivatives of the given
+    ascending orders of a polynomial of degree n."""
+    return tuple((range(r - max(q, 0)), (None,) * (r - q - 1),
+                  rule.bernstein_basis(n - r), falling_factorial(n, r))
+                 for q, r in zip((-1, *orders), orders))
 
 
 def _rhs_at_nodes(rhs, x, args):
@@ -144,6 +156,9 @@ class BVProblem:
     ``rhs`` is a parsed expression over x, y0..y(m-1), evaluated over all
     the nodes at once, or a callable f(x, y0, ..., y(m-1)), called once per
     node with floats (``_compiled_rhs``); anything else raises TypeError.
+    ``reads`` is the ascending tuple of the derivative orders rhs reads:
+    the yk of an expression, found by one walk of its tree, and every
+    order 0..m-1 of a callable.  A step evaluates only these.
     """
 
     left_values: tuple
@@ -159,11 +174,11 @@ class BVProblem:
             raise ValueError("need at least one boundary condition (m >= 1)")
         if not all(np.isfinite(v) for v in left + right):
             raise ValueError("boundary values must be finite")
-        idx = -1 if callable(self.rhs) else max_arg_index(self.rhs)  # TypeError for a non-node
-        if idx >= self.m:
-            raise ValueError(
-                f"rhs references y{idx} but the equation order is {self.m}"
-            )
+        # every order of a callable; TypeError for a non-node
+        reads = tuple(range(self.m) if callable(self.rhs) else sorted(arg_indices(self.rhs)))
+        if reads and reads[-1] >= self.m:
+            raise ValueError(f"rhs references y{reads[-1]} but the equation order is {self.m}")
+        object.__setattr__(self, "reads", reads)
 
     @property
     def k(self):
@@ -321,19 +336,23 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     refines with exact residuals only.
 
     rhs is the right-hand side from ``_compiled_rhs``, an expression or a
-    callable alike.  The step runs under the caller's np.errstate, which
-    solve and iterate enter once per call, ignoring overflow and invalid
-    operations.  Each value is checked once, by the layer that makes it:
-    the outer coefficients (``_outer``), the samples of the right-hand
-    side (``legendre_moments``), v (``bandsolve.assemble_rhs``), the band
-    solve's first product (``bandsolve.solve``), and here the new inner
-    coefficients and the L2 residual.  Every numerical failure
+    callable alike.  Its derivative arguments are those of the orders it
+    reads (``problem.reads``), positioned by order, with None at each
+    order it does not read; the rule keeps their terms under the orders
+    read, not m, since problems of one order can read different ones
+    (examples 2 and 3).  The step runs under the caller's np.errstate,
+    which solve and iterate enter once per call, ignoring overflow and
+    invalid operations.  Each value is checked once, by the layer that
+    makes it: the outer coefficients (``_outer``), the samples of the
+    right-hand side (``legendre_moments``), v (``bandsolve.assemble_rhs``),
+    the band solve's first product (``bandsolve.solve``), and here the new
+    inner coefficients and the L2 residual.  Every numerical failure
     (EvaluationError, SingularSystemError) leaves here as the cause of an
     IterationError(n, cause).
     """
     m, k, l = problem.m, problem.k, problem.l
     d = prev.size - 1
-    derivs = rule.memo(("derivs", d, m), _derivative_terms, rule, d, range(m))
+    derivs = rule.memo(("derivs", d, problem.reads), _derivative_terms, rule, d, problem.reads)
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
     root_weights = rule.memo("root_weights", np.sqrt, rule.weights)
 
@@ -354,7 +373,7 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
 
         # L2 residual of the new iterate against the frozen right-hand
         # side: (base + step)^(m) - g = step^(m) - g, one scaled norm
-        [deriv_m] = _eval_mp(step, residual)
+        deriv_m = _eval_mp(step, residual)[m]
         res = math.hypot(*(root_weights * (deriv_m - gvals)).tolist())
         if not math.isfinite(res):
             raise EvaluationError("L2 residual is not finite in float64")

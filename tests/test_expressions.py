@@ -15,6 +15,7 @@ from bernbvp.expressions import (
     Neg,
     Num,
     X,
+    arg_indices,
     compile,
     evaluate,
     max_arg_index,
@@ -341,6 +342,89 @@ class TestEvaluate:
             evaluate(e, 0.0, (np.array([1.0, 0.0, -1.0]), np.array([-1.0, -1.0, 0.5])))
         assert str(err.value) == "zero raised to a negative power"
 
+    # signed zeros, infinities, nan, subnormals, integers of both parities
+    # and magnitudes that overflow or underflow a power
+    HOSTILE = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+               1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 3.0, -3.0, 1.5, -7.25, 1e-300, -1e300, 1e300,
+               1023.0, 1024.0, 1075.0, -1075.0, 1e300 + 2**970]
+
+    @staticmethod
+    def _loop_pow(b, e):
+        """Python's pow at one element, a signed inf where it overflows, and
+        None where the domain checks of ^ reject it: a negative base with
+        an exponent that is not a finite integer, or 0 to a negative power."""
+        if (b < 0 and not (math.isfinite(e) and e.is_integer())) or (b == 0 and e < 0):
+            return None
+        try:
+            return pow(b, e)
+        except OverflowError:
+            return math.copysign(math.inf, b) if e % 2 == 1 else math.inf
+
+    def test_power_over_hostile_arrays_matches_a_loop_of_pow(self, monkeypatch):
+        # _power maps math.pow, which must give the bits of Python's pow at
+        # every element the domain checks let through: on a libm where the
+        # two differ, this fails rather than letting the bits drift.  An
+        # overflow anywhere takes every element again through ** (_pow)
+        rng = np.random.default_rng(35)
+        pairs = [(b, e) for b in self.HOSTILE for e in self.HOSTILE]
+        bases = np.ldexp(rng.uniform(-1, 1, 4000), rng.integers(-1080, 1024, 4000))
+        exponents = np.where(rng.random(4000) < 0.5, rng.integers(-400, 400, 4000),
+                             rng.uniform(-300, 300, 4000) * 10.0 ** rng.integers(-3, 2, 4000))
+        pairs += zip(bases.tolist(), exponents.tolist())
+        good = [(b, e) for b, e in pairs if self._loop_pow(b, e) is not None]
+        finite = [(b, e) for b, e in good if not math.isinf(self._loop_pow(b, e))
+                  or math.isinf(b) or math.isinf(e)]
+        assert len(good) > len(finite) > 2000
+
+        def check(chosen):  # 1-D, 2-D and at a single point
+            b, e = map(np.array, zip(*chosen))
+            want = np.array([self._loop_pow(*p) for p in chosen])
+            assert expressions._power(b, e).tobytes() == want.tobytes()
+            assert expressions._power(b[:1000].reshape(50, 20), e[:1000].reshape(50, 20)) \
+                .tobytes() == want[:1000].tobytes()
+            assert expressions._power(b[3], e[3]).tobytes() == want[3].tobytes()
+
+        with monkeypatch.context() as patch:  # math.pow alone, no fallback
+            patch.setattr(expressions, "_pow", None)
+            check(finite)
+        check(good)
+        for b, e in set(pairs) - set(good):
+            with pytest.raises(EvaluationError):
+                expressions._power(np.array([2.0, b]), np.array([1.0, e]))
+        # a constant exponent that is a non-negative integer skips the checks
+        values = np.array(self.HOSTILE + bases.tolist())
+        for e in (0.0, 1.0, 2.0, 3.0, 1024.0, 1075.0):
+            want = np.array([self._loop_pow(b, e) for b in values.tolist()])
+            assert expressions._power(values, e).tobytes() == want.tobytes(), e
+
+    @pytest.mark.parametrize("fn", ["sin", "cos", "tan", "sec", "exp", "ln", "sqrt", "abs"])
+    def test_functions_over_hostile_arrays_match_a_loop_of_math(self, fn):
+        # _function maps math's function over the elements: the bits of a
+        # loop, in 1-D, 2-D and at a single point, and EvaluationError where
+        # the loop fails (exp overflows, sin of an infinity, ln of 0, ...)
+        rng = np.random.default_rng(36)
+        randoms = np.ldexp(rng.uniform(-1, 1, 2000), rng.integers(-1080, 1024, 2000))
+        scalar = expressions._FUNCS[fn]
+
+        def loop(v):
+            try:
+                return scalar(v)
+            except (OverflowError, ValueError):
+                return None
+
+        values = self.HOSTILE + randoms.tolist() + rng.uniform(-800, 800, 500).tolist()
+        good = [v for v in values if loop(v) is not None]
+        assert len(good) > 1000
+        v = np.array(good)
+        want = np.array([loop(p) for p in good])
+        assert expressions._function(fn, v).tobytes() == want.tobytes()
+        grid = v[:1000].reshape(20, 50)
+        assert expressions._function(fn, grid).tobytes() == want[:1000].tobytes()
+        assert expressions._function(fn, v[7]).tobytes() == want[7].tobytes()
+        for p in set(values) - set(good):
+            with pytest.raises(EvaluationError):
+                expressions._function(fn, np.array([1.0, p]))
+
 
 class TestRoundTrip:
     CASES = ["y1^2 + 1", "-2*y2 - y0", "4*x*y1 + 2*y0", "y3^2 / y2",
@@ -354,6 +438,13 @@ class TestRoundTrip:
     def test_max_arg_index(self):
         assert max_arg_index(parse("x + 1")) == -1
         assert max_arg_index(parse("y0 * y3 - y1")) == 3
+
+    def test_arg_indices(self):
+        assert arg_indices(parse("x + 1")) == frozenset()
+        assert arg_indices(parse("-y2 * y0^sin(y0) / y2")) == {0, 2}
+        for walk in (arg_indices, max_arg_index):
+            with pytest.raises(TypeError):
+                walk(BinOp("+", Arg(0), "y1"))
 
 
 def _outcome(e, x, args):

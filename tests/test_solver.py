@@ -87,6 +87,39 @@ class TestRightHandSides:
         assert got.solution.coeffs.tobytes() == want.solution.coeffs.tobytes()
         assert got.residuals.tobytes() == want.residuals.tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_an_expression_reading_some_orders_matches_a_callable(self, m):
+        # the step evaluates only the derivative orders an expression
+        # reads, a callable reads every one: for each subset, none (a
+        # constant, or x alone), y0, y(m-1) and a gap, and every (k, l),
+        # the two give the same iterates and residuals, bit for bit.  Each
+        # read order enters as c*yr^p, a power through ^ and through **
+        const, line = ("2", lambda x: 2.0), ("x - 0.5", lambda x: x - 0.5)
+        subsets = [(const, ()), (line, ()), (line, ((0.25, 0, 1.0),)),
+                   (line, ((0.25, m - 1, 2.0),))]
+        if m >= 3:
+            subsets.append((line, ((0.25, 0, 1.0), (0.125, 2, 1.0))))
+        rng = np.random.default_rng(4400 + m)
+        for k in range(m + 1):
+            left, right = tuple(rng.uniform(-1, 1, k)), tuple(rng.uniform(-1, 1, m - k))
+            for (base, g), terms in subsets:
+                source = base + "".join(f" + {c}*y{r}^{p}" for c, r, p in terms)
+
+                def f(x, *y, g=g, terms=terms):
+                    value = g(x)
+                    for c, r, p in terms:
+                        value = value + c * y[r] ** p
+                    return value
+
+                problem, mirror = BVProblem(left, right, parse(source)), BVProblem(left, right, f)
+                assert problem.reads == tuple(r for _, r, _ in terms), source
+                assert mirror.reads == tuple(range(m))
+                options = SolveOptions(degree=m + 4)
+                want, got = solve(problem, options), solve(mirror, options)
+                for a, b in zip(got.iterates, want.iterates, strict=True):
+                    assert a.coeffs.tobytes() == b.coeffs.tobytes(), (k, source)
+                assert got.residuals.tobytes() == want.residuals.tobytes(), (k, source)
+
     def test_callable_goes_through_the_expression_hook_once_per_iteration(self, monkeypatch):
         # every right-hand side takes the one evaluator of the step
         eval_expr, calls = solver.eval_expr, []
@@ -731,10 +764,12 @@ class TestSolve:
 
     def test_memos_do_not_change_results(self):
         # cold (caches cleared) and warm solves give the same bytes.
-        # Examples 2 (k = l = 2) and 3 (k = 4, l = 0) share m = 4 and, with
-        # a fixed quad_order, one rule: they share its derivative terms,
-        # while their outer terms are kept per (n, k, l), so interleaved
-        # warm solves of the two match cold ones
+        # Examples 2 (k = l = 2) and 3 (k = 4, l = 0) share m = 4 and every
+        # rule, by default and with a fixed quad_order, but read y0, y2 and
+        # y2, y3: the rule keeps their derivative terms per orders read and
+        # their outer terms are kept per (n, k, l), so warm solves of the
+        # two, one after the other, match cold ones
+        assert [example(i).problem.reads for i in (2, 3)] == [(0, 2), (2, 3)]
         runs = [(example(i).problem, SolveOptions(degree=30)) for i in range(1, 6)]
         runs += [(example(i).problem, SolveOptions(degree=30, quad_order=40)) for i in (2, 3)]
         cold = []
