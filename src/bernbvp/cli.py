@@ -24,7 +24,7 @@ import sys
 
 from .bernstein import BernsteinPoly, evaluate as eval_poly
 from .errors import EvaluationError, ExpressionSyntaxError, IterationError
-from .expressions import evaluate as eval_expr, max_arg_index, parse as parse_expr
+from .expressions import arg_indices, evaluate as eval_expr, parse as parse_expr
 from .problems import (EXAMPLE_IDS, FIXTURE_GRID_M, ReferenceSolution, error_curve,
                        example, max_error)
 from .solver import BVProblem, SolveOptions, solve
@@ -77,7 +77,7 @@ def load_problem_spec(path):
     reference = None
     if doc.get("exact") is not None:
         exact = _parse_source(doc["exact"], "exact")
-        if max_arg_index(exact) >= 0:
+        if arg_indices(exact):
             raise SpecError("exact solution may only reference x")
         reference = ReferenceSolution(kind="closed_form",
                                       fn=lambda x: eval_expr(exact, x))

@@ -274,7 +274,10 @@ def arg_indices(e):
 
 
 def max_arg_index(e):
-    """Largest yk index appearing in e, or -1 if none; TypeError for a non-node."""
+    """Largest yk index appearing in e, or -1 if none; TypeError for a non-node.
+
+    The package itself reads ``arg_indices``; this stays as a public name.
+    """
     return max(arg_indices(e), default=-1)
 
 
@@ -482,9 +485,5 @@ def _function(fn, v):
 
 def _map(fn, v, *rest):
     """fn mapped over the elements of the float64 array v, in C order, and
-    of the iterables rest alongside, as a float64 array of v's shape.  A
-    1-D v, as a rule's nodes give, goes from tolist() straight into the
-    array, with no ravel and no reshape."""
-    if v.ndim == 1:
-        return np.fromiter(map(fn, v.tolist(), *rest), float, v.size)
+    of the iterables rest alongside, as a float64 array of v's shape."""
     return np.fromiter(map(fn, v.ravel().tolist(), *rest), float, v.size).reshape(v.shape)

@@ -100,8 +100,7 @@ def _node_derivatives(p, terms):
     wanted (``_derivative_terms``).  Derivative r has the
     coefficients n!/(n-r)! times the r-fold forward differences of p,
     taken once, order after order, so each has the bits it has when every
-    order is wanted; its values are one product with B, and order 0's are
-    B times p itself, with no product by n!/n! = 1.  A value that
+    order is wanted; its values are one product with B.  A value that
     overflows is inf or nan, with a warning unless the caller ignores it
     (``np.errstate``, as solve and iterate do); the caller checks the
     values it uses.
@@ -111,7 +110,7 @@ def _node_derivatives(p, terms):
         for _ in steps:
             p = p[1:] - p[:-1]
         values += skipped
-        values.append(basis.dot(scale * p) if steps else basis.dot(p))
+        values.append(basis.dot(scale * p))
     return values
 
 
