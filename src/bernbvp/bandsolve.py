@@ -6,9 +6,9 @@ couples the inner coefficients: entry (i, j) of the matrix G is
 ``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
 LRU of 1024 entries, the one cache of this module: the stencil as exact
 integers; the dense matrix and its inverse, formed once from it in
-float64 (its binomials are exact there up to m = 56); and the scale that
-assemble_rhs needs.  A solve to degree N uses N - m + 1 shapes; an
-examples-n40 pass uses 190, about 1.5 MB together.
+float64 (its binomials are exact there up to m = 56); and the scale
+n!/(n-m)! that assemble_rhs needs (``falling_factorial``).  A solve to
+degree N uses N - m + 1 shapes; an examples-n40 pass uses 190, 1.5 MB.
 
 A solve is one product with the inverse, refined until the correction d
 is at rounding level, |d|^2 <= eps |p|^2; a correction that does not
@@ -40,6 +40,7 @@ from operator import sub
 
 import numpy as np
 
+from .bernstein import falling_factorial
 from .errors import EvaluationError, SingularSystemError
 
 __all__ = ["StencilSystem", "assemble_matrix", "assemble_rhs", "solve"]
@@ -56,7 +57,7 @@ class StencilSystem:
     difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
     entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
     inverse (both read-only; None if inverting fails); ``scale`` =
-    n!/(n-m)! correctly rounded (``math.perm``), for assemble_rhs.
+    n!/(n-m)! correctly rounded (``falling_factorial``), for assemble_rhs.
     """
 
     size: int
@@ -93,7 +94,7 @@ def assemble_matrix(n, m, k, l):
         inverse.setflags(write=False)
     except np.linalg.LinAlgError:
         inverse = None
-    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, float(math.perm(n, m)))
+    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, falling_factorial(n, m))
 
 
 def assemble_rhs(system, duals, legendre_moments):

@@ -213,7 +213,7 @@ def _parse_example_list(text):
     except ValueError as exc:
         raise SpecError(f"bad example list {text!r}") from exc
     if not ids or any(i not in EXAMPLE_IDS for i in ids):
-        raise SpecError(f"example ids must be in 1..5, got {text!r}")
+        raise SpecError(f"example ids must be in {EXAMPLE_IDS}, got {text!r}")
     return ids
 
 
@@ -249,9 +249,10 @@ def cmd_error_curve(args):
     if not 1 <= args.grid <= MAX_GRID:
         raise SpecError(f"grid M must be 1..{MAX_GRID}, got {args.grid}")
     if args.example is not None:
-        if args.example not in EXAMPLE_IDS:
-            raise SpecError(f"example id must be 1..5, got {args.example}")
-        ex = example(args.example)
+        try:
+            ex = example(args.example)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
         problem, reference = ex.problem, ex.reference
         quad = {}
     else:

@@ -366,9 +366,7 @@ def evaluate(e, x, args=()):
     (a constant, or operands of mixed shapes) is broadcast to the common
     one.
     """
-    shape = np.shape(x)
-    if any(np.shape(a) != shape for a in args):
-        shape = np.broadcast_shapes(shape, *map(np.shape, args))
+    shape = np.broadcast_shapes(np.shape(x), *map(np.shape, args))
     with np.errstate(over="ignore", invalid="ignore"):
         out = (e if callable(e) else compile(e))(np.asarray(x, dtype=float), args)
     if not shape:

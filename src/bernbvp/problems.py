@@ -131,7 +131,7 @@ def example(example_id):
     """One of the five built-in benchmark problems, built from its row of
     ``_EXAMPLES``."""
     if example_id not in _EXAMPLES:
-        raise ValueError(f"example id must be 1..5, got {example_id}")
+        raise ValueError(f"example id must be in {EXAMPLE_IDS}, got {example_id}")
     left, right, rhs, source, ref_note, note = _EXAMPLES[example_id]
     if source.endswith(".txt"):
         xs, ys, consts = _load_fixture(source)

@@ -5,14 +5,13 @@ The single-panel rule comes from ``numpy.polynomial.legendre.leggauss``;
 composite rules are affine images of it, all in float64, and are memoized
 per (order, panels).  The solver's moments are Legendre moments
 (2j + 1) sum_t w_t g(x_t) P_j(2 x_t - 1): one float64 product of the
-samples of g with a weighted Legendre Vandermonde that each rule builds on
-first use and keeps.  ``dual.DualCoeffTable.legendre`` turns them into the
-Bernstein coefficients of the projection of g.  Beside the Vandermonde,
-each rule keeps one ``bernstein.basis_matrix`` per degree d, the values
-B_i^d(x_t) at its nodes, so a polynomial of degree d (a derivative of the
-solver's iterate) is evaluated at every node by one matrix-vector product
-with its coefficients.  The matrices, and the solver's derivative terms
-built on them, are kept in one memo per rule (``QuadratureRule.memo``).
+samples of g with a weighted Legendre Vandermonde of the rule, which
+``dual.DualCoeffTable.legendre`` turns into the Bernstein coefficients of
+the projection of g.  Beside the Vandermonde, each rule keeps one
+``bernstein.basis_matrix`` per degree d, the values B_i^d(x_t) at its
+nodes, so a polynomial of degree d (a derivative of the solver's iterate)
+is evaluated at every node by one matrix-vector product.  These tables and
+the solver's derivative terms are its one memo (``QuadratureRule.memo``).
 """
 
 import functools
@@ -45,19 +44,11 @@ class QuadratureRule:
 
     def legendre_vander(self, nu):
         """Entries (2j + 1) w_t P_j(2 x_t - 1) for every node t and
-        j = 0..nu, as a read-only (nodes, nu + 1) view.
-
-        Built on first use with max(nu, order - 1) columns, which covers
-        every degree the solver's default rule of this order serves, and
-        rebuilt wider when a larger nu asks for it.
-        """
-        table = self.__dict__.get("_legendre_vander")
-        if table is None or table.shape[1] <= nu:
-            deg = max(nu, self.order - 1)
-            scale = self.weights[:, None] * (2 * np.arange(deg + 1) + 1)
-            table = np.polynomial.legendre.legvander(2 * self.nodes - 1, deg) * scale
-            table.setflags(write=False)
-            object.__setattr__(self, "_legendre_vander", table)
+        j = 0..nu, as a read-only (nodes, nu + 1) view of a table of
+        max(nu, order - 1) + 1 columns, kept (``memo``): one table serves
+        every degree the solver's default rule of this order serves."""
+        width = max(nu, self.order - 1)
+        table = self.memo(("legendre", width), _legendre_vander, self.nodes, self.weights, width)
         return table[:, :nu + 1]
 
     def bernstein_basis(self, d):
@@ -80,6 +71,11 @@ class QuadratureRule:
                 value.setflags(write=False)
             value = self._memo.setdefault(key, value)
         return value
+
+
+def _legendre_vander(nodes, weights, deg):
+    scale = weights[:, None] * (2 * np.arange(deg + 1) + 1)
+    return np.polynomial.legendre.legvander(2 * nodes - 1, deg) * scale
 
 
 def gauss_rule(order, panels=1):
