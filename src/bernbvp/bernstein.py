@@ -27,9 +27,13 @@ def binomial_row(n):
     """All C(n, i) for i = 0..n, each the correctly rounded float of the
     exact integer (exact while C(n, i) < 2^53, i.e. for n <= 56).
 
-    Memoized per degree; the returned array is read-only.
+    Memoized per degree; the returned array is read-only.  ValueError
+    beyond float64 (n above about 1030).
     """
-    row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    try:
+        row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    except OverflowError as exc:
+        raise ValueError(f"binomial coefficients of degree {n} are beyond float64") from exc
     row.setflags(write=False)
     return row
 

@@ -26,7 +26,7 @@ The integers N of degree n are elevated from those of degree n - 1 by
 Pascal's rule, N_n[r, j] = N_(n-1)[r-1, j] + N_(n-1)[r, j] (j < n), plus
 the column of P_n: one degree of integer additions when the solver raises
 the degree by one.  A cold table of degree n builds every degree below it
-first.
+first, in steps of 64 degrees, so the recursion stays 64 levels deep.
 """
 
 import functools
@@ -37,6 +37,10 @@ from math import comb
 import numpy as np
 
 __all__ = ["DualCoeffTable", "dual_coefficients"]
+
+# most degrees a cold table builds by recursion; the LRU below holds twice
+# as many
+_CLIMB = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,11 @@ def dual_coefficients(n):
     n must be an integer (``operator.index``; TypeError otherwise).
     Memoized: equal degrees return the same immutable table.
     """
-    return _dual_table(operator.index(n))
+    n = operator.index(n)
+    # a cold build recurses once per missing degree: climb to n in steps
+    for d in range(n % _CLIMB, n, _CLIMB):
+        _dual_table(d)
+    return _dual_table(n)
 
 
 # one entry per degree n - m, with room for every degree the CLI's range

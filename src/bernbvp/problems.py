@@ -96,9 +96,12 @@ class ExampleProblem:
 
 @lru_cache(maxsize=None)
 def _load_fixture(name):
-    """x, y and the named boundary constants of a fixture table, read once."""
+    """x, y (read-only) and the named boundary constants of a fixture
+    table, read once."""
     text = resources.files("bernbvp").joinpath(f"data/{name}").read_text()
     xs, ys = np.loadtxt(io.StringIO(text), comments="#", unpack=True)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
     if xs.size != FIXTURE_GRID_M + 1:
         raise ValueError(f"fixture {name}: expected {FIXTURE_GRID_M + 1} rows")
     consts = re.findall(r"^#\s*boundary\s+(a\d)\s*=\s*(\S+)", text, re.MULTILINE)

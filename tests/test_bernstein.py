@@ -28,6 +28,13 @@ class TestBinomialRow:
         for n in range(61):
             assert binomial_row(n).tolist() == [float(comb(n, i)) for i in range(n + 1)], n
 
+    def test_beyond_float64_is_one_value_error(self):
+        # C(1100, 550) is about 1e330: evaluating at degree 1100 names the
+        # degree, where degree 1000 still evaluates
+        assert BernsteinPoly(np.ones(1001))(0.5) == pytest.approx(1.0, rel=1e-13)
+        with pytest.raises(ValueError, match="degree 1100 are beyond float64"):
+            BernsteinPoly(np.ones(1101))(0.5)
+
 
 class TestBasisValue:
     # the values of basis_matrix at one point

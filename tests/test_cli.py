@@ -604,6 +604,22 @@ class TestErrorCurveCommand:
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: exp(")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--examples", "1,x", "--max-degree", "4"], "bad example list '1,x'"),
+        (["error-curve", "--example", "6", "--degree", "3"],
+         "example id must be in (1, 2, 3, 4, 5), got 6"),
+        (["error-curve", "--example", "0", "--degree", "3"],
+         "example id must be in (1, 2, 3, 4, 5), got 0"),
+        (["error-curve", "--example", "4", "--degree", "20", "--grid", "7"],
+         "fixture reference is tabulated on M=200; M=7 is not a divisor grid"),
+    ], ids=["table-bad-list", "example-6", "example-0", "fixture-grid-7"])
+    def test_bad_example_or_grid_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert printed == "" and not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "error-curve"])
     def test_exact_not_finite_on_the_grid_exits_3(self, tmp_path, capsys, command):
         # 1e200*1e200 is inf: the exact solution is nan at x = 0 and inf

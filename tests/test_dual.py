@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
@@ -168,6 +171,26 @@ class TestDualCoefficients:
         for n in (5, 4, 30, 31, 60, 17, 59, 0, 1, 2, 45):
             assert dual_coefficients(n).legendre_numerators == want[n], n
         assert [t.legendre_numerators for t in map(dual_coefficients, range(61))] == want
+
+    def test_cold_table_recursion_is_bounded(self):
+        # a cold table of degree 200 under a recursion limit of 300 climbs
+        # in bounded steps and equals the table of a climb from degree 0
+        import bernbvp
+
+        code = """if True:
+            import sys
+            sys.setrecursionlimit(300)
+            from bernbvp import dual
+            cold = dual.dual_coefficients(200)
+            dual._dual_table.cache_clear()
+            climbed = [dual.dual_coefficients(n) for n in range(201)][-1]
+            assert cold.legendre_numerators == climbed.legendre_numerators
+            assert cold.legendre.tobytes() == climbed.legendre.tobytes()
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bernbvp.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert out.returncode == 0, out.stderr
 
     def test_symmetries(self):
         for n in (3, 8, 14, 20):

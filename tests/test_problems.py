@@ -232,6 +232,17 @@ class TestErrorCurve:
         with pytest.raises(ValueError):
             ys[0] = 1.0
 
+    @pytest.mark.parametrize("ex_id", [4, 5])
+    def test_fixture_tables_are_read_only(self, ex_id):
+        # every example(4) and example(5) shares the one loaded table: a
+        # write must fail, not change the reference of the next example
+        ref = example(ex_id).reference
+        want = ref.grid_y.tolist()
+        for column in (ref.grid_x, ref.grid_y):
+            with pytest.raises(ValueError):
+                column[10] = 123.0
+        assert example(ex_id).reference.grid_y.tolist() == want
+
     def test_closed_form_not_finite_on_the_grid_raises_and_keeps_nothing(self):
         ref = ReferenceSolution(kind="closed_form", fn=lambda x: np.where(x == 0.5, np.inf, x))
         for _ in range(2):  # a failure is not kept as the grid's values

@@ -166,3 +166,21 @@ class TestMomentIntegrals:
             base, _ = legendre_moments(g, nu, gauss_rule(22, 2))
             fine, _ = legendre_moments(g, nu, gauss_rule(22, 4))
             assert np.abs(base - fine).max() < 1e-12, ex_id
+
+    def test_moments_after_a_wider_table_match_a_fresh_rule(self):
+        # a rule of order 6 keeps a table of 6 columns; nu = 12 keeps a
+        # wider one beside it.  Every nu then reads the bits of a rule that
+        # never built the wide table, and so would a view of the wide one
+        def g(x):
+            return np.exp(x) * np.sin(3 * x)
+
+        base = gauss_rule(6, 3)
+        used = QuadratureRule(base.order, base.panels, base.nodes, base.weights)
+        wide = used.legendre_vander(12)
+        for nu in (12, 3, 5, 8):
+            twin = QuadratureRule(base.order, base.panels, base.nodes, base.weights)
+            want = legendre_moments(g, nu, twin)[0].tobytes()
+            assert legendre_moments(g, nu, used)[0].tobytes() == want, nu
+            assert (g(base.nodes) @ wide[:, :nu + 1]).tobytes() == want, nu
+        # the tables live in the rule's memo, its only state beyond its fields
+        assert set(vars(used)) == {"order", "panels", "nodes", "weights", "_memo"}
