@@ -3,12 +3,12 @@
 At degree n and order m = k + l, the m-th forward-difference stencil
 couples the inner coefficients: entry (i, j) of the matrix G is
 (-1)^(l-d) C(m, d+k) for d = j - i in -k..l, and zero outside that band.
-``assemble_matrix`` builds one StencilSystem per shape (n, m, k, l), in an
-LRU of 1024 entries, the one cache of this module: the stencil as exact
-integers; the dense matrix and its inverse, formed once from it in
-float64 (its binomials are exact there up to m = 56); and the scale
-n!/(n-m)! that assemble_rhs needs (``falling_factorial``).  A solve to
-degree N uses N - m + 1 shapes; an examples-n40 pass uses 190, 1.5 MB.
+``assemble_matrix`` builds one StencilSystem per shape (n, k, l), in an
+LRU of 1024 entries, the one cache of this module: the dense matrix and
+its inverse, formed once in float64 (its binomials are exact there up to
+m = 56), and the scale n!/(n-m)! that assemble_rhs needs
+(``falling_factorial``).  A solve to degree N uses N - m + 1 shapes; an
+examples-n40 pass uses 190, 1.5 MB.
 
 A solve is one product with the inverse, refined until the correction d
 is at rounding level, |d|^2 <= eps |p|^2; a correction that does not
@@ -50,20 +50,18 @@ _ROUNDING = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class StencilSystem:
-    """The system G p = v of one shape (n, m, k, l), from ``assemble_matrix``.
+    """The system G p = v of one shape (n, k, l), from ``assemble_matrix``.
 
     ``size`` = n - m + 1 unknowns; ``lower_bw`` = k and ``upper_bw`` = l,
-    the band's extent below and above the diagonal; ``stencil``, the m-th
-    difference (-1)^(m-h) C(m, h) for h = 0..m as integers, the band's
-    entries on offsets -k..l; ``dense``, the matrix, and ``inverse``, its
-    inverse (both read-only; None if inverting fails); ``scale`` =
-    n!/(n-m)! correctly rounded (``falling_factorial``), for assemble_rhs.
+    the band's extent below and above the diagonal; ``dense``, the matrix,
+    and ``inverse``, its inverse (both read-only; None if inverting fails);
+    ``scale`` = n!/(n-m)! correctly rounded (``falling_factorial``), for
+    assemble_rhs.
     """
 
     size: int
     lower_bw: int
     upper_bw: int
-    stencil: tuple
     dense: np.ndarray
     inverse: np.ndarray
     scale: float
@@ -72,29 +70,29 @@ class StencilSystem:
 # the one cache per shape: 1024 systems hold the 190 shapes of an
 # examples-n40 pass (1.5 MB) and every shape of a solve to the CLI's cap
 @functools.lru_cache(maxsize=1024)
-def assemble_matrix(n, m, k, l):
+def assemble_matrix(n, k, l):
     """System matrix for degree n, order m = k + l, as a StencilSystem.
 
     The diagonal at offset d carries (-1)^(l-d) C(m, d+k): the signed
     binomial row of the m-th forward difference.  Memoized per shape, so
     each shape's inverse is formed once per process.
     """
-    if k < 0 or l < 0 or k + l != m:
-        raise ValueError(f"need k + l = m with k, l >= 0; got k={k}, l={l}, m={m}")
+    if k < 0 or l < 0:
+        raise ValueError(f"need k, l >= 0; got k={k}, l={l}")
+    m = k + l
     if n < m:
         raise ValueError(f"need n >= m, got n={n}, m={m}")
     nu = n - m
-    stencil = tuple((-1) ** (m - h) * comb(m, h) for h in range(m + 1))
+    stencil = np.array([(-1) ** (m - h) * comb(m, h) for h in range(m + 1)], dtype=float)
     offset = np.arange(nu + 1) - np.arange(nu + 1)[:, None]  # j - i
-    dense = np.where((offset >= -k) & (offset <= l),
-                     np.array(stencil, dtype=float)[np.clip(offset + k, 0, m)], 0.0)
+    dense = np.where((offset >= -k) & (offset <= l), stencil[np.clip(offset + k, 0, m)], 0.0)
     dense.setflags(write=False)
     try:
         inverse = np.linalg.inv(dense)
         inverse.setflags(write=False)
     except np.linalg.LinAlgError:
         inverse = None
-    return StencilSystem(nu + 1, k, l, stencil, dense, inverse, falling_factorial(n, m))
+    return StencilSystem(nu + 1, k, l, dense, inverse, falling_factorial(n, m))
 
 
 def assemble_rhs(system, duals, legendre_moments):

@@ -214,6 +214,8 @@ def _parse_example_list(text):
         raise SpecError(f"bad example list {text!r}") from exc
     if not ids or any(i not in EXAMPLE_IDS for i in ids):
         raise SpecError(f"example ids must be in {EXAMPLE_IDS}, got {text!r}")
+    if len(set(ids)) != len(ids):
+        raise SpecError(f"repeated example id in {text!r}")
     return ids
 
 

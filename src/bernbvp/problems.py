@@ -44,7 +44,6 @@ class ReferenceSolution:
 
     kind: str
     fn: object = None
-    grid_x: np.ndarray = None
     grid_y: np.ndarray = None
     note: str = ""
 
@@ -96,16 +95,15 @@ class ExampleProblem:
 
 @lru_cache(maxsize=None)
 def _load_fixture(name):
-    """x, y (read-only) and the named boundary constants of a fixture
-    table, read once."""
+    """y (read-only) and the named boundary constants of a fixture table,
+    read once; ValueError unless its x column is the grid {i/200}."""
     text = resources.files("bernbvp").joinpath(f"data/{name}").read_text()
     xs, ys = np.loadtxt(io.StringIO(text), comments="#", unpack=True)
-    xs.setflags(write=False)
+    if not np.array_equal(xs, _grid(FIXTURE_GRID_M)):
+        raise ValueError(f"fixture {name}: x column is not the grid i/{FIXTURE_GRID_M}")
     ys.setflags(write=False)
-    if xs.size != FIXTURE_GRID_M + 1:
-        raise ValueError(f"fixture {name}: expected {FIXTURE_GRID_M + 1} rows")
     consts = re.findall(r"^#\s*boundary\s+(a\d)\s*=\s*(\S+)", text, re.MULTILINE)
-    return xs, ys, {key: float(value) for key, value in consts}
+    return ys, {key: float(value) for key, value in consts}
 
 
 # id: (left values, right values, rhs, reference, reference note, note)
@@ -137,8 +135,8 @@ def example(example_id):
         raise ValueError(f"example id must be in {EXAMPLE_IDS}, got {example_id}")
     left, right, rhs, source, ref_note, note = _EXAMPLES[example_id]
     if source.endswith(".txt"):
-        xs, ys, consts = _load_fixture(source)
-        reference = ReferenceSolution("fixture", grid_x=xs, grid_y=ys, note=ref_note)
+        ys, consts = _load_fixture(source)
+        reference = ReferenceSolution("fixture", grid_y=ys, note=ref_note)
         left, right = ([consts.get(v, v) for v in side] for side in (left, right))
     else:
         e = parse(source)

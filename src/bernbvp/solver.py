@@ -49,11 +49,11 @@ Each constant of a step is kept once, under what it depends on: the
 basis matrices and falling factorials of the derivatives on the rule
 (``QuadratureRule.memo``), by the degree of the polynomial and the
 orders read, with the roots of the rule's weights; the constants of the
-outer coefficients by (n, k, l) (``_outer_terms``); the band system of
-each shape, with its inverse, by ``bandsolve.assemble_matrix``; the dual
-table by its degree; and the matrix that raises the seed to degree n by
-(n, k, l) (``_seed_elevation``).  So a warm iteration derives no
-constant again, whatever the degree of the iterate it starts from.
+outer coefficients and the rows that raise the seed to degree n, both by
+(n, k, l) (``_shape_terms``); the band system of each shape, with its
+inverse, by ``bandsolve.assemble_matrix``; and the dual table by its
+degree.  So a warm iteration derives no constant again, whatever the
+degree of the iterate it starts from.
 
 A step is dominated by the entry cost of small numpy calls, not by their
 arithmetic, so its products with C-contiguous matrices are ndarray.dot
@@ -240,7 +240,8 @@ def outer_coefficients(problem, n):
     """Bernstein coefficients of degree n pinned by the boundary data.
 
     Returns (left, right): left[i] is the coefficient at index i
-    (i = 0..k-1) and right[j] the one at index n - j (j = 0..l-1).  Both
+    (i = 0..k-1) and right[j] the one at index n - j (j = 0..l-1), so n
+    must be at least m - 1 for the two to hold distinct indices.  Both
     recurrences peel the highest-order endpoint-derivative formula.  Staying
     in float64 is deliberate: each coefficient is computed from the already
     rounded earlier ones, so its own rounding compensates theirs and the
@@ -248,26 +249,33 @@ def outer_coefficients(problem, n):
     values would.
     """
     k, l = problem.k, problem.l
-    if n < max(k, l) - 1:
-        raise ValueError(f"degree {n} too small for k={k}, l={l}")
-    left, right = _outer(problem, _outer_terms(n, k, l))
+    if n < problem.m - 1:
+        raise ValueError(f"degree {n} too small for k={k}, l={l}: need n >= m - 1")
+    left, right = _outer(problem, _shape_terms(n, k, l)[0])
     return np.array(left, dtype=float), np.array(right, dtype=float)
 
 
 # one entry per shape (n, k, l), like bandsolve.assemble_matrix
 @functools.lru_cache(maxsize=1024)
-def _outer_terms(n, k, l):
-    """What the outer coefficients of degree n take from n, k and l alone:
-    per left index i, n!/(n-i)! and the signed binomials -(-1)^(i-h) C(i, h)
-    for h < i; per right index j, (-1)^j, n!/(n-j)! and -(-1)^h C(j, h) for
-    h = 1..j."""
+def _shape_terms(n, k, l):
+    """What a step of degree n takes from n, k and l alone: (outer terms,
+    elevation rows).  The outer terms hold, per left index i, n!/(n-i)!
+    and the signed binomials -(-1)^(i-h) C(i, h) for h < i; per right
+    index j, (-1)^j, n!/(n-j)! and -(-1)^h C(j, h) for h = 1..j.  The
+    elevation rows are rows k..n - l of the matrix that raises a
+    polynomial of degree m - 1 to degree n: C(m-1, j) C(n-m+1, i-j) /
+    C(n, i), each rounded once from the integers (read-only)."""
+    m = k + l
     left = tuple((falling_factorial(n, i),
                   tuple(-((-1.0) ** (i - h)) * comb(i, h) for h in range(i)))
                  for i in range(k))
     right = tuple(((-1.0) ** j, falling_factorial(n, j),
                    tuple(-((-1.0) ** h) * comb(j, h) for h in range(1, j + 1)))
                   for j in range(l))
-    return left, right
+    e = np.array([[comb(m - 1, j) * comb(n - m + 1, i - j) / comb(n, i) if j <= i else 0.0
+                   for j in range(m)] for i in range(k, n - l + 1)])
+    e.setflags(write=False)
+    return (left, right), e
 
 
 def _outer(problem, terms):
@@ -299,23 +307,10 @@ def seed(problem):
     IterationError(m - 1, cause), the degree of the seed.
     """
     try:
-        left, right = _outer(problem, _outer_terms(problem.m - 1, problem.k, problem.l))
+        left, right = _outer(problem, _shape_terms(problem.m - 1, problem.k, problem.l)[0])
     except EvaluationError as exc:
         raise IterationError(problem.m - 1, exc) from exc
     return BernsteinPoly(np.concatenate((left, right[::-1])))
-
-
-# one entry per shape (n, k, l), like _outer_terms
-@functools.lru_cache(maxsize=1024)
-def _seed_elevation(n, k, l):
-    """Rows k..n - l of the matrix that raises a polynomial of degree
-    m - 1 = k + l - 1 to degree n: C(m-1, j) C(n-m+1, i-j) / C(n, i),
-    each rounded once from the integers (read-only)."""
-    m = k + l
-    e = np.array([[comb(m - 1, j) * comb(n - m + 1, i - j) / comb(n, i) if j <= i else 0.0
-                   for j in range(m)] for i in range(k, n - l + 1)])
-    e.setflags(write=False)
-    return e
 
 
 def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
@@ -324,7 +319,7 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     coefficients; returns (coefficients, L2 residual).
 
     The step solves for the correction to the inner coefficients of a base,
-    the seed raised to degree n (``_seed_elevation``) with the outer
+    the seed raised to degree n (``_shape_terms``) with the outer
     coefficients of degree n, so v has no boundary stencil terms and is
     the float64 product alone (``bandsolve.assemble_rhs``).  The base's
     m-th derivative is zero, so it is not evaluated: the samples of the
@@ -354,18 +349,19 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     derivs = rule.memo(("derivs", d, problem.reads), _derivative_terms, rule, d, problem.reads)
     residual = rule.memo(("residual", n, m), _derivative_terms, rule, n, (m,))
     root_weights = rule.memo("root_weights", np.sqrt, rule.weights)
+    outer_terms, elevation = _shape_terms(n, k, l)
 
     def g(x):  # x is rule.nodes: the moment kernel samples g at the nodes
         return eval_expr(rhs, x, _eval_mp(prev, derivs))
 
     try:
-        left, right = _outer(problem, _outer_terms(n, k, l))
+        left, right = _outer(problem, outer_terms)
         moments, gvals = _moment_integrals_mp(g, n - m, rule)
-        system = bandsolve.assemble_matrix(n, m, k, l)
+        system = bandsolve.assemble_matrix(n, k, l)
         v = bandsolve.assemble_rhs(system, dual_coefficients(n - m), moments)
         step = np.zeros(n + 1)
         step[k:n - l + 1] = bandsolve.solve(system, v, float_pass)
-        inner = _seed_elevation(n, k, l).dot(start) + step[k:n - l + 1]
+        inner = elevation.dot(start) + step[k:n - l + 1]
         if np.count_nonzero(np.isfinite(inner)) != inner.size:
             raise EvaluationError("band solve result is not finite in float64")
         coeffs = np.concatenate((left, inner, right[::-1]))
@@ -391,17 +387,15 @@ def _compiled_rhs(problem):
     takes in place of a tree: an expression compiled (``compile``), or a
     callable f called once per point, in order, with floats, its results
     converted with float() and given the common shape of x and the
-    arguments (broadcast only when their shapes differ); an
-    ArithmeticError or ValueError there is an EvaluationError at that
-    point."""
+    arguments (one ``np.broadcast_arrays``); an ArithmeticError or
+    ValueError there is an EvaluationError at that point."""
     f = problem.rhs
     if not callable(f):
         return compile(f)
 
     def pointwise(x, args):  # x is an array; each argument has a value per point
-        if any(np.shape(a) != x.shape for a in args):
-            x, *args = np.broadcast_arrays(x, *args)
-        points = zip(x.ravel().tolist(), *(np.ravel(a).tolist() for a in args))
+        x, *args = np.broadcast_arrays(x, *args)
+        points = zip(x.ravel().tolist(), *(a.ravel().tolist() for a in args))
         values = []
         try:
             for point in points:

@@ -315,16 +315,23 @@ def bernstein_gram_entry(n, i, j):
     return math.comb(n, i) * math.comb(n, j) / ((2 * n + 1) * math.comb(2 * n, i + j))
 
 
+def stencil(system):
+    """The m-th difference (-1)^(m-h) C(m, h), h = 0..m, of a StencilSystem
+    of order m = k + l, from its bandwidths alone."""
+    m = system.lower_bw + system.upper_bw
+    return [(-1) ** (m - h) * math.comb(m, h) for h in range(m + 1)]
+
+
 def dense_from_banded(system):
-    """Dense matrix of a StencilSystem, built entry by entry from its
-    stencil."""
-    s = system.size
+    """Dense matrix of a StencilSystem, built entry by entry from the
+    stencil of its order."""
+    s, row = system.size, stencil(system)
     a = np.zeros((s, s))
     for i in range(s):
         for j in range(s):
             d = j - i
             if -system.lower_bw <= d <= system.upper_bw:
-                a[i, j] = system.stencil[d + system.lower_bw]
+                a[i, j] = row[d + system.lower_bw]
     return a
 
 

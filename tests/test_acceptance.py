@@ -242,7 +242,7 @@ def test_criterion_7_band_solver_oracle():
             for n in (m, m + 5, m + 12, 25):
                 if n < m:
                     continue
-                system0 = assemble_matrix(n, m, k, l)
+                system0 = assemble_matrix(n, k, l)
                 dense = dense_from_banded(system0)
                 for _ in range(2):
                     rhs = rng.uniform(-1, 1, system0.size)

@@ -606,13 +606,14 @@ class TestErrorCurveCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["table", "--examples", "1,x", "--max-degree", "4"], "bad example list '1,x'"),
+        (["table", "--examples", "1,1", "--max-degree", "4"], "repeated example id in '1,1'"),
         (["error-curve", "--example", "6", "--degree", "3"],
          "example id must be in (1, 2, 3, 4, 5), got 6"),
         (["error-curve", "--example", "0", "--degree", "3"],
          "example id must be in (1, 2, 3, 4, 5), got 0"),
         (["error-curve", "--example", "4", "--degree", "20", "--grid", "7"],
          "fixture reference is tabulated on M=200; M=7 is not a divisor grid"),
-    ], ids=["table-bad-list", "example-6", "example-0", "fixture-grid-7"])
+    ], ids=["table-bad-list", "table-repeated-id", "example-6", "example-0", "fixture-grid-7"])
     def test_bad_example_or_grid_exits_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o.csv"
         assert main([*argv, "--out", str(out)]) == 2

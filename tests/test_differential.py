@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import (dense_from_banded, evaluate_reference, exact_route_iterate,
-                     legendre_moments_reference, route_inputs)
+                     legendre_moments_reference, route_inputs, stencil)
 
 from bernbvp import bandsolve
 from bernbvp.bandsolve import assemble_matrix, assemble_rhs, solve
@@ -83,7 +83,7 @@ def test_rhs_bit_identical_for_every_shape(m):
             n = nu + m
             duals = dual_coefficients(nu)
             moments = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-16, 3, nu + 1)
-            got = assemble_rhs(assemble_matrix(n, m, k, l), duals, moments)
+            got = assemble_rhs(assemble_matrix(n, k, l), duals, moments)
             scale = math.factorial(n) // math.factorial(nu)
             assert bits(got) == bits(duals.legendre @ moments / scale), (k, nu)
 
@@ -214,11 +214,12 @@ def factor_and_apply(system, v):
 
 
 def exact_residual(system, v, p):
-    """v - G p in Fractions from the stencil, each entry rounded once by
-    float(); OverflowError where one leaves float64."""
+    """v - G p in Fractions from the stencil of the system's order, each
+    entry rounded once by float(); OverflowError where one leaves
+    float64."""
     padded = [0] * system.lower_bw + list(map(Fraction, p.tolist())) + [0] * system.upper_bw
-    w = len(system.stencil)
-    return [float(Fraction(x) - sum(map(operator.mul, system.stencil, padded[i:i + w])))
+    row = stencil(system)
+    return [float(Fraction(x) - sum(map(operator.mul, row, padded[i:i + len(row)])))
             for i, x in enumerate(v.tolist())]
 
 
@@ -241,13 +242,13 @@ def test_exact_residual_matches_fractions(m):
             with pytest.raises(OverflowError):
                 bandsolve._residual(system, v, p)
             return
-        assert bits(bandsolve._residual(system, v, p)) == bits(want), (system.stencil, p)
+        assert bits(bandsolve._residual(system, v, p)) == bits(want), (m, k, p)
         finite.append(system.size)
 
     for k in range(m + 1):
         for n in (m, int(rng.integers(m + 1, 60)), 60):
             size = n - m + 1
-            matrix = assemble_matrix(n, m, k, m - k)
+            matrix = assemble_matrix(n, k, m - k)
             near = np.ldexp(rng.uniform(-1, 1, size), rng.integers(-60, 60, size))
             check(matrix, near, factor_and_apply(matrix, near))
             v = np.ldexp(rng.uniform(-1, 1, size), rng.integers(-1074, 1000, size))
@@ -298,7 +299,7 @@ def test_step_products_bit_identical_to_matmul_for_every_shape(m, monkeypatch):
                 want = rule.bernstein_basis(d - r) @ (falling_factorial(d, r) * np.diff(coeffs, r))
                 assert bits(got[r]) == bits(want), (nu, r)
         for k in range(m + 1):
-            system = assemble_matrix(n, m, k, m - k)
+            system = assemble_matrix(n, k, m - k)
             v = rng.uniform(-1, 1, nu + 1) * 10.0 ** rng.integers(-8, 9, nu + 1)
             steps.clear()
             got = solve(system, v)
@@ -325,7 +326,7 @@ def test_band_solve_raises_only_near_the_condition_limit_else_small_residual(m):
         l = m - k
         for size in range(1, 62):
             rhs = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-3, 4, size)
-            system = assemble_matrix(size + m - 1, m, k, l)
+            system = assemble_matrix(size + m - 1, k, l)
             dense = dense_from_banded(system)
             cond = np.linalg.cond(dense, np.inf)
             p = solve(system, rhs)

@@ -442,8 +442,8 @@ class TestRoundTrip:
     def test_arg_indices(self):
         assert arg_indices(parse("x + 1")) == frozenset()
         assert arg_indices(parse("-y2 * y0^sin(y0) / y2")) == {0, 2}
-        for walk in (arg_indices, max_arg_index):
-            with pytest.raises(TypeError):
+        for walk in (arg_indices, max_arg_index, to_source, compile):
+            with pytest.raises(TypeError, match="not an expression node: 'y1'"):
                 walk(BinOp("+", Arg(0), "y1"))
 
 

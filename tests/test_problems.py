@@ -1,9 +1,11 @@
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bernbvp import problems
 from bernbvp.bernstein import BernsteinPoly, evaluate
 from bernbvp.errors import EvaluationError
 from bernbvp.expressions import evaluate as eval_expr, parse, to_source
@@ -93,9 +95,10 @@ class TestExampleDefinitions:
         grid = np.arange(201) / 200
         if source.endswith(".txt"):
             assert ex.reference.kind == "fixture"
-            xs, ys = fixture_columns(source)
-            assert ex.reference.grid_x.tobytes() == xs.tobytes() == grid.tobytes()
+            _, ys = fixture_columns(source)
             assert ex.reference.grid_y.tobytes() == ys.tobytes()
+            with pytest.raises(ValueError, match="fixture references only provide grid values"):
+                ex.reference.value(0.5)
         else:
             assert ex.reference.kind == "closed_form"
             want = eval_expr(parse(source), grid)
@@ -175,8 +178,33 @@ class TestReferenceConsistency:
         assert ys5[0] == pytest.approx(ex5.problem.left_values[0], abs=1e-12)
 
     def test_fixture_grid_is_uniform(self):
-        ex = example(5)
-        assert np.allclose(ex.reference.grid_x, np.arange(201) / 200, atol=1e-12)
+        for name in ("example4_airy.txt", "example5_bessel.txt"):
+            xs, _ = fixture_columns(name)
+            assert xs.tobytes() == (np.arange(201) / 200).tobytes()
+
+    @pytest.mark.parametrize("edit", ["as-shipped", "row-short", "ulp-off"])
+    def test_fixture_x_column_must_be_the_grid(self, tmp_path, monkeypatch, edit):
+        # the loader reads the shipped table from a copy; a copy whose x
+        # column is one row short, or one ulp off at x = 7/200, is refused
+        # with the fixture's name.  The loader is called past its cache,
+        # which keeps the shipped tables
+        name = "example4_airy.txt"
+        lines = resources.files("bernbvp").joinpath(f"data/{name}").read_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+        if edit == "row-short":
+            del lines[rows[-1]]
+        elif edit == "ulp-off":
+            x, y = lines[rows[7]].split()
+            lines[rows[7]] = f"{float(np.nextafter(float(x), 1.0))!r} {y}"
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / name).write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(problems, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        if edit == "as-shipped":
+            ys, consts = problems._load_fixture.__wrapped__(name)
+            assert ys.tobytes() == fixture_columns(name)[1].tobytes() and consts == {}
+            return
+        with pytest.raises(ValueError, match=f"fixture {name}: x column is not the grid i/200"):
+            problems._load_fixture.__wrapped__(name)
 
 
 class TestErrorCurve:
@@ -238,9 +266,8 @@ class TestErrorCurve:
         # write must fail, not change the reference of the next example
         ref = example(ex_id).reference
         want = ref.grid_y.tolist()
-        for column in (ref.grid_x, ref.grid_y):
-            with pytest.raises(ValueError):
-                column[10] = 123.0
+        with pytest.raises(ValueError):
+            ref.grid_y[10] = 123.0
         assert example(ex_id).reference.grid_y.tolist() == want
 
     def test_closed_form_not_finite_on_the_grid_raises_and_keeps_nothing(self):

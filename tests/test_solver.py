@@ -247,6 +247,15 @@ class TestOuterCoefficients:
         left, right = outer_coefficients(p, 9)
         assert np.all(left == 0.0) and np.all(right == 0.0)
 
+    def test_degree_that_cannot_hold_the_data_rejected(self):
+        # k = l = 2 at degree 2 would put left[1] and right[1] both at
+        # index 1; degree m - 1 = 3, the seed's, is the least that holds them
+        p = BVProblem((1.0, 2.0), (3.0, 4.0), parse("0"))
+        with pytest.raises(ValueError, match=r"degree 2 too small for k=2, l=2: need n >= m - 1"):
+            outer_coefficients(p, 2)
+        left, right = outer_coefficients(p, 3)
+        assert left.size == right.size == 2
+
     def test_taylor_cubic_seed_block(self):
         p = BVProblem((2.0, -1.0, 3.0, 1.0), (), parse("0"))
         left, _ = outer_coefficients(p, 3)
@@ -767,7 +776,7 @@ class TestSolve:
         # Examples 2 (k = l = 2) and 3 (k = 4, l = 0) share m = 4 and every
         # rule, by default and with a fixed quad_order, but read y0, y2 and
         # y2, y3: the rule keeps their derivative terms per orders read and
-        # their outer terms are kept per (n, k, l), so warm solves of the
+        # their shape terms are kept per (n, k, l), so warm solves of the
         # two, one after the other, match cold ones
         assert [example(i).problem.reads for i in (2, 3)] == [(0, 2), (2, 3)]
         runs = [(example(i).problem, SolveOptions(degree=30)) for i in range(1, 6)]
@@ -777,8 +786,7 @@ class TestSolve:
             _gauss_rule.cache_clear()
             _dual_table.cache_clear()
             assemble_matrix.cache_clear()
-            solver._outer_terms.cache_clear()
-            solver._seed_elevation.cache_clear()
+            solver._shape_terms.cache_clear()
             cold.append(solve(problem, opts))
         assert gauss_rule(40, 2) is gauss_rule(40, 2)
         warm = [solve(problem, opts) for problem, opts in runs + runs[::-1]]
@@ -804,8 +812,7 @@ class TestSolve:
         _gauss_rule.cache_clear()
         _dual_table.cache_clear()
         assemble_matrix.cache_clear()
-        solver._outer_terms.cache_clear()
-        solver._seed_elevation.cache_clear()
+        solver._shape_terms.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
