@@ -5,10 +5,10 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?          # right-associative
+    unary  := '-' unary | atom ('^' unary)?     # ^ is right-associative
     atom   := NUMBER | 'x' | 'y0'..'y9' | NAME '(' expr ')' | '(' expr ')'
     NAME   := sin cos tan sec exp ln sqrt abs
+    NUMBER := a decimal literal (2, 0.5, .5, 3., 1e-3) finite in float64
 
 ``yk`` denotes the k-th derivative argument (y0 = y, y1 = y', ...).
 Evaluation is in float64, at one point or over arrays of points; domain
@@ -80,22 +80,18 @@ _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(source):
+    """(kind, text, offset) per token, then an "eof" token, in one scan:
+    whitespace matches nothing, and a character that starts no token is bad."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {source[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("eof", "", len(source)))
     return tokens
 
@@ -103,11 +99,15 @@ def _tokenize(source):
 # Deepest syntax tree that parse accepts, and deepest nesting of
 # parentheses (and, separately, of minus signs and ^) in its source.
 # Compiling, evaluation, to_source and arg_indices recurse once per tree
-# level and the parser about six times per nesting level (under 800 frames
-# for 64 levels of "2^(", the deepest source it reads), so this keeps them
+# level and the parser about eight times per nesting level (511 frames
+# for 63 levels of "2^(", the deepest source it reads), so this keeps them
 # all below Python's recursion limit of 1000.  Every accepted tree's
 # to_source nests no deeper than the tree, so it parses back.
 MAX_DEPTH = 64
+
+# the left-associative binary operators, loosest first; ^ is in unary
+_LEVELS = ("+-", "*/")
+_LEAVES = {"x": X(), **{f"y{i}": Arg(i) for i in range(10)}}
 
 
 class _Parser:
@@ -119,28 +119,27 @@ class _Parser:
     """
 
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.parens = self.operators = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
+    def take(self, ops):
+        """The next token, consumed, if it is an operator in ops; else None."""
+        kind, text, _ = tok = self.tokens[self.pos]
+        if kind != "op" or text not in ops:
+            return None
         self.pos += 1
         return tok
 
     def expect_op(self, op):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ExpressionSyntaxError(f"expected '{op}'", offset)
-        return self.advance()
+        tok = self.take(op)
+        if tok is None:
+            raise ExpressionSyntaxError(f"expected '{op}'", self.tokens[self.pos][2])
+        return tok
 
     def parse(self):
-        e, _ = self.expr()
-        kind, text, offset = self.peek()
+        e, _ = self.binary()
+        kind, text, offset = self.tokens[self.pos]
         if kind != "eof":
             raise ExpressionSyntaxError(f"unexpected '{text}'", offset)
         return e
@@ -161,60 +160,48 @@ class _Parser:
         return node
 
     def group(self, offset):
-        """The expr and closing parenthesis after the '(' at offset."""
+        """The expression and closing parenthesis after the '(' at offset."""
         if self.parens >= MAX_DEPTH:
             raise _too_deep(offset)
         self.parens += 1
-        node = self.expr()
+        node = self.binary()
         self.expect_op(")")
         self.parens -= 1
         return node
 
-    def expr(self):
-        return self.left_assoc("+-", self.term)
-
-    def term(self):
-        return self.left_assoc("*/", self.unary)
-
-    def left_assoc(self, ops, operand):
-        """operand (op operand)* for the operator characters in ops, as
-        left-nested BinOps."""
-        node, depth = operand()
-        while True:
-            kind, text, offset = self.peek()
-            if kind != "op" or text not in ops:
-                return node, depth
-            self.advance()
-            right, rdepth = operand()
-            node, depth = BinOp(text, node, right), self.deeper(offset, depth, rdepth)
+    def binary(self, level=0):
+        """operand (op operand)* for the operators of _LEVELS[level], as
+        left-nested BinOps, where an operand is the next level's, and a
+        unary past the last level."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node, depth = self.binary(level + 1)
+        while tok := self.take(_LEVELS[level]):
+            right, rdepth = self.binary(level + 1)
+            node, depth = BinOp(tok[1], node, right), self.deeper(tok[2], depth, rdepth)
+        return node, depth
 
     def unary(self):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != "-":
-            return self.power()
-        self.advance()
-        operand, depth = self.operand(offset)
-        return Neg(operand), self.deeper(offset, depth)
-
-    def power(self):
+        """'-' unary | atom ('^' unary)?"""
+        if minus := self.take("-"):
+            operand, depth = self.operand(minus[2])
+            return Neg(operand), self.deeper(minus[2], depth)
         base, depth = self.atom()
-        kind, text, offset = self.peek()
-        if kind != "op" or text != "^":
+        if not (power := self.take("^")):
             return base, depth
-        self.advance()
-        exponent, edepth = self.operand(offset)
-        return BinOp("^", base, exponent), self.deeper(offset, depth, edepth)
+        exponent, edepth = self.operand(power[2])
+        return BinOp("^", base, exponent), self.deeper(power[2], depth, edepth)
 
     def atom(self):
-        kind, text, offset = self.advance()
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            return Num(float(text)), 1
+            if math.isinf(value := float(text)):
+                raise ExpressionSyntaxError(f"number {text} is beyond float64", offset)
+            return Num(value), 1
         if kind == "name":
-            if text == "x":
-                return X(), 1
-            m = re.fullmatch(r"y(\d)", text)
-            if m:
-                return Arg(int(m.group(1))), 1
+            if text in _LEAVES:
+                return _LEAVES[text], 1
             if text in _FUNCS:
                 arg, depth = self.group(self.expect_op("(")[2])
                 return Call(text, arg), self.deeper(offset, depth)

@@ -241,12 +241,12 @@ def outer_coefficients(problem, n):
 
     Returns (left, right): left[i] is the coefficient at index i
     (i = 0..k-1) and right[j] the one at index n - j (j = 0..l-1), so n
-    must be at least m - 1 for the two to hold distinct indices.  Both
-    recurrences peel the highest-order endpoint-derivative formula.  Staying
-    in float64 is deliberate: each coefficient is computed from the already
-    rounded earlier ones, so its own rounding compensates theirs and the
-    boundary conditions verify more tightly than independently rounded exact
-    values would.
+    must be at least m - 1 for the two to hold distinct indices.  One
+    recurrence, at both ends, peels the highest-order endpoint-derivative
+    formula.  Staying in float64 is deliberate: each coefficient is computed
+    from the already rounded earlier ones, so its own rounding compensates
+    theirs and the boundary conditions verify more tightly than
+    independently rounded exact values would.
     """
     k, l = problem.k, problem.l
     if n < problem.m - 1:
@@ -259,44 +259,43 @@ def outer_coefficients(problem, n):
 @functools.lru_cache(maxsize=1024)
 def _shape_terms(n, k, l):
     """What a step of degree n takes from n, k and l alone: (outer terms,
-    elevation rows).  The outer terms hold, per left index i, n!/(n-i)!
-    and the signed binomials -(-1)^(i-h) C(i, h) for h < i; per right
-    index j, (-1)^j, n!/(n-j)! and -(-1)^h C(j, h) for h = 1..j.  The
+    elevation rows).  The outer terms, which both ends share, hold
+    n!/(n-j)! and -(-1)^h C(j, h) for h = 1..j, per j < max(k, l).  The
     elevation rows are rows k..n - l of the matrix that raises a
     polynomial of degree m - 1 to degree n: C(m-1, j) C(n-m+1, i-j) /
     C(n, i), each rounded once from the integers (read-only)."""
     m = k + l
-    left = tuple((falling_factorial(n, i),
-                  tuple(-((-1.0) ** (i - h)) * comb(i, h) for h in range(i)))
-                 for i in range(k))
-    right = tuple(((-1.0) ** j, falling_factorial(n, j),
+    outer = tuple((falling_factorial(n, j),
                    tuple(-((-1.0) ** h) * comb(j, h) for h in range(1, j + 1)))
-                  for j in range(l))
+                  for j in range(max(k, l)))
     e = np.array([[comb(m - 1, j) * comb(n - m + 1, i - j) / comb(n, i) if j <= i else 0.0
                    for j in range(m)] for i in range(k, n - l + 1)])
     e.setflags(write=False)
-    return (left, right), e
+    return outer, e
 
 
 def _outer(problem, terms):
-    """outer_coefficients as two lists, from the terms of its degree.
-
-    Each coefficient is checked once, here: EvaluationError if one is not
-    finite in float64, as for boundary data near the float64 limit.
-    """
-    left_terms, right_terms = terms
-    left, right = [], []
+    """outer_coefficients as two lists, from the terms of its degree: c_j,
+    j places from either end, is the fsum of s_j v_j / (n!/(n-j)!) (s_j = 1
+    at x = 0, (-1)^j at x = 1) and -(-1)^h C(j, h) c_(j-h), h = 1..j, in
+    index order, on which an overflow on the way depends.  Each is checked
+    once, here: EvaluationError if one is not finite in float64, as for
+    boundary data near the float64 limit."""
+    ends = []
     try:
-        for value, (scale, signed) in zip(problem.left_values, left_terms):
-            left.append(math.fsum([value / scale, *map(mul, signed, left)]))
-        for value, (sign, scale, signed) in zip(problem.right_values, right_terms):
-            right.append(math.fsum([sign * value / scale, *map(mul, signed, reversed(right))]))
-        finite = all(map(math.isfinite, left)) and all(map(math.isfinite, right))
+        for sign, values in ((1.0, problem.left_values), (-1.0, problem.right_values)):
+            end = []
+            for j, (value, (scale, signed)) in enumerate(zip(values, terms)):
+                products = (map(mul, reversed(signed), end) if sign > 0  # c_0 first
+                            else map(mul, signed, reversed(end)))        # c_(j-1) first
+                end.append(math.fsum([sign ** j * value / scale, *products]))
+            ends.append(end)
+        finite = all(map(math.isfinite, ends[0] + ends[1]))
     except (OverflowError, ValueError):  # fsum overflows, or meets inf - inf
         finite = False
     if not finite:
         raise EvaluationError("outer coefficients are not finite in float64")
-    return left, right
+    return ends
 
 
 def seed(problem):

@@ -109,10 +109,19 @@ class TestSolveCommand:
         assert main(["solve", str(bad), "--degree", "4", "--out", str(tmp_path / "o")]) == 2
         assert "boundary condition count mismatch" in capsys.readouterr().err
 
-    def test_bad_rhs_exits_2(self, tmp_path):
+    def test_bad_rhs_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"order": 1, "left": [0.0], "rhs": "x^(1"}')
         assert main(["solve", str(bad), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        # a literal beyond float64 would be Num(inf), which prints as the
+        # unknown identifier inf; it is a syntax error at its offset
+        for rhs, text, offset in (("1e999*y0", "1e999", 0), ("2*1e400 + x", "1e400", 2)):
+            bad.write_text(json.dumps({"order": 1, "left": [0.0], "rhs": rhs}))
+            capsys.readouterr()
+            assert main(["solve", str(bad), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: invalid rhs expression: number {text} is beyond float64"
+                f" (at offset {offset})\n")
 
     def test_rhs_beyond_the_order_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,7 @@
 """Property tests: the array walk of expressions.evaluate against the
-scalar walk in helpers.py on random trees and random points, the
-non-finite-sample error of the moment kernel, and the boundary conditions
-of random boundary data."""
+scalar walk in helpers.py on random trees and random points, the parser
+on random token strings, the non-finite-sample error of the moment kernel,
+and the boundary conditions of random boundary data."""
 
 import math
 from math import comb
@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, falling_factorial
-from bernbvp.errors import EvaluationError
-from bernbvp.expressions import _FUNCS, Arg, BinOp, Call, Neg, Num, X, evaluate, parse
+from bernbvp.errors import EvaluationError, ExpressionSyntaxError
+from bernbvp.expressions import (_FUNCS, Arg, BinOp, Call, Neg, Num, X, evaluate, parse,
+                                 to_source)
 from bernbvp.quadrature import gauss_rule, legendre_moments
 from bernbvp.solver import BVProblem, outer_coefficients
 
@@ -83,6 +84,38 @@ def test_array_walk_matches_scalar_walk(tree, data):
     else:
         got = evaluate(tree, xs[0].item(), ys[:, 0].tolist())
         assert type(got) is float and same_bits(got, first)
+
+
+# the grammar's tokens, a literal beyond float64, an argument past y9, an
+# unknown name and characters that start no token, with whitespace
+_TOKENS = ["x", "y0", "y9", "2", "0.5", ".5", "3.", "1e-3", "1e999", "y12", "foo",
+           *sorted(_FUNCS), *"+-*/^()", " ", "\t", "$", ",", "\u00e9"]
+_atoms = st.sampled_from(_TOKENS[:11])
+_grammar = st.recursive(_atoms, lambda sub: st.one_of(
+    st.builds("{}{}{}".format, sub, st.sampled_from(["+", " - ", "*", "/", "^"]), sub),
+    sub.map("-{}".format), sub.map("( {} )".format),
+    st.builds("{}({})".format, st.sampled_from(sorted(_FUNCS)), sub)), max_leaves=8)
+# an opener repeated up to past the 64 levels parse accepts, a source from
+# the grammar, and up to as many closing parentheses, independently drawn
+_nested = st.builds(lambda opener, depth, inner, closers: opener * depth + inner + ")" * closers,
+                    st.sampled_from(["(", "-", "2^", "2^(", "sin(", "x+(", "-("]),
+                    st.integers(0, 80), _grammar, st.integers(0, 80))
+_sources = st.one_of(_grammar, st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+                     _nested)
+
+
+@PROPERTY
+@given(source=_sources)
+def test_parse_round_trips_or_raises_a_syntax_error(source):
+    # every tree parse returns prints back to the same tree; every source
+    # it refuses is an ExpressionSyntaxError at an offset inside the source
+    # (or at its end), never another exception
+    try:
+        tree = parse(source)
+    except ExpressionSyntaxError as exc:
+        assert 0 <= exc.offset <= len(source)
+    else:
+        assert parse(to_source(tree)) == tree
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
