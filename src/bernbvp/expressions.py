@@ -77,7 +77,7 @@ _FUNCS = {
 }
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<bad>\S)"
@@ -358,9 +358,7 @@ def evaluate(e, x, args=()):
         out = (e if callable(e) else compile(e))(np.asarray(x, dtype=float), args)
     if not shape:
         return float(out)
-    if np.shape(out) == shape:
-        return np.array(out, dtype=float)
-    return np.array(np.broadcast_to(out, shape))
+    return np.array(np.broadcast_to(out, shape), dtype=float)
 
 
 def compile(e):

@@ -60,12 +60,12 @@ arithmetic, so its products with C-contiguous matrices are ndarray.dot
 (the same bits as @, with about half its overhead) and its finiteness
 checks count the finite entries (``np.count_nonzero``).
 
-solve and iterate enter one ``np.errstate`` per call, which ignores
-overflow and invalid operations for every step; each step checks every
-value it makes once, in the layer that makes it (``_iterate_core``), and
-leaves as one IterationError on a numerical failure.  Boundary data whose
-outer coefficients leave float64 fail the same way, at the step's degree
-or at the seed's, m - 1, from ``seed``, where solve and iterate both start.
+solve and iterate() step through one loop (``_drive``), which enters one
+``np.errstate`` per call for every step; each step checks every value it
+makes once, in the layer that makes it (``_iterate_core``), and leaves as
+one IterationError on a numerical failure.  Boundary data whose outer
+coefficients leave float64 fail the same way, at the step's degree or at
+the seed's, m - 1, from ``seed``, where solve and iterate both start.
 """
 
 import functools
@@ -102,7 +102,7 @@ def _node_derivatives(p, terms):
     taken once, order after order, so each has the bits it has when every
     order is wanted; its values are one product with B.  A value that
     overflows is inf or nan, with a warning unless the caller ignores it
-    (``np.errstate``, as solve and iterate do); the caller checks the
+    (``np.errstate``, as ``_drive`` does); the caller checks the
     values it uses.
     """
     values = []
@@ -276,22 +276,27 @@ def _shape_terms(n, k, l):
 
 def _outer(problem, terms):
     """outer_coefficients as two lists, from the terms of its degree: c_j,
-    j places from either end, is the fsum of s_j v_j / (n!/(n-j)!) (s_j = 1
-    at x = 0, (-1)^j at x = 1) and -(-1)^h C(j, h) c_(j-h), h = 1..j, in
-    index order, on which an overflow on the way depends.  Each is checked
-    once, here: EvaluationError if one is not finite in float64, as for
-    boundary data near the float64 limit."""
+    j places from either end, is the correctly rounded sum of
+    s_j v_j / (n!/(n-j)!) (s_j = 1 at x = 0, (-1)^j at x = 1) and the
+    rounded -(-1)^h C(j, h) c_(j-h), h = 1..j: their fsum, or where its
+    partial sums overflow their exact sum (``bandsolve._dyadic``) rounded
+    once, so mirror-image data give the same coefficients.  Each is
+    checked once, here: EvaluationError if one is not finite in float64,
+    as for boundary data near the float64 limit."""
     ends = []
     try:
         for sign, values in ((1.0, problem.left_values), (-1.0, problem.right_values)):
             end = []
             for j, (value, (scale, signed)) in enumerate(zip(values, terms)):
-                products = (map(mul, reversed(signed), end) if sign > 0  # c_0 first
-                            else map(mul, signed, reversed(end)))        # c_(j-1) first
-                end.append(math.fsum([sign ** j * value / scale, *products]))
+                summands = [sign ** j * value / scale, *map(mul, reversed(signed), end)]
+                try:
+                    end.append(math.fsum(summands))
+                except OverflowError:  # a partial sum overflows
+                    ints, s = bandsolve._dyadic(summands)
+                    end.append(sum(ints) / (1 << s))
             ends.append(end)
         finite = all(map(math.isfinite, ends[0] + ends[1]))
-    except (OverflowError, ValueError):  # fsum overflows, or meets inf - inf
+    except (OverflowError, ValueError):  # the sum leaves float64, or fsum meets inf - inf
         finite = False
     if not finite:
         raise EvaluationError("outer coefficients are not finite in float64")
@@ -312,7 +317,7 @@ def seed(problem):
     return BernsteinPoly(np.concatenate((left, right[::-1])))
 
 
-def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
+def _iterate_core(problem, start, prev, n, rule, rhs, float_pass):
     """One step to degree n from the coefficients prev of the previous
     iterate, of any degree from m - 1 up, with start the seed's
     coefficients; returns (coefficients, L2 residual).
@@ -334,7 +339,7 @@ def _iterate_core(problem, start, prev, n, rule, rhs, float_pass=False):
     order it does not read; the rule keeps their terms under the orders
     read, not m, since problems of one order can read different ones
     (examples 2 and 3).  The step runs under the caller's np.errstate,
-    which solve and iterate enter once per call, ignoring overflow and
+    which ``_drive`` enters once per call, ignoring overflow and
     invalid operations.  Each value is checked once, by the layer that
     makes it: the outer coefficients (``_outer``), the samples of the
     right-hand side (``legendre_moments``), v (``bandsolve.assemble_rhs``),
@@ -405,6 +410,24 @@ def _compiled_rhs(problem):
     return pointwise
 
 
+def _drive(problem, start, coeffs, steps, float_pass=False):
+    """The one loop of solve and iterate(): one ``_iterate_core`` step per
+    (degree, rule) pair of steps, which may be lazy, from coeffs, the
+    previous iterate's, on the base of start, the seed's (``seed``, which
+    fails as m - 1); returns the ``SolveReport`` of those steps.  The
+    right-hand side is compiled once (``_compiled_rhs``), and every step
+    runs under one np.errstate that ignores overflow and invalid
+    operations; a numerical failure leaves as IterationError(n, cause)."""
+    previous, residuals = [], []
+    rhs = _compiled_rhs(problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, rule in steps:
+            previous.append(coeffs)
+            coeffs, res = _iterate_core(problem, start, coeffs, n, rule, rhs, float_pass)
+            residuals.append(res)
+    return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))
+
+
 def iterate(problem, previous, n, rule=None):
     """One step to degree n from ``previous``, an iterate of any degree
     from m - 1 up, so a sweep at a fixed degree or a jump in degree too.
@@ -413,9 +436,9 @@ def iterate(problem, previous, n, rule=None):
     the banded Toeplitz system with the right-hand side frozen at
     ``previous``, as the correction to the seed raised to degree n, with
     exact refinement (``_iterate_core``), which keeps the step at the one
-    solved exactly from the same samples, to rounding.  Numerical failures
-    carry the iteration index, the seed's m - 1 (``seed``), and warn
-    nothing.  An expression rhs is compiled per call.
+    solved exactly from the same samples, to rounding.  The step is the
+    one-step plan of ``_drive``, as in solve; numerical failures carry the
+    iteration index, and warn nothing.
     """
     if n < problem.m:
         raise ValueError(f"need n >= m = {problem.m}, got {n}")
@@ -423,11 +446,7 @@ def iterate(problem, previous, n, rule=None):
         raise ValueError(f"previous iterate has degree {previous.degree} < m - 1")
     if rule is None:
         rule = _default_rule(n, SolveOptions(degree=n))
-    start = seed(problem).coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, _ = _iterate_core(problem, start, previous.coeffs, n, rule,
-                                  _compiled_rhs(problem))
-    return BernsteinPoly(coeffs)
+    return _drive(problem, seed(problem).coeffs, previous.coeffs, [(n, rule)]).solution
 
 
 def solve(problem, options):
@@ -436,28 +455,14 @@ def solve(problem, options):
     Deterministic for fixed inputs; the report holds the residual of every
     n = m..N and every iterate from the seed on, kept as coefficients.
 
-    An expression rhs is compiled once (``expressions.compile``) and
-    serves every iteration, so its x-only parts are evaluated once per
-    quadrature rule and each iteration evaluates only the rest.  The
-    iterations run under one np.errstate, entered once per call, and a
-    numerical failure leaves as IterationError(n, cause), the seed's as
-    n = m - 1 (``seed``).  Nothing is kept across calls.  Each iterate is
-    the one iterate() gives from the iterate before, up to the band solve's
-    refinement: the ladder's takes one float64 pass first
-    (``_iterate_core``).
+    The ladder is the lazy plan of (n, rule) steps, n = m..N, that
+    ``_drive`` takes with the float64 refinement pass first; a numerical
+    failure leaves as IterationError(n, cause).  Nothing is kept across
+    calls.  Each iterate is the one iterate() gives from the iterate
+    before, up to the band solve's refinement (``_iterate_core``).
     """
-    N = options.degree
-    m = problem.m
-    if N < m:
-        raise ValueError(f"target degree {N} below equation order {m}")
-
-    start = coeffs = seed(problem).coeffs
-    previous, residuals = [], []
-    rhs = _compiled_rhs(problem)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(m, N + 1):
-            previous.append(coeffs)
-            rule = _default_rule(n, options)
-            coeffs, res = _iterate_core(problem, start, coeffs, n, rule, rhs, float_pass=True)
-            residuals.append(res)
-    return SolveReport(BernsteinPoly(coeffs), np.array(residuals), tuple(previous))
+    if options.degree < problem.m:
+        raise ValueError(f"target degree {options.degree} below equation order {problem.m}")
+    start = seed(problem).coeffs
+    ladder = ((n, _default_rule(n, options)) for n in range(problem.m, options.degree + 1))
+    return _drive(problem, start, start, ladder, float_pass=True)

@@ -113,6 +113,11 @@ class TestSolveCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"order": 1, "left": [0.0], "rhs": "x^(1"}')
         assert main(["solve", str(bad), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        # a Unicode decimal digit is no NUMBER
+        bad.write_text(json.dumps({"order": 1, "left": [0.0], "rhs": "\u0663*y0"}))
+        capsys.readouterr()
+        assert main(["solve", str(bad), "--degree", "3", "--out", str(tmp_path / "o")]) == 2
+        assert "unexpected character '\u0663'" in capsys.readouterr().err
         # a literal beyond float64 would be Num(inf), which prints as the
         # unknown identifier inf; it is a syntax error at its offset
         for rhs, text, offset in (("1e999*y0", "1e999", 0), ("2*1e400 + x", "1e400", 2)):

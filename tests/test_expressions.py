@@ -118,9 +118,13 @@ class TestParse:
             parse("2x")
 
     def test_unexpected_character(self):
-        with pytest.raises(ExpressionSyntaxError) as err:
-            parse("1 + $")
-        assert err.value.offset == 4
+        # NUMBER takes the ASCII digits only, not every Unicode decimal
+        # digit (here ARABIC-INDIC DIGIT THREE)
+        for source, offset in (("1 + $", 4), ("\u0663", 0), ("1\u0663", 1), ("1.5e\u0663", 4)):
+            with pytest.raises(ExpressionSyntaxError) as err:
+                parse(source)
+            assert err.value.offset == offset
+            assert str(err.value).startswith(f"unexpected character {source[offset]!r}")
 
     def test_empty_input(self):
         with pytest.raises(ExpressionSyntaxError):

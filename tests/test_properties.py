@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 from helpers import expression_reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernbvp.bernstein import BernsteinPoly, endpoint_derivative, falling_factorial
@@ -163,3 +163,36 @@ def test_boundary_values_hold_to_the_rounding_of_their_derivatives(m, data):
             scale = sum(comb(r, h) * abs(c) for h, c in enumerate(near.tolist()))
             bound = 4 * eps * falling_factorial(n, r) * scale
             assert abs(endpoint_derivative(poly, r, end) - want) <= bound, (k, n, end, r)
+
+
+# finite values of every size, and values within 1% below the float64
+# limit, where the partial sums of the outer recurrence overflow
+_wide_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda sign, a: sign * a, st.sampled_from((-1.0, 1.0)),
+              st.floats(0.99 * 1.7976931348623157e308, 1.7976931348623157e308)),
+)
+
+
+def _outer_or_none(left, right, n):
+    try:
+        return outer_coefficients(BVProblem(left, right, parse("0")), n)
+    except EvaluationError:
+        return None
+
+
+@PROPERTY
+@example(values=[1.7e308, 1.7e308, 1.7e308], raise_by=0)
+@given(values=st.lists(_wide_values, min_size=1, max_size=12), raise_by=st.integers(0, 20))
+def test_mirror_image_boundary_data_give_the_same_outer_coefficients(values, raise_by):
+    # data v at x = 1 and their mirror image (-1)^j v_j at x = 0 have the
+    # same outer coefficients, bit for bit, or both leave float64; the
+    # @example's c_2 = 8.5e307 at the seed's degree is finite though its
+    # partial sums overflow in some orders
+    n = len(values) - 1 + raise_by
+    mirror = tuple(-v if j % 2 else v for j, v in enumerate(values))
+    right = _outer_or_none((), tuple(values), n)
+    left = _outer_or_none(mirror, (), n)
+    assert (right is None) == (left is None)
+    if right is not None:
+        assert right[1].tobytes() == left[0].tobytes()

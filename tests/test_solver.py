@@ -480,14 +480,19 @@ class TestSolve:
 
     def test_outer_coefficients_beyond_float64_fail_with_iteration_index(self):
         # the seed (degree 2) is finite, but at degree 3 the recurrence
-        # overflows: the step fails as a numerical failure of degree 3
-        p = BVProblem((1.7e308, -1.7e308, 1.7e308), (), parse("y0"))
-        assert np.isfinite(seed(p).coeffs).all()
-        with pytest.raises(IterationError) as err:
-            solve(p, SolveOptions(degree=8))
-        assert err.value.n == 3
-        assert isinstance(err.value.cause, EvaluationError)
-        assert str(err.value.cause) == "outer coefficients are not finite in float64"
+        # overflows: the step fails as a numerical failure of degree 3.
+        # Data at x = 1 and their mirror image (-1)^j v_j at x = 0 have the
+        # same outer coefficients, so they fail at the same degree: at
+        # degree 2 the partial sums of c_2 = 8.5e307 overflow in some
+        # orders, but its exact sum does not
+        for p in (BVProblem((1.7e308, -1.7e308, 1.7e308), (), parse("y0")),
+                  BVProblem((), (1.7e308, 1.7e308, 1.7e308), parse("y0"))):
+            assert np.isfinite(seed(p).coeffs).all()
+            with pytest.raises(IterationError) as err:
+                solve(p, SolveOptions(degree=8))
+            assert err.value.n == 3
+            assert isinstance(err.value.cause, EvaluationError)
+            assert str(err.value.cause) == "outer coefficients are not finite in float64"
 
     def test_overflowing_moments_fail_with_iteration_index(self):
         # every sample is finite, but 3 sum_t w_t g(x_t) P_1(2 x_t - 1) is
